@@ -72,6 +72,7 @@ from .sparse import (
     CholeskyFactor,
     Permutation,
     SparseSymmetric,
+    analyze,
     constrain,
     factorize,
     reorder,

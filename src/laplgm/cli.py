@@ -37,13 +37,12 @@ from .latent import (
     ReplicateGrouping,
     Rw1Component,
     Rw1Grouping,
-    SpdeMaternComponent,
     StackPart,
     bin_covariate,
     build_stack,
     correlation_hyper,
     group_block,
-    matern_kappa_tau,
+    spde_matern_component,
 )
 from .likelihoods import EXACT_PREDICTOR_LOG_PRECISION, FAMILIES
 from .marginals import SUMMARY_QUANTILES
@@ -286,21 +285,12 @@ def build_model(cfg, config_path):
                     grouping = Rw1Grouping(T)
                 else:
                     raise ParseError(f"{gctx}: unknown group kind {gkind!r}")
-            lo = mesh.vertices.min(axis=0)
-            hi = mesh.vertices.max(axis=0)
-            default_range = float(sec.get("initial_range",
-                                          0.2 * float(np.hypot(*(hi - lo)))))
-            sigma0 = float(sec.get("initial_sigma", 1.0))
-            nu = alpha - 1.0 if alpha == 2 else 0.5
-            kappa0, tau0 = matern_kappa_tau(default_range, sigma0, nu=nu)
-            prior = _parse_prior(sec.get("prior"), ctx) or GaussianPrior(0.0, 0.1)
-            comp = SpdeMaternComponent(
-                name, fem_cache, alpha,
-                HyperParam(f"{name}.log_tau", np.log(tau0), "log", prior),
-                HyperParam(f"{name}.log_kappa", np.log(kappa0), "log",
-                           GaussianPrior(prior.mean, prior.precision)
-                           if isinstance(prior, GaussianPrior) else GaussianPrior(0.0, 0.1)),
-                grouping=grouping)
+            initial_range = sec.get("initial_range")
+            comp = spde_matern_component(
+                name, fem_cache, mesh, alpha,
+                initial_range=None if initial_range is None else float(initial_range),
+                initial_sigma=float(sec.get("initial_sigma", 1.0)),
+                prior=_parse_prior(sec.get("prior"), ctx), grouping=grouping)
             components.append(comp)
             spde_name = name
             if grouping is not None:
@@ -370,16 +360,15 @@ def build_model(cfg, config_path):
 
 def engine_config(cfg, args):
     sec = cfg.get("engine") or {}
-    check_keys(sec, {"int_strategy", "strategy", "grid_step", "log_drop", "max_grid_nodes",
+    check_keys(sec, {"int_strategy", "grid_step", "log_drop", "max_grid_nodes",
                      "newton_tol", "max_newton", "mode_budget", "mode_grad_tol",
                      "marginal_points", "marginal_span", "threads"}, "engine")
     ec = EngineConfig()
     ec.threads = os.cpu_count() or 1  # results do not depend on the cap
     if cfg.get("threads") is not None:
         ec.threads = int(cfg["threads"])
-    for key in ("int_strategy", "strategy"):
-        if sec.get(key) is not None:
-            setattr(ec, key, str(sec[key]))
+    if sec.get("int_strategy") is not None:
+        ec.int_strategy = str(sec["int_strategy"])
     for key in ("grid_step", "log_drop", "newton_tol", "mode_grad_tol", "marginal_span"):
         if sec.get(key) is not None:
             setattr(ec, key, float(sec[key]))
@@ -388,8 +377,6 @@ def engine_config(cfg, args):
             setattr(ec, key, int(sec[key]))
     if getattr(args, "int_strategy", None):
         ec.int_strategy = args.int_strategy
-    if getattr(args, "strategy", None):
-        ec.strategy = args.strategy
     if getattr(args, "threads", None):
         ec.threads = args.threads
     return ec
@@ -594,7 +581,6 @@ def make_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--strategy", choices=["gaussian"], default=None)
         p.add_argument("--int-strategy", dest="int_strategy",
                        choices=["grid", "ccd", "eb"], default=None)
     return parser

@@ -48,7 +48,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class EngineConfig:
     """Tunable constants of the approximation engine."""
 
-    strategy: str = "gaussian"       # latent-marginal strategy (only choice)
     int_strategy: str = "ccd"        # grid | ccd | eb
     grid_step: float = 1.0           # step in standardized z coordinates
     log_drop: float = 2.5            # keep grid nodes within this log drop
@@ -232,24 +231,50 @@ class Engine:
         self._rand_mask = np.ones(self.n)
         self._rand_mask[self.fixed_cols] = 0.0
 
-        theta0 = model.theta_initial()
-        Q0, _, _, _ = model.prior_quantities(theta0)
-        AtA = (self.A_obs.T @ self.A_obs).tocsc()
-        template = ((Q0 != 0) + (AtA != 0)).astype(float).tocsc()
-        template.sort_indices()
-        template.data[:] = 0.0
-        self._template = template
-        ones = template.copy()
-        ones.data[:] = 1.0
-        pattern1 = (ones + sp.identity(self.n, format="csc")).tocsc()
-        self.perm = self._choose_permutation(pattern1)
-        permuted0 = pattern1[self.perm.order, :][:, self.perm.order]
-        self._band_hint = sparse._detect_bordered_band(
-            sp.tril(permuted0, format="csc"), self.n)
+        # symbolic stage: Q* = Q(theta) + A' diag(c) A on one fixed pattern
+        n = self.n
+        P = model.prior_pattern()
+        prows = P.indices.astype(np.int64)
+        pcols = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
+        self._prior_lower = np.flatnonzero(prows >= pcols)
+        prior_keys = pcols[self._prior_lower] * n + prows[self._prior_lower]
+        lik_keys, lik_rows, lik_vals = self._likelihood_pairs()
+        keys = np.unique(np.concatenate(
+            [prior_keys, lik_keys, np.arange(n, dtype=np.int64) * (n + 1)]))
+        self._prior_pos = np.searchsorted(keys, prior_keys)
+        # row p of the map gives the entry at keys[p] of A' diag(c) A as a map of c
+        self._lik_map = sp.csr_matrix(
+            (lik_vals, (np.searchsorted(keys, lik_keys), lik_rows)),
+            shape=(keys.size, self.obs_idx.size))
+        lower = sparse._csc_from_keys(keys, n)
+        self._pattern = lower
+        full = (lower + sp.tril(lower, k=-1).T).tocsc()
+        self.perm = self._choose_permutation(full)
+        self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
         self._selinv_plan = None
         self._pair_plan = None
-        self._x_warm = np.zeros(self.n)
-        self._lp_cache = {}
+        self._x_warm = np.zeros(n)
+        self._lp_cache = {}   # theta bytes -> (log posterior, latent mode x*)
+
+    def _likelihood_pairs(self):
+        """Lower-triangle entries of A_obs' diag(c) A_obs as (key, row, weight) triplets.
+
+        Entry (i, j) receives weight A[r, i] * A[r, j] times c_r from every
+        observed row r holding both columns.
+        """
+        A = self.A_obs.tocsr()
+        A.sum_duplicates()
+        lens = np.diff(A.indptr)
+        row_of = np.repeat(np.arange(A.shape[0]), lens)
+        # every ordered pair (e, f) of stored entries sharing a row
+        reps = lens[row_of]
+        e = np.repeat(np.arange(A.nnz), reps)
+        starts = np.repeat(A.indptr[row_of], reps)
+        f = starts + np.arange(e.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        ci, cj = A.indices[e].astype(np.int64), A.indices[f].astype(np.int64)
+        weights = A.data[e] * A.data[f]
+        keep = (ci >= cj) & (weights != 0.0)
+        return cj[keep] * self.n + ci[keep], row_of[e[keep]], weights[keep]
 
     # -- ordering ---------------------------------------------------
 
@@ -301,10 +326,6 @@ class Engine:
 
     # -- per-theta quantities ----------------------------------------
 
-    def _prior(self, theta):
-        Q, rank, logdet, corr = self.model.prior_quantities(theta)
-        return Q.tocsc(), rank, logdet, corr
-
     def _lik_param(self, theta):
         values = self.model.values_from_theta(theta)
         return self.model.likelihood.param(values)
@@ -314,50 +335,59 @@ class Engine:
         ll = float(np.sum(self.model.likelihood.log_lik(self.y_obs, eta_obs, param)))
         return ll - 0.5 * float(x @ (Qp @ x))
 
+    def _prior_on_pattern(self, Qp):
+        """Lower triangle of the prior precision laid on the pattern of Q*."""
+        q = np.zeros(self._pattern.nnz)
+        q[self._prior_pos] = Qp.data[self._prior_lower]
+        return q
+
+    def _conditional_precision(self, q_prior, c):
+        """Q* = Q(theta) + A' diag(c) A from the prior data on the pattern of Q*."""
+        lower = sp.csc_matrix((q_prior + self._lik_map @ c, self._pattern.indices,
+                               self._pattern.indptr), shape=self._pattern.shape)
+        return SparseSymmetric(self.n, lower, validate=False)
+
     def gaussian_approximation(self, theta, x_init=None, Qp=None):
-        """Newton iteration for the mode and curvature of the latent conditional."""
+        """Newton iteration for the mode and curvature of the latent conditional.
+
+        `Qp`, when given, is `model.prior_quantities(theta)[0]`.  Q* is
+        factorized once per distinct curvature vector: a step below the
+        Newton tolerance, or an unchanged likelihood curvature (a Gaussian
+        likelihood), keeps the last factor.
+        """
         cfg = self.config
         model = self.model
         theta = np.asarray(theta, dtype=float)
         if Qp is None:
-            Qp = self._prior(theta)[0]
+            Qp = model.prior_quantities(theta)[0]
         param = self._lik_param(theta)
         x = np.array(self._x_warm if x_init is None else x_init, dtype=float)
         if x.size != self.n:
             raise DimensionMismatch("x_init has wrong length")
         constrained = self.n_constraints > 0
+        q_prior = self._prior_on_pattern(Qp)
 
-        approx = None
         iterations = 0
         converged = False
-        stop_after_rebuild = False
+        c_factored = None
         fx = None
         while True:
             eta_obs = self.A_obs @ x
             d1, d2 = model.likelihood.derivs(self.y_obs, eta_obs, param)
             c = -d2
-            Q_star_csc = (Qp + (self.A_obs.T @ sp.diags(c) @ self.A_obs)).tocsc() + self._template
-            Q_star_csc.sort_indices()
-            Q_star = SparseSymmetric(self.n, sp.tril(Q_star_csc).tocsc(), validate=False)
-            Q_star._full = Q_star_csc
-            factor = factorize(Q_star, self.perm, band_hint=self._band_hint)
-            W = cho = None
-            logdet_S = 0.0
-            if constrained:
-                W = solve(factor, self.M.T)
-                S = self.M @ W
-                S = 0.5 * (S + S.T)
-                cho = scipy.linalg.cho_factor(S)
-                logdet_S = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-            approx = GaussianApprox(x, Q_star, factor, iterations, converged,
-                                    constraint_W=W, constraint_cho=cho,
-                                    constraint_logdet=logdet_S)
-            if stop_after_rebuild:
-                break
+            if c_factored is None or not np.array_equal(c, c_factored):
+                Q_star = self._conditional_precision(q_prior, c)
+                factor = factorize(Q_star, self._symbolic)
+                c_factored = c
+                W = cho = None
+                logdet_S = 0.0
+                if constrained:
+                    W = solve(factor, self.M.T)
+                    cho, logdet_S = sparse.constraint_cholesky(self.M @ W)
             grad = self.A_obs.T @ d1 - Qp @ x
             if not constrained and iterations >= 1 and \
                     np.max(np.abs(grad)) <= cfg.newton_tol * (1.0 + np.max(np.abs(x))):
-                approx.converged = converged = True
+                converged = True
                 break
             if iterations >= cfg.max_newton:
                 raise NonConvergence(iterations)
@@ -380,18 +410,27 @@ class Engine:
             iterations += 1
             if delta <= cfg.newton_tol:
                 converged = True
-                stop_after_rebuild = True
-        approx.iterations = iterations
+                break
         self._x_warm = x.copy()
-        return approx
+        return GaussianApprox(x, Q_star, factor, iterations, converged,
+                              constraint_W=W, constraint_cho=cho,
+                              constraint_logdet=logdet_S)
 
     def log_posterior(self, theta, return_approx=False, x_init=None):
-        """Unnormalized log posterior density of the hyperparameters."""
+        """Unnormalized log posterior density of the hyperparameters.
+
+        Without `x_init`, a theta seen before restarts Newton from its
+        converged latent mode.
+        """
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
-        if not return_approx and key in self._lp_cache:
-            return self._lp_cache[key]
-        Qp, rank, logdet_p, corr = self._prior(theta)
+        cached = self._lp_cache.get(key)
+        if cached is not None:
+            if not return_approx:
+                return cached[0]
+            if x_init is None:
+                x_init = cached[1]
+        Qp, rank, logdet_p, corr = self.model.prior_quantities(theta)
         approx = self.gaussian_approximation(theta, x_init=x_init, Qp=Qp)
         x = approx.x_star
         param = self._lik_param(theta)
@@ -403,7 +442,9 @@ class Engine:
         lp += 0.5 * (self.n - k) * LOG_2PI - 0.5 * approx.factor.logdet \
             - 0.5 * approx.constraint_logdet
         lp = float(lp)
-        self._lp_cache[key] = lp
+        # the first value computed at theta stays, so later calls do not
+        # depend on which warm start a re-evaluation used
+        self._lp_cache.setdefault(key, (lp, x))
         if return_approx:
             return lp, approx
         return lp
@@ -617,16 +658,6 @@ class Engine:
                                   scipy.linalg.cho_solve(approx.constraint_cho, G.T))
         return mean, np.clip(var, 1e-300, None)
 
-    def marginal_likelihood(self, nodes, H):
-        center = max(nodes, key=lambda nd: nd.log_post)
-        p = H.shape[0]
-        if p == 0:
-            return float(center.log_post)
-        sign, logdet_negH = np.linalg.slogdet(-H)
-        if sign <= 0:
-            raise ModeSearchFailed("Hessian not negative definite")
-        return float(center.log_post + 0.5 * p * LOG_2PI - 0.5 * logdet_negH)
-
 
 def node_weights(nodes):
     """Mixture weights combining design weights with posterior mass."""
@@ -726,10 +757,8 @@ def explore_theta(model, theta_star, H, strategy=None, config=None):
     return Engine(model, config).explore(np.asarray(theta_star, float), H, strategy)
 
 
-def latent_marginals(model, nodes, strategy="gaussian", config=None):
+def latent_marginals(model, nodes, config=None):
     """Mixture-of-Gaussians marginal density for every latent index."""
-    if strategy != "gaussian":
-        raise ValueError("only the 'gaussian' latent-marginal strategy is available")
     eng = Engine(model, config)
     quants = [eng.node_quantities(nd.theta) for nd in nodes]
     w = node_weights(nodes)
@@ -888,12 +917,11 @@ def fit(model, config=None):
     t1 = time.perf_counter()
 
     theta_star, H = engine.find_mode()
-    _, mode_approx = engine.log_posterior(theta_star, return_approx=True)
-    mode_x = mode_approx.x_star.copy()
     nodes = engine.explore(theta_star, H)
 
     def one(node):
-        return engine.node_quantities(node.theta, x_init=mode_x)
+        # exploration cached every node's latent mode: Newton restarts there
+        return engine.node_quantities(node.theta)
 
     if cfg.threads > 1 and len(nodes) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -902,7 +930,7 @@ def fit(model, config=None):
         node_data = [one(nd) for nd in nodes]
     t2 = time.perf_counter()
 
-    mlik = engine.marginal_likelihood(nodes, H)
+    mlik = marginal_likelihood(nodes, H)
     result = FitResult(model, engine, theta_star, H, nodes, node_data, mlik,
                        timings={})
     t3 = time.perf_counter()

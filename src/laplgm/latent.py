@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit, gammaln, gamma as gamma_fn
 
 from .errors import DimensionMismatch, InvalidCorrelation, UnknownTag
-from .sparse import SparseSymmetric, factorize, reorder
+from .sparse import SparseSymmetric, _csc_from_keys, factorize, reorder
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -210,7 +211,73 @@ def group_ar1(Q_space, T, a):
 
 
 # ------------------------------------------------------------------
-# groupings
+# fixed terms: a prior precision is sum_k coef_k(theta) * term_k
+
+def _entry_keys(m):
+    """Keys col * n + row of a sorted CSC matrix's stored entries, in storage order."""
+    n = m.shape[0]
+    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices
+
+
+class _Terms:
+    """Fixed symmetric sparse terms laid on their union pattern.
+
+    `values[k]` holds term k on the pattern, so the data of sum_k c_k term_k
+    on that pattern is one small matrix-vector product.
+    """
+
+    def __init__(self, mats):
+        mats = [sp.csc_matrix(m, dtype=float) for m in mats]
+        for m in mats:
+            m.sum_duplicates()
+        keys = [_entry_keys(m) for m in mats]
+        union = np.unique(np.concatenate(keys))
+        self.pattern = _csc_from_keys(union, mats[0].shape[0])
+        self.values = np.zeros((len(mats), union.size))
+        for k, (m, key) in enumerate(zip(mats, keys)):
+            self.values[k, np.searchsorted(union, key)] = m.data
+
+    def combine(self, coefs):
+        return np.asarray(coefs, dtype=float) @ self.values
+
+
+class _KronMap:
+    """Pattern of kron(Qt, Qb) and the pair of factor entries behind each entry."""
+
+    def __init__(self, Pt, Pb):
+        nt, nb = Pt.shape[0], Pb.shape[0]
+        N = nt * nb
+        ct, rt = np.divmod(_entry_keys(Pt), nt)
+        cb, rb = np.divmod(_entry_keys(Pb), nb)
+        ti = np.repeat(np.arange(ct.size), cb.size)
+        bj = np.tile(np.arange(cb.size), ct.size)
+        keys = (ct[ti] * nb + cb[bj]) * N + rt[ti] * nb + rb[bj]
+        order = np.argsort(keys, kind="stable")
+        self.pattern = _csc_from_keys(keys[order], N)
+        self.ti, self.bj = ti[order], bj[order]
+
+    def combine(self, data_t, data_b):
+        return data_t[self.ti] * data_b[self.bj]
+
+
+def _ar1_terms(n):
+    """I, the inner-diagonal indicator and the off-diagonal adjacency of length n.
+
+    ar1_precision(n, a, tau) = tau/(1-a^2) * (I + a^2 D_inner - a Off).
+    """
+    inner = np.ones(n)
+    inner[[0, -1]] = 0.0
+    off = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], shape=(n, n))
+    return [sp.identity(n), sp.diags(inner), off]
+
+
+def _ar1_coefs(a, scale=1.0):
+    s = scale / (1.0 - a * a)
+    return [s, a * a * s, -a * s]
+
+
+# ------------------------------------------------------------------
+# groupings: fixed temporal terms plus their per-theta coefficients
 
 @dataclass
 class Ar1Grouping:
@@ -220,9 +287,16 @@ class Ar1Grouping:
     def hyperparams(self):
         return [self.correlation]
 
+    @cached_property
+    def terms(self):
+        return _Terms(_ar1_terms(self.length))
+
     def coupling(self, values):
+        """(coupling data on terms.pattern, its log-determinant)."""
         a = TRANSFORMS["correlation"][0](values[self.correlation.name])
-        return ar1_precision(self.length, a).full(), -(self.length - 1) * np.log(1.0 - a * a)
+        if abs(a) >= 1.0:
+            raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
+        return self.terms.combine(_ar1_coefs(a)), -(self.length - 1) * np.log(1.0 - a * a)
 
 
 @dataclass
@@ -232,8 +306,12 @@ class ReplicateGrouping:
     def hyperparams(self):
         return []
 
+    @cached_property
+    def terms(self):
+        return _Terms([sp.identity(self.length)])
+
     def coupling(self, values):
-        return sp.identity(self.length, format="csc"), 0.0
+        return self.terms.values[0], 0.0
 
 
 @dataclass
@@ -245,58 +323,90 @@ class Rw1Grouping:
     def hyperparams(self):
         return []
 
+    @cached_property
+    def terms(self):
+        return _Terms([_rw1_proper_coupling(self.length)])
+
     def coupling(self, values):
-        return _rw1_proper_coupling(self.length), 0.0
+        return self.terms.values[0], 0.0
 
 
 # ------------------------------------------------------------------
 # latent components
 
-@dataclass
-class FixedEffect:
-    """Linear covariate coefficient with a diffuse Gaussian prior."""
+class _Component:
+    """A latent block whose prior precision is data on one fixed pattern.
 
-    name: str
-    prior_precision: float = 1e-4
+    A subclass names the fixed terms of one within-group block
+    (`_block_terms`) and, per theta, their coefficients and the block's
+    log-determinant (`_block`).  A grouping lifts the block over time as
+    kron(Q_time, Q_block), entry by entry on the fixed Kronecker pattern.
+    """
 
     grouping = None
-
-    @property
-    def total_size(self):
-        return 1
-
-    def hyperparams(self):
-        return []
-
-    def precision(self, values):
-        return sp.csc_matrix(np.array([[self.prior_precision]]))
-
-    def log_normalization(self, values):
-        return 1, float(np.log(self.prior_precision)), 0.0
-
-    def constraint_rows(self):
-        return []
-
-
-class _GroupableComponent:
-    """Shared grouping logic: block precision kron-lifted over groups."""
-
-    def _grouped(self, Qb, logdet_b, values):
-        nb = Qb.shape[0]
-        if self.grouping is None:
-            return Qb, logdet_b
-        Qt, logdet_t = self.grouping.coupling(values)
-        T = self.grouping.length
-        return sp.kron(Qt, Qb, format="csc"), nb * logdet_t + T * logdet_b
 
     @property
     def total_size(self):
         T = self.grouping.length if self.grouping is not None else 1
         return self.size * T
 
+    @cached_property
+    def _layout(self):
+        block = _Terms(self._block_terms())
+        if self.grouping is None:
+            return block, None
+        return block, _KronMap(self.grouping.terms.pattern, block.pattern)
+
+    def prior_pattern(self):
+        """Structural pattern of the prior precision (full symmetric, sorted CSC)."""
+        block, kron = self._layout
+        return block.pattern if kron is None else kron.pattern
+
+    def prior_terms(self, values):
+        """(precision data on prior_pattern(), rank, log-determinant, constraint correction)."""
+        block, kron = self._layout
+        coefs, logdet = self._block(values)
+        data = block.combine(coefs)
+        if kron is not None:
+            data_t, logdet_t = self.grouping.coupling(values)
+            data = kron.combine(data_t, data)
+            logdet = self.size * logdet_t + self.grouping.length * logdet
+        rank, corr = self._rank_and_correction()
+        return data, rank, float(logdet), corr
+
+    def _rank_and_correction(self):
+        return self.total_size, 0.0
+
+    def precision(self, values):
+        """Prior precision as a sparse matrix."""
+        P = self.prior_pattern()
+        return sp.csc_matrix((self.prior_terms(values)[0], P.indices, P.indptr), shape=P.shape)
+
+    def constraint_rows(self):
+        return []
+
 
 @dataclass
-class IidComponent(_GroupableComponent):
+class FixedEffect(_Component):
+    """Linear covariate coefficient with a diffuse Gaussian prior."""
+
+    name: str
+    prior_precision: float = 1e-4
+
+    size = 1
+
+    def hyperparams(self):
+        return []
+
+    def _block_terms(self):
+        return [sp.identity(1)]
+
+    def _block(self, values):
+        return [self.prior_precision], np.log(self.prior_precision)
+
+
+@dataclass
+class IidComponent(_Component):
     name: str
     size: int
     log_precision: HyperParam
@@ -308,23 +418,16 @@ class IidComponent(_GroupableComponent):
             h += self.grouping.hyperparams()
         return h
 
-    def precision(self, values):
-        tau = np.exp(values[self.log_precision.name])
-        Q = sp.identity(self.size, format="csc") * tau
-        return self._grouped(Q, self.size * np.log(tau), values)[0]
+    def _block_terms(self):
+        return [sp.identity(self.size)]
 
-    def log_normalization(self, values):
-        tau = np.exp(values[self.log_precision.name])
-        Q = sp.identity(self.size, format="csc") * tau
-        _, logdet = self._grouped(Q, self.size * np.log(tau), values)
-        return self.total_size, float(logdet), 0.0
-
-    def constraint_rows(self):
-        return []
+    def _block(self, values):
+        log_tau = values[self.log_precision.name]
+        return [np.exp(log_tau)], self.size * log_tau
 
 
 @dataclass
-class Ar1Component(_GroupableComponent):
+class Ar1Component(_Component):
     name: str
     size: int
     log_precision: HyperParam
@@ -337,28 +440,20 @@ class Ar1Component(_GroupableComponent):
             h += self.grouping.hyperparams()
         return h
 
-    def _base(self, values):
-        tau = np.exp(values[self.log_precision.name])
+    def _block_terms(self):
+        return _ar1_terms(self.size)
+
+    def _block(self, values):
+        log_tau = values[self.log_precision.name]
         a = TRANSFORMS["correlation"][0](values[self.correlation.name])
-        Q = ar1_precision(self.size, a, tau).full()
-        logdet = self.size * np.log(tau) - (self.size - 1) * np.log(1.0 - a * a)
-        return Q, logdet
-
-    def precision(self, values):
-        Q, logdet = self._base(values)
-        return self._grouped(Q, logdet, values)[0]
-
-    def log_normalization(self, values):
-        Q, logdet = self._base(values)
-        _, total = self._grouped(Q, logdet, values)
-        return self.total_size, float(total), 0.0
-
-    def constraint_rows(self):
-        return []
+        if abs(a) >= 1.0:
+            raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
+        logdet = self.size * log_tau - (self.size - 1) * np.log(1.0 - a * a)
+        return _ar1_coefs(a, np.exp(log_tau)), logdet
 
 
 @dataclass
-class Rw1Component:
+class Rw1Component(_Component):
     """Intrinsic first-order random walk, usually over binned covariate values.
 
     Rank-deficient by one; with `sum_to_zero` a constraint row is attached
@@ -372,25 +467,20 @@ class Rw1Component:
     sum_to_zero: bool = True
     bin_values: object = None
 
-    grouping = None
-
-    @property
-    def total_size(self):
-        return self.size
-
     def hyperparams(self):
         return [self.log_precision]
 
-    def precision(self, values):
-        tau = np.exp(values[self.log_precision.name])
-        return rw1_structure(self.size, tau).full()
+    def _block_terms(self):
+        return [rw1_structure(self.size).full()]
 
-    def log_normalization(self, values):
-        tau = np.exp(values[self.log_precision.name])
+    def _block(self, values):
+        log_tau = values[self.log_precision.name]
         m = self.size
-        gdet = (m - 1) * float(np.log(tau)) + float(np.log(m))
-        corr = 0.5 * float(np.log(m)) if self.sum_to_zero else 0.0
-        return m - 1, gdet, corr
+        return [np.exp(log_tau)], (m - 1) * log_tau + float(np.log(m))
+
+    def _rank_and_correction(self):
+        m = self.size
+        return m - 1, 0.5 * float(np.log(m)) if self.sum_to_zero else 0.0
 
     def constraint_rows(self):
         if not self.sum_to_zero:
@@ -399,8 +489,12 @@ class Rw1Component:
 
 
 @dataclass
-class SpdeMaternComponent(_GroupableComponent):
-    """Matern-like Gauss-Markov field from the finite-element construction."""
+class SpdeMaternComponent(_Component):
+    """Matern-like Gauss-Markov field from the finite-element construction.
+
+    alpha=1: Q = tau^2 (kappa^2 C + G); alpha=2: Q = tau^2 (kappa^4 C +
+    2 kappa^2 G + G C^-1 G), over the fixed terms C, G and G C^-1 G.
+    """
 
     name: str
     fem: object
@@ -435,48 +529,57 @@ class SpdeMaternComponent(_GroupableComponent):
             self._eigvals = np.clip(np.linalg.eigvalsh(W), 0.0, None)
         return self._eigvals
 
-    def _base(self, values):
-        tau = np.exp(values[self.log_tau.name])
-        kappa = np.exp(values[self.log_kappa.name])
-        Q = spde_precision(self.fem, self.alpha, kappa, tau).full()
+    def _block_terms(self):
+        c = self.fem.mass_diag
+        G = self.fem.stiffness.full()
+        terms = [sp.diags(c), G]
+        if self.alpha == 2:
+            terms.append(G @ sp.diags(1.0 / c) @ G)
+        return terms
+
+    def _block(self, values):
+        """Term coefficients and log-determinant of the spatial precision."""
+        log_tau = values[self.log_tau.name]
+        tau2 = np.exp(2.0 * log_tau)
+        kappa2 = np.exp(2.0 * values[self.log_kappa.name])
+        if self.alpha == 1:
+            coefs = [tau2 * kappa2, tau2]
+        else:
+            coefs = [tau2 * kappa2**2, 2.0 * tau2 * kappa2, tau2]
         ns = self.size
         if ns <= 800:
             lam = self._whitened_eigvals()
-            logdet = (2.0 * ns * np.log(tau) + np.sum(np.log(self.fem.mass_diag))
-                      + self.alpha * np.sum(np.log(kappa**2 + lam)))
+            logdet = (2.0 * ns * log_tau + np.sum(np.log(self.fem.mass_diag))
+                      + self.alpha * np.sum(np.log(kappa2 + lam)))
         else:
+            block = self._layout[0]
+            Q = sp.csc_matrix((block.combine(coefs), block.pattern.indices,
+                               block.pattern.indptr), shape=block.pattern.shape)
             wrapped = SparseSymmetric.from_full(Q)
             logdet = factorize(wrapped, reorder(wrapped)).logdet
-        return Q, float(logdet)
-
-    def precision(self, values):
-        Q, logdet = self._base(values)
-        return self._grouped(Q, logdet, values)[0]
-
-    def log_normalization(self, values):
-        Q, logdet = self._base(values)
-        _, total = self._grouped(Q, logdet, values)
-        return self.total_size, float(total), 0.0
-
-    def constraint_rows(self):
-        return []
+        return coefs, float(logdet)
 
 
 def spde_matern_component(name, fem, mesh, alpha=2, initial_range=None, initial_sigma=1.0,
                           prior=None, grouping=None):
-    """SPDE component with mesh-scale-derived initial values for tau/kappa."""
+    """SPDE component with mesh-scale-derived initial values for tau/kappa.
+
+    `prior` applies to log_tau; log_kappa gets a copy of it when it is
+    Gaussian and Gaussian(0, 0.1) otherwise (both default to Gaussian(0, 0.1)).
+    """
     if initial_range is None:
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
         initial_range = 0.2 * float(np.hypot(*(hi - lo)))
     nu = alpha - 1.0 if alpha == 2 else 0.5
-    kappa0, tau0 = matern_kappa_tau(initial_range, initial_sigma, nu=max(nu, 1e-6))
+    kappa0, tau0 = matern_kappa_tau(initial_range, initial_sigma, nu=nu)
+    prior = prior or GaussianPrior(0.0, 0.1)
+    kappa_prior = (GaussianPrior(prior.mean, prior.precision)
+                   if isinstance(prior, GaussianPrior) else GaussianPrior(0.0, 0.1))
     return SpdeMaternComponent(
         name, fem, alpha,
-        log_tau=HyperParam(f"{name}.log_tau", np.log(tau0), "log",
-                           prior or GaussianPrior(0.0, 0.1)),
-        log_kappa=HyperParam(f"{name}.log_kappa", np.log(kappa0), "log",
-                             GaussianPrior(0.0, 0.1) if prior is None else prior),
+        log_tau=HyperParam(f"{name}.log_tau", np.log(tau0), "log", prior),
+        log_kappa=HyperParam(f"{name}.log_kappa", np.log(kappa0), "log", kappa_prior),
         grouping=grouping,
     )
 
@@ -589,6 +692,7 @@ class ModelGraph:
         self.constraint_matrix = np.array(rows) if rows else np.zeros((0, self.n_latent))
         self.constraint_rhs = np.array(rhs) if rhs else np.zeros(0)
         self.observed = np.isfinite(self.y)
+        self._prior_pattern = None
 
     # -- hyperparameters ------------------------------------------------
 
@@ -613,20 +717,35 @@ class ModelGraph:
 
     # -- prior ----------------------------------------------------------
 
+    def prior_pattern(self):
+        """Block-diagonal structural pattern of Q(theta), fixed for all theta."""
+        if self._prior_pattern is None:
+            pats = [comp.prior_pattern() for comp in self.components]
+            starts = np.cumsum([0] + [p.shape[0] for p in pats])
+            nnz = np.cumsum([0] + [p.nnz for p in pats])
+            indptr = np.concatenate([[0]] + [p.indptr[1:] + z for p, z in zip(pats, nnz)])
+            indices = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                     + [p.indices + s for p, s in zip(pats, starts)])
+            self._prior_pattern = sp.csc_matrix(
+                (np.ones(indices.size), indices, indptr), shape=(self.n_latent, self.n_latent))
+        return self._prior_pattern
+
     def prior_quantities(self, theta):
-        """(Q_prior as csc, rank, generalized logdet, constraint log-correction)."""
+        """(Q_prior as csc on prior_pattern(), rank, generalized logdet,
+        constraint log-correction)."""
         values = self.values_from_theta(theta)
-        blocks = []
+        datas = [np.zeros(0)]
         rank = 0
         logdet = 0.0
         corr = 0.0
         for comp in self.components:
-            blocks.append(comp.precision(values))
-            r, ld, cr = comp.log_normalization(values)
+            d, r, ld, cr = comp.prior_terms(values)
+            datas.append(d)
             rank += r
             logdet += ld
             corr += cr
-        Q = sp.block_diag(blocks, format="csc") if blocks else sp.csc_matrix((0, 0))
+        P = self.prior_pattern()
+        Q = sp.csc_matrix((np.concatenate(datas), P.indices, P.indptr), shape=P.shape)
         return Q, rank, logdet, corr
 
     def component_slice(self, name):

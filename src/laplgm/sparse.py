@@ -276,33 +276,19 @@ class _BandedBackend:
 
     __slots__ = ("n", "cut", "w", "nb", "lband", "M", "LF")
 
-    def __init__(self, Ap, n, w, nb, pivot_tol):
-        cut = n - nb
-        coo = Ap.tocoo()
-        lowmask = coo.row >= coo.col
-        rows = coo.row[lowmask]
-        cols = coo.col[lowmask]
-        data = coo.data[lowmask]
-        if not np.all(np.isfinite(data)):
-            raise NotPositiveDefinite("matrix contains non-finite entries")
-        core = rows < cut
-        ab = np.zeros((w + 1, cut))
-        ab[rows[core] - cols[core], cols[core]] = data[core]
-        try:
-            lband = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"band factorization failed: {exc}") from exc
+    def __init__(self, ab, Bt, F, pivot_tol):
+        """Factorize from LAPACK lower band storage `ab` ((w+1) x cut, column
+        major), the border rows transposed `Bt` (cut x nb) and the lower
+        triangle of the border corner `F` (nb x nb)."""
+        w, cut = ab.shape[0] - 1, ab.shape[1]
+        nb = F.shape[0]
+        lband, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise NotPositiveDefinite(f"band factorization failed (info={info})")
         if not np.all(np.isfinite(lband[0])) or np.min(lband[0]) ** 2 <= pivot_tol:
             raise NotPositiveDefinite("pivot at or below tolerance")
         if nb:
-            Bd = np.zeros((nb, cut))
-            bmask = (~core) & (cols < cut)
-            Bd[rows[bmask] - cut, cols[bmask]] = data[bmask]
-            Y = self._tbtrs(lband, Bd.T, b"N")
-            M = Y.T
-            F = np.zeros((nb, nb))
-            fmask = (~core) & (cols >= cut)
-            F[rows[fmask] - cut, cols[fmask] - cut] = data[fmask]
+            M = self._tbtrs(lband, Bt, b"N").T
             F = F + np.tril(F, -1).T
             S = F - M @ M.T
             try:
@@ -314,7 +300,7 @@ class _BandedBackend:
         else:
             M = np.zeros((0, cut))
             LF = np.zeros((0, 0))
-        self.n, self.cut, self.w, self.nb = n, cut, w, nb
+        self.n, self.cut, self.w, self.nb = cut + nb, cut, w, nb
         self.lband, self.M, self.LF = lband, M, LF
 
     @staticmethod
@@ -403,34 +389,109 @@ class CholeskyFactor:
         return self._L
 
 
-def factorize(Q, perm=None, pivot_tol=PIVOT_TOL, band_hint=None):
+def _csc_from_keys(keys, n):
+    """n x n CSC pattern (unit values) on the sorted entry keys `col * n + row`."""
+    cols, rows = np.divmod(keys, n)
+    indptr = np.searchsorted(cols, np.arange(n + 1))
+    return sp.csc_matrix((np.ones(keys.size), rows, indptr), shape=(n, n))
+
+
+class SymbolicFactor:
+    """Analysis of one lower-triangle pattern under a fixed permutation.
+
+    Holds the backend choice and, for every stored entry of the pattern,
+    its destination in the numeric storage of that backend: the LAPACK band
+    array, the border rows and the border corner, or the permuted CSC matrix
+    handed to SuperLU.  `numeric` then factorizes any matrix on the pattern
+    with one scatter and one factorization call.
+    """
+
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps", "_splu")
+
+    def __init__(self, Q, perm):
+        n = Q.n
+        lower = Q.lower
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm.order] = np.arange(n)
+        pr = inv[lower.indices]
+        pc = inv[np.repeat(np.arange(n), np.diff(lower.indptr))]
+        r, c = np.maximum(pr, pc), np.minimum(pr, pc)
+        w, nb = _detect_bordered_band(r, c, n)
+        self.n, self.perm = n, perm
+        self.indptr, self.indices = lower.indptr, lower.indices
+        self.w = self.nb = self._maps = self._splu = None
+        if n * (w + nb + 1) <= _BAND_ENTRY_CAP and n * (w + nb + 1) ** 2 <= _BAND_FLOP_CAP:
+            cut = n - nb
+            core = r < cut
+            corner = c >= cut
+            border = ~core & ~corner
+            self.w, self.nb = w, nb
+            self._maps = tuple(
+                (np.flatnonzero(sel), dst) for sel, dst in (
+                    (core, (r - c + c * (w + 1))[core]),
+                    (border, (c * nb + r - cut)[border]),
+                    (corner, ((r - cut) * nb + c - cut)[corner])))
+        else:
+            off = np.flatnonzero(r != c)
+            rows = np.concatenate([r, c[off]])
+            keys = np.concatenate([c, r[off]]) * n + rows
+            src = np.concatenate([np.arange(r.size), off])
+            order = np.argsort(keys, kind="stable")
+            pattern = _csc_from_keys(keys[order], n)
+            self._splu = (pattern.indptr, pattern.indices, src[order])
+
+    def numeric(self, Q, pivot_tol=PIVOT_TOL):
+        """Cholesky factor of Q, whose lower triangle lies on the analyzed pattern."""
+        lower = Q.lower
+        if Q.n != self.n or not (np.array_equal(lower.indptr, self.indptr)
+                                 and np.array_equal(lower.indices, self.indices)):
+            raise DimensionMismatch("matrix pattern differs from the analyzed pattern")
+        data = lower.data
+        if not np.all(np.isfinite(data)):
+            raise NotPositiveDefinite("matrix contains non-finite entries")
+        if self._maps is not None:
+            cut, w, nb = self.n - self.nb, self.w, self.nb
+            parts = []
+            for (src, dst), size in zip(self._maps, ((w + 1) * cut, cut * nb, nb * nb)):
+                buf = np.zeros(size)
+                buf[dst] = data[src]
+                parts.append(buf)
+            ab = parts[0].reshape((w + 1, cut), order="F")
+            backend = _BandedBackend(ab, parts[1].reshape(cut, nb),
+                                     parts[2].reshape(nb, nb), pivot_tol)
+        else:
+            indptr, indices, src = self._splu
+            Ap = sp.csc_matrix((data[src], indices, indptr), shape=(self.n, self.n))
+            backend = _SpluBackend(Ap, self.n, pivot_tol)
+        return CholeskyFactor(self.n, self.perm, backend)
+
+
+def analyze(Q, perm=None):
+    """Symbolic stage of the Cholesky factorization of Q's pattern.
+
+    The result factorizes every matrix on the same pattern through
+    `numeric`.
+    """
+    if perm is None:
+        perm = Permutation.identity(Q.n)
+    if perm.n != Q.n:
+        raise DimensionMismatch("permutation size does not match matrix")
+    return SymbolicFactor(Q, perm)
+
+
+def factorize(Q, perm=None, pivot_tol=PIVOT_TOL):
     """Sparse Cholesky factorization of an SPD matrix.
 
     The permuted matrix is factorized either by a LAPACK band routine
     (when its pattern is a band plus a small trailing border) or by
     SuperLU run without pivoting, so L L' reproduces P Q P' exactly.
     A pivot at or below `pivot_tol` (or any row swap) raises
-    NotPositiveDefinite.  `band_hint=(w, nb)` skips the layout detection
-    when the caller factorizes many matrices with one pattern.
+    NotPositiveDefinite.  `perm` is a Permutation (None: identity), or a
+    SymbolicFactor from `analyze` when many matrices share one pattern;
+    then only the numeric stage runs.
     """
-    n = Q.n
-    if perm is None:
-        perm = Permutation.identity(n)
-    if perm.n != n:
-        raise DimensionMismatch("permutation size does not match matrix")
-    A = Q.full()
-    order = perm.order
-    Ap = A[order, :][:, order].tocsc()
-    Ap.sort_indices()
-    if band_hint is None:
-        w, nb = _detect_bordered_band(sp.tril(Ap, format="csc"), n)
-    else:
-        w, nb = band_hint
-    if n * (w + nb + 1) <= _BAND_ENTRY_CAP and n * (w + nb + 1) ** 2 <= _BAND_FLOP_CAP:
-        backend = _BandedBackend(Ap, n, w, nb, pivot_tol)
-    else:
-        backend = _SpluBackend(Ap, n, pivot_tol)
-    return CholeskyFactor(n, perm, backend)
+    symbolic = perm if isinstance(perm, SymbolicFactor) else analyze(Q, perm)
+    return symbolic.numeric(Q, pivot_tol)
 
 
 def solve(factor, b):
@@ -504,15 +565,13 @@ class SelectedInversePlan:
                 and np.array_equal(factor.L.indices, self.source_indices))
 
 
-def _detect_bordered_band(L, n, max_border=24):
+def _detect_bordered_band(rows, cols, n, max_border=24):
     """Core bandwidth and trailing border width minimizing the window cost.
 
+    `rows >= cols` index the lower-triangle entries of the permuted matrix.
     Dense trailing rows (an arrowhead of fixed effects, say) would blow up
     the plain bandwidth; tracking them as a border keeps the window small.
     """
-    coo = L.tocoo()
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
     best = None
     for nb in range(0, min(max_border, n - 1) + 1):
         cut = n - nb
@@ -688,6 +747,23 @@ def sample(factor, count, seed):
     return out
 
 
+def constraint_cholesky(S):
+    """Cholesky factor of the constraint system S = M Q^-1 M' and log det S.
+
+    Raises SingularConstraint when the factorization fails or a pivot is
+    numerically zero (linearly dependent constraint rows).
+    """
+    S = 0.5 * (S + S.T)
+    try:
+        cho = scipy.linalg.cho_factor(S)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularConstraint(f"M Q^-1 M' is singular: {exc}") from exc
+    d = np.abs(np.diag(cho[0]))
+    if np.min(d) <= 1e-12 * max(1.0, np.max(np.abs(S))):
+        raise SingularConstraint("M Q^-1 M' is numerically singular")
+    return cho, 2.0 * float(np.sum(np.log(d)))
+
+
 def constrain(mean, samples, factor, M, e):
     """Condition mean and samples on M x = e by kriging correction.
 
@@ -700,14 +776,7 @@ def constrain(mean, samples, factor, M, e):
     if n != factor.n or e.size != k:
         raise DimensionMismatch("constraint dimensions do not match the factor")
     W = solve(factor, M.T)
-    S = M @ W
-    S = 0.5 * (S + S.T)
-    try:
-        cho = scipy.linalg.cho_factor(S)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularConstraint(f"M Q^-1 M' is singular: {exc}") from exc
-    if np.min(np.abs(np.diag(cho[0]))) <= 1e-12 * max(1.0, np.max(np.abs(S))):
-        raise SingularConstraint("M Q^-1 M' is numerically singular")
+    cho, _ = constraint_cholesky(M @ W)
 
     def correct(x):
         x = np.asarray(x, dtype=float)

@@ -105,12 +105,12 @@ def test_band_hint_matches_detection():
     model = lm.build_stack([part], [lm.FixedEffect("mu"), spde], PoissonLik())
     engine = eng.Engine(model)
     # fixed effects moved last: border of exactly one column
-    assert engine._band_hint[1] == 1
+    assert engine._symbolic.nb == 1
     theta0 = model.theta_initial()
     _, approx = engine.log_posterior(theta0, return_approx=True)
     backend = approx.factor._backend
     assert isinstance(backend, sps._BandedBackend)
-    assert (backend.w, backend.nb) == engine._band_hint
+    assert (backend.w, backend.nb) == (engine._symbolic.w, engine._symbolic.nb)
     # the hinted layout reproduces the matrix
     Qd = approx.Q_star.to_dense()
     order = engine.perm.order
@@ -183,3 +183,38 @@ def test_spde_summary_transform_consistency():
     assert mg.zmarginal(summ["range"]).mean == pytest.approx(
         mg.zmarginal(direct).mean, rel=0.05)
     assert summ["variance"].integral() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("backend", ["band", "splu"])
+def test_plan_assembled_conditional_precision(backend, request):
+    # Q* laid on the engine's fixed pattern vs prior_quantities + A' diag(c) A
+    if backend == "splu":
+        request.getfixturevalue("force_splu")
+    rng = np.random.default_rng(12)
+    mesh = mm.structured_mesh(0, 1, 0, 1, 4, 4)
+    fem = mm.assemble(mesh)
+    T = 3
+    spde = lm.spde_matern_component("s", fem, mesh, alpha=2, initial_range=0.5,
+                                    grouping=lm.Ar1Grouping(T, lm.correlation_hyper("a")))
+    sites = rng.random((5, 2))
+    t_idx = np.repeat(np.arange(T), 5)
+    block = lm.group_block(mm.projector(mesh, sites)[np.tile(np.arange(5), T)], t_idx, T)
+    y = rng.poisson(1.5, 5 * T).astype(float)
+    part = lm.StackPart(y, {"mu": np.ones(5 * T), "z": rng.random(5 * T), "s": block}, "obs")
+    model = lm.build_stack([part], [lm.FixedEffect("mu"), lm.FixedEffect("z"), spde],
+                           PoissonLik())
+    engine = eng.Engine(model)
+    theta = model.theta_initial() + np.array([0.3, -0.2, -1.5])
+    Qp = model.prior_quantities(theta)[0]
+    c = rng.uniform(0.2, 3.0, y.size)
+    Q_star = engine._conditional_precision(engine._prior_on_pattern(Qp), c)
+    A = model.A.toarray()
+    want = Qp.toarray() + A.T @ np.diag(c) @ A
+    assert np.abs(Q_star.to_dense() - want).max() <= 1e-10
+    factor = eng.factorize(Q_star, engine._symbolic)
+    kind = sps._BandedBackend if backend == "band" else sps._SpluBackend
+    assert isinstance(factor._backend, kind)
+    assert factor.logdet == pytest.approx(np.linalg.slogdet(want)[1], abs=1e-10)
+    # the Newton iteration goes through the same plan
+    approx = engine.gaussian_approximation(theta)
+    assert isinstance(approx.factor._backend, kind)

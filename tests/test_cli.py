@@ -400,3 +400,91 @@ class TestNegativeBinomialCli:
         header, rows = read_rows(out / "summary_hyper.csv")
         names = {r[0] for r in rows}
         assert "nbinomial.log_dispersion" in names
+
+
+# ------------------------------------------------------------------
+# model building shared with the library
+
+def _small_data(tmp_path):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "data.csv"
+    lines = ["site_x,site_y,time,y"]
+    for t in (1, 2, 3):
+        for x, yy in rng.random((6, 2)):
+            lines.append(f"{x},{yy},{t},{rng.normal(0.0, 1.0)}")
+    data.write_text("\n".join(lines) + "\n")
+    return data
+
+
+SPDE_CONFIG = """\
+data: {data}
+likelihood:
+  family: gaussian
+mesh:
+  kind: structured
+  x_min: 0.0
+  x_max: 1.0
+  y_min: 0.0
+  y_max: 1.0
+  nx: 4
+  ny: 4
+components:
+  - name: spatial
+    kind: spde_matern
+    alpha: 2
+    initial_sigma: 1.5
+    group:
+      kind: replicate
+{prior}"""
+
+
+class TestModelBuilding:
+    @pytest.mark.parametrize("prior, kappa_prior", [
+        ("", (0.0, 0.1)),
+        ("    prior:\n      kind: gaussian\n      mean: 0.5\n      precision: 2.0\n", (0.5, 2.0)),
+        ("    prior:\n      kind: loggamma\n      shape: 2.0\n      rate: 0.5\n", (0.0, 0.1)),
+    ])
+    def test_spde_hyperparameters_match_library(self, tmp_path, prior, kappa_prior):
+        import laplgm.latent as lm
+        import laplgm.mesh as mm
+        path = tmp_path / "fit.cfg"
+        path.write_text(SPDE_CONFIG.format(data=_small_data(tmp_path), prior=prior))
+        cfg = cli.load_config(str(path))
+        comp = cli.build_model(cfg, str(path)).model.components[0]
+        mesh = mm.structured_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
+        section = cfg["components"][0].get("prior")
+        ref = lm.spde_matern_component(
+            "spatial", mm.assemble(mesh), mesh, alpha=2, initial_sigma=1.5,
+            prior=cli._parse_prior(section, "prior"), grouping=lm.ReplicateGrouping(3))
+        for got, want in ((comp.log_tau, ref.log_tau), (comp.log_kappa, ref.log_kappa)):
+            assert (got.name, got.internal_value, got.transform, got.prior, got.fixed) == \
+                (want.name, want.internal_value, want.transform, want.prior, want.fixed)
+        assert comp.log_kappa.prior == lm.GaussianPrior(*kappa_prior)
+
+    def test_strategy_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "fit.cfg"
+        config = SPDE_CONFIG.format(data=_small_data(tmp_path), prior="")
+        path.write_text(config + "engine:\n  int_strategy: eb\n")
+        run(["fit", "--config", str(path), "--out", str(tmp_path / "ok")])
+        path.write_text(config + "engine:\n  strategy: gaussian\n")
+        rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "strategy" in capsys.readouterr().err
+
+    def test_singular_constraint_reported(self, tmp_path, monkeypatch, capsys):
+        import laplgm.latent as lm
+        rows = lm.Rw1Component.constraint_rows
+        monkeypatch.setattr(lm.Rw1Component, "constraint_rows", lambda self: rows(self) * 2)
+        path = tmp_path / "fit.cfg"
+        path.write_text(
+            f"data: {_small_data(tmp_path)}\n"
+            "likelihood:\n"
+            "  family: gaussian\n"
+            "components:\n"
+            "  - name: trend\n"
+            "    kind: rw1\n"
+            "    covariate: time\n"
+            "    sum_to_zero: true\n")
+        rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err

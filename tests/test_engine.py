@@ -441,7 +441,7 @@ class TestMarginalLikelihood:
         engine = Engine(g)
         ts, H = engine.find_mode()
         nodes = engine.explore(ts, H, "grid")
-        mlik = engine.marginal_likelihood(nodes, H)
+        mlik = eng.marginal_likelihood(nodes, H)
         from scipy.integrate import quad
         total, _ = quad(lambda t: np.exp(oracle(t)), -5, 5)
         assert abs(mlik - np.log(total)) <= 0.05
@@ -450,15 +450,15 @@ class TestMarginalLikelihood:
         g, *_ = conjugate_model()
         engine = Engine(g)
         ts, H = engine.find_mode()
-        m_grid = engine.marginal_likelihood(engine.explore(ts, H, "grid"), H)
-        m_eb = engine.marginal_likelihood(engine.explore(ts, H, "eb"), H)
+        m_grid = eng.marginal_likelihood(engine.explore(ts, H, "grid"), H)
+        m_eb = eng.marginal_likelihood(engine.explore(ts, H, "eb"), H)
         assert abs(m_grid - m_eb) <= 0.1
 
     def test_p_zero_equals_log_post(self):
         g = poisson_iid_model([1.0, 3.0], fixed=True)
         engine = Engine(g)
         nodes = engine.explore(np.zeros(0), np.zeros((0, 0)), "eb")
-        assert engine.marginal_likelihood(nodes, np.zeros((0, 0))) == nodes[0].log_post
+        assert eng.marginal_likelihood(nodes, np.zeros((0, 0))) == nodes[0].log_post
 
 
 class TestFit:
@@ -547,3 +547,101 @@ class TestFit:
         fit = eng.fit(g, EngineConfig(int_strategy="eb"))
         assert np.isfinite(fit.mlik)
         assert fit.latent_marginal(0).integral() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestFactorReuse:
+    """Q* is factorized once per distinct curvature vector."""
+
+    @pytest.fixture
+    def count_factorizations(self, monkeypatch):
+        calls = []
+        real = eng.factorize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eng, "factorize", counted)
+        return calls
+
+    @staticmethod
+    def rw1_model(lik, seed=3, m=6, nobs=18):
+        rng = np.random.default_rng(seed)
+        hy = lm.log_precision_hyper("f.prec", 1.0, fixed=True)
+        idx = rng.integers(0, m, nobs)
+        y = rng.poisson(2.0, nobs).astype(float)
+        part = lm.StackPart(y, {"mu": np.ones(nobs), "f": lm.index_block(idx, m)}, "obs")
+        return lm.build_stack(
+            [part], [lm.FixedEffect("mu"), lm.Rw1Component("f", m, hy, sum_to_zero=True)], lik)
+
+    def test_gaussian_one_factorization(self, count_factorizations):
+        rng = np.random.default_rng(7)
+        n, nobs = 12, 30
+        lik = GaussianLik(HyperParam("o", np.log(2.0), "log", fixed=True))
+        hy = lm.log_precision_hyper("u.prec", 1.5, fixed=True)
+        idx = rng.integers(0, n, nobs)
+        part = lm.StackPart(rng.normal(1.0, 1.0, nobs),
+                            {"mu": np.ones(nobs), "u": lm.index_block(idx, n)}, "obs")
+        g = lm.build_stack([part], [lm.FixedEffect("mu"), lm.IidComponent("u", n, hy)], lik)
+        ap = Engine(g).gaussian_approximation(np.zeros(0))
+        assert ap.iterations == 1
+        assert len(count_factorizations) == 1
+
+    def test_gaussian_constrained_one_factorization(self, count_factorizations):
+        lik = GaussianLik(HyperParam("o", np.log(2.0), "log", fixed=True))
+        g = self.rw1_model(lik)
+        ap = Engine(g).gaussian_approximation(np.zeros(0))
+        assert ap.converged
+        assert abs(ap.x_star[1:].sum()) <= 1e-10
+        assert len(count_factorizations) == 1
+
+    def test_step_below_tolerance_keeps_factor(self, count_factorizations):
+        # a constrained Newton iteration always stops on a small step
+        g = self.rw1_model(PoissonLik())
+        ap = Engine(g).gaussian_approximation(np.zeros(0))
+        assert ap.converged and ap.iterations >= 2
+        assert len(count_factorizations) == ap.iterations
+
+    def test_revisited_theta_restarts_from_its_mode(self, count_factorizations):
+        rng = np.random.default_rng(9)
+        g = poisson_iid_model(rng.poisson(2.0, 10).astype(float))
+        engine = Engine(g)
+        th = np.array([0.4])
+        lp = engine.log_posterior(th)
+        engine.log_posterior(np.array([-0.3]))   # moves the last-point warm start
+        del count_factorizations[:]
+        lp2, ap = engine.log_posterior(th, return_approx=True)
+        assert len(count_factorizations) == 1
+        assert ap.iterations == 1
+        assert lp2 == pytest.approx(lp, abs=1e-9)
+
+
+class TestStructuralPattern:
+    def test_ar1_starting_at_zero_correlation(self):
+        # a = 0 at the initial theta leaves the AR(1) coupling all zeros; the
+        # pattern of Q* must still hold it for the theta values that follow
+        rng = np.random.default_rng(21)
+        n = 30
+        prec = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        comp = lm.Ar1Component("u", n, prec, lm.correlation_hyper("u.a", initial_internal=0.0))
+        x = np.cumsum(rng.normal(0.0, 0.3, n))
+        y = rng.poisson(np.exp(0.5 + x)).astype(float)
+        part = lm.StackPart(y, {"mu": np.ones(n), "u": lm.index_block(range(n), n)}, "obs")
+        g = lm.build_stack([part], [lm.FixedEffect("mu"), comp], PoissonLik())
+        fit = eng.fit(g, EngineConfig(int_strategy="ccd"))
+        assert np.isfinite(fit.mlik)
+        assert len(fit.nodes) > 1
+        assert fit.engine._symbolic.w >= 1
+        assert fit.hyper_marginal("u.a").integral() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestConstraintErrors:
+    def test_duplicated_constraint_row_is_singular(self, monkeypatch):
+        from laplgm.errors import SingularConstraint
+        rows = lm.Rw1Component.constraint_rows
+        monkeypatch.setattr(lm.Rw1Component, "constraint_rows", lambda self: rows(self) * 2)
+        lik = GaussianLik(HyperParam("o", np.log(2.0), "log", fixed=True))
+        g = TestFactorReuse.rw1_model(lik)
+        assert g.constraint_matrix.shape[0] == 2
+        with pytest.raises(SingularConstraint):
+            Engine(g).log_posterior(np.zeros(0))

@@ -308,7 +308,7 @@ class TestComponentStructure:
                                    "a", transform="correlation", fixed=True)))
         assert base.total_size == 12
         Q = base.precision(values).toarray()
-        rank, logdet, corr = base.log_normalization(values)
+        _, rank, logdet, corr = base.prior_terms(values)
         assert rank == 12
         assert logdet == pytest.approx(np.linalg.slogdet(Q)[1], abs=1e-9)
         assert corr == 0.0
@@ -319,8 +319,35 @@ class TestComponentStructure:
             comp = lm.IidComponent("u", 2, lm.HyperParam("p", fixed=True),
                                    grouping=grouping)
             Q = comp.precision(values).toarray()
-            _, logdet, _ = comp.log_normalization(values)
+            _, _, logdet, _ = comp.prior_terms(values)
             assert logdet == pytest.approx(np.linalg.slogdet(Q)[1], abs=1e-10)
+
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("grouping", ["none", "ar1", "replicate", "rw1"])
+    def test_fixed_term_precision_matches_kron_reference(self, alpha, grouping):
+        # data on the fixed (Kronecker) pattern vs the matrices built directly
+        mesh = mm.structured_mesh(0, 1, 0, 1, 4, 4)
+        fem = mm.assemble(mesh)
+        T, a_int = 4, 0.7
+        a = 2.0 / (1.0 + np.exp(-a_int)) - 1.0
+        values = {"t": np.log(0.6), "k": np.log(2.5), "p": np.log(1.7), "a": a_int}
+        corr = lm.HyperParam("a", transform="correlation", fixed=True)
+        couplings = {
+            "none": (None, None),
+            "ar1": (lm.Ar1Grouping(T, corr), lm.ar1_precision(T, a).full()),
+            "replicate": (lm.ReplicateGrouping(T), sp.identity(T)),
+            "rw1": (lm.Rw1Grouping(T), lm._rw1_proper_coupling(T)),
+        }
+        group, Qt = couplings[grouping]
+        spde = lm.SpdeMaternComponent("s", fem, alpha, lm.HyperParam("t", fixed=True),
+                                      lm.HyperParam("k", fixed=True), grouping=group)
+        ar1 = lm.Ar1Component("v", 5, lm.HyperParam("p", fixed=True), corr, grouping=group)
+        for comp, Qb in ((spde, lm.spde_precision(fem, alpha, 2.5, 0.6).full()),
+                         (ar1, lm.ar1_precision(5, a, 1.7).full())):
+            want = (Qb if Qt is None else sp.kron(Qt, Qb)).toarray()
+            got = comp.precision(values).toarray()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestBinCovariate:

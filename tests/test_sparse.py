@@ -132,6 +132,17 @@ class TestFactorize:
         with pytest.raises(NotPositiveDefinite):
             lg.factorize(Q)
 
+    def test_analyzed_pattern_reused_and_checked(self):
+        rng = np.random.default_rng(8)
+        Qd = random_spd(12, rng)
+        Q = lg.SparseSymmetric.from_full(Qd)
+        symbolic = lg.analyze(Q, lg.reorder(Q))
+        Q2 = lg.SparseSymmetric(12, Q.lower.multiply(2.0).tocsc())
+        f = lg.factorize(Q2, symbolic)
+        assert f.logdet == pytest.approx(np.linalg.slogdet(2.0 * Qd)[1], abs=1e-10)
+        with pytest.raises(DimensionMismatch):
+            lg.factorize(lg.SparseSymmetric.from_full(np.eye(12) + Qd[0, 0]), symbolic)
+
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
