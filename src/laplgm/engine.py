@@ -207,6 +207,28 @@ def _maximize(f, x0, grad_step, budget, grad_tol, step_tol=1e-6, max_iter=100,
 # ------------------------------------------------------------------
 # the engine proper
 
+def _row_pairs(A):
+    """Lower-triangle entries of the row outer products of A as (key, row, weight).
+
+    Row r contributes weight A[r, i] * A[r, j] to entry (i, j), i >= j, keyed
+    j * n + i with n the column count; zero weights are dropped.
+    """
+    n = A.shape[1]
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    lens = np.diff(A.indptr)
+    row_of = np.repeat(np.arange(A.shape[0]), lens)
+    # every ordered pair (e, f) of stored entries sharing a row
+    reps = lens[row_of]
+    e = np.repeat(np.arange(A.nnz), reps)
+    starts = np.repeat(A.indptr[row_of], reps)
+    f = starts + np.arange(e.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    ci, cj = A.indices[e].astype(np.int64), A.indices[f].astype(np.int64)
+    weights = A.data[e] * A.data[f]
+    keep = (ci >= cj) & (weights != 0.0)
+    return cj[keep] * n + ci[keep], row_of[e[keep]], weights[keep]
+
+
 class Engine:
     """Caches the sparsity analysis of one model across theta evaluations."""
 
@@ -228,8 +250,9 @@ class Engine:
              if isinstance(c, FixedEffect)],
             dtype=np.int64,
         )
-        self._rand_mask = np.ones(self.n)
-        self._rand_mask[self.fixed_cols] = 0.0
+        # orthonormal basis of the constraint rows: Newton's gradient test
+        # reads the gradient projected onto the null space of M
+        self._constraint_basis = scipy.linalg.orth(self.M.T) if self.n_constraints else None
 
         # symbolic stage: Q* = Q(theta) + A' diag(c) A on one fixed pattern
         n = self.n
@@ -238,7 +261,7 @@ class Engine:
         pcols = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
         self._prior_lower = np.flatnonzero(prows >= pcols)
         prior_keys = pcols[self._prior_lower] * n + prows[self._prior_lower]
-        lik_keys, lik_rows, lik_vals = self._likelihood_pairs()
+        lik_keys, lik_rows, lik_vals = _row_pairs(self.A_obs)
         keys = np.unique(np.concatenate(
             [prior_keys, lik_keys, np.arange(n, dtype=np.int64) * (n + 1)]))
         self._prior_pos = np.searchsorted(keys, prior_keys)
@@ -251,30 +274,9 @@ class Engine:
         full = (lower + sp.tril(lower, k=-1).T).tocsc()
         self.perm = self._choose_permutation(full)
         self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
-        self._selinv_plan = None
         self._pair_plan = None
         self._x_warm = np.zeros(n)
         self._lp_cache = {}   # theta bytes -> (log posterior, latent mode x*)
-
-    def _likelihood_pairs(self):
-        """Lower-triangle entries of A_obs' diag(c) A_obs as (key, row, weight) triplets.
-
-        Entry (i, j) receives weight A[r, i] * A[r, j] times c_r from every
-        observed row r holding both columns.
-        """
-        A = self.A_obs.tocsr()
-        A.sum_duplicates()
-        lens = np.diff(A.indptr)
-        row_of = np.repeat(np.arange(A.shape[0]), lens)
-        # every ordered pair (e, f) of stored entries sharing a row
-        reps = lens[row_of]
-        e = np.repeat(np.arange(A.nnz), reps)
-        starts = np.repeat(A.indptr[row_of], reps)
-        f = starts + np.arange(e.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        ci, cj = A.indices[e].astype(np.int64), A.indices[f].astype(np.int64)
-        weights = A.data[e] * A.data[f]
-        keep = (ci >= cj) & (weights != 0.0)
-        return cj[keep] * self.n + ci[keep], row_of[e[keep]], weights[keep]
 
     # -- ordering ---------------------------------------------------
 
@@ -385,8 +387,13 @@ class Engine:
                     W = solve(factor, self.M.T)
                     cho, logdet_S = sparse.constraint_cholesky(self.M @ W)
             grad = self.A_obs.T @ d1 - Qp @ x
-            if not constrained and iterations >= 1 and \
-                    np.max(np.abs(grad)) <= cfg.newton_tol * (1.0 + np.max(np.abs(x))):
+            tol = cfg.newton_tol * (1.0 + np.max(np.abs(x)))
+            feasible = True
+            if constrained:
+                B = self._constraint_basis
+                grad = grad - B @ (B.T @ grad)
+                feasible = np.max(np.abs(self.M @ x - self.e)) <= tol
+            if iterations >= 1 and feasible and np.max(np.abs(grad)) <= tol:
                 converged = True
                 break
             if iterations >= cfg.max_newton:
@@ -548,24 +555,10 @@ class Engine:
         """Latent mean/sd and per-row predictor mean/sd at one theta node."""
         lp, approx = self.log_posterior(theta, return_approx=True, x_init=x_init)
         factor = approx.factor
-        if isinstance(factor._backend, sparse._BandedBackend):
-            S = selected_inverse(factor)
-        else:
-            plan = self._selinv_plan
-            if plan is None or not plan.matches(factor):
-                plan = self._selinv_plan = sparse.SelectedInversePlan(factor)
-            S = selected_inverse(factor, plan)
-        diag = S.diagonal().copy()
-
+        S = selected_inverse(factor)
+        diag = S.diagonal()
         A = self.model.A
-        nF = self.fixed_cols.size
-        if nF:
-            E = np.zeros((self.n, nF))
-            E[self.fixed_cols, np.arange(nF)] = 1.0
-            W_fix = solve(factor, E)
-        else:
-            W_fix = np.zeros((self.n, 0))
-        var_rows = self._predictor_variances(S, W_fix, factor)
+        var_rows = self._predictor_variances(S, factor)
         mean_rows = A @ approx.x_star
 
         if self.n_constraints:
@@ -585,63 +578,69 @@ class Engine:
             "approx": approx,
         }
 
-    def _build_pair_plan(self, skeys):
-        """Positions of A-row covariance pairs inside the selected inverse."""
-        A = self.model.A
-        Ar = (A @ sp.diags(self._rand_mask)).tocsr()
-        row_ids, pos_list, coef_list, fallback = [], [], [], []
-        indptr, indices, data = Ar.indptr, Ar.indices, Ar.data
-        for r in range(A.shape[0]):
-            lo, hi = indptr[r], indptr[r + 1]
-            cols = indices[lo:hi].astype(np.int64)
-            vals = data[lo:hi]
-            live = vals != 0.0
-            cols, vals = cols[live], vals[live]
-            if cols.size == 0:
-                continue
-            pi, qi = np.meshgrid(cols, cols, indexing="ij")
-            keep = pi >= qi
-            p_arr, q_arr = pi[keep], qi[keep]
-            vi, vj = np.meshgrid(vals, vals, indexing="ij")
-            coef = (vi * vj)[keep] * np.where(p_arr == q_arr, 1.0, 2.0)
-            qk = q_arr * self.n + p_arr  # (col, row) key into the lower triangle
-            pos = np.searchsorted(skeys, qk)
-            pos = np.minimum(pos, skeys.size - 1)
-            if np.all(skeys[pos] == qk):
-                row_ids.append(np.full(p_arr.size, r, dtype=np.int64))
-                pos_list.append(pos)
-                coef_list.append(coef)
-            else:
-                fallback.append(r)
+    def _node_plan(self):
+        """The predictor pair plan, built on first use.
+
+        `fit` builds it before the node stage starts its worker threads.
+        """
+        if self._pair_plan is None:
+            self._pair_plan = self._build_pair_plan()
+        return self._pair_plan
+
+    def _build_pair_plan(self):
+        """Where the variance a' Sigma a of every predictor row reads Sigma.
+
+        Covariance pairs inside the selected-inverse pattern (fixed by the
+        symbolic factor) read its data.  The pairs outside it are covered by
+        a small set J of latent columns, chosen greedily by how many missing
+        pairs each covers; one solve per node with |J| right-hand sides gives
+        Sigma[:, J], from which each missing pair is read.
+        """
+        n = self.n
+        indptr, indices, _, _ = self._symbolic.selected_inverse_layout()
+        skeys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+        keys, rows, weights = _row_pairs(self.model.A)
+        cols, rws = np.divmod(keys, n)
+        coef = np.where(rws == cols, weights, 2.0 * weights)
+        pos = np.minimum(np.searchsorted(skeys, keys), skeys.size - 1)
+        hit = skeys[pos] == keys
+        # the diagonal is always in the pattern: every missing pair has i > j
+        miss_keys, miss_of = np.unique(keys[~hit], return_inverse=True)
+        mj, mi = np.divmod(miss_keys, n)
+        J = []
+        uncovered = np.ones(miss_keys.size, dtype=bool)
+        while uncovered.any():
+            counts = np.bincount(np.concatenate([mi[uncovered], mj[uncovered]]), minlength=n)
+            j = int(np.argmax(counts))   # the smallest column among the best
+            J.append(j)
+            uncovered &= (mi != j) & (mj != j)
+        J = np.array(J, dtype=np.int64)
+        slot_of = np.full(n, -1, dtype=np.int64)
+        slot_of[J] = np.arange(J.size)
+        # missing pair (i, j) reads Sigma[j, slot(i)] when i is in J, else Sigma[i, slot(j)]
+        by_i = slot_of[mi] >= 0
+        at = np.where(by_i, mj, mi)[miss_of]
+        slot = np.where(by_i, slot_of[mi], slot_of[mj])[miss_of]
         return {
-            "rows": np.concatenate(row_ids) if row_ids else np.zeros(0, dtype=np.int64),
-            "pos": np.concatenate(pos_list) if pos_list else np.zeros(0, dtype=np.int64),
-            "coef": np.concatenate(coef_list) if coef_list else np.zeros(0),
-            "fallback": np.array(fallback, dtype=np.int64),
-            "skeys": skeys,
+            "rows": rows[hit], "pos": pos[hit], "coef": coef[hit],
+            "cols": J, "miss_rows": rows[~hit], "miss_coef": coef[~hit],
+            "miss_at": at, "miss_slot": slot,
         }
 
-    def _predictor_variances(self, S, W_fix, factor):
-        A = self.model.A
-        skeys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n,
-                          np.diff(S.lower.indptr)) + S.lower.indices
-        plan = self._pair_plan
-        if plan is None or not np.array_equal(plan["skeys"], skeys):
-            plan = self._pair_plan = self._build_pair_plan(skeys)
-        var = np.zeros(A.shape[0])
-        if plan["rows"].size:
-            np.add.at(var, plan["rows"], plan["coef"] * S.lower.data[plan["pos"]])
-        if plan["fallback"].size:
-            rows = plan["fallback"]
-            Ar = (A[rows] @ sp.diags(self._rand_mask)).toarray()
-            Z = solve(factor, Ar.T)
-            var[rows] = np.einsum("rn,nr->r", Ar, Z)
-        if self.fixed_cols.size:
-            Af = A[:, self.fixed_cols].toarray()
-            cross = A @ W_fix                      # rows x nF: a' Sigma E
-            SFF = W_fix[self.fixed_cols, :]
-            var += 2.0 * np.einsum("rf,rf->r", cross, Af)
-            var -= np.einsum("rf,fg,rg->r", Af, SFF, Af)
+    def _predictor_variances(self, S, factor):
+        """a' Sigma a for every row a of A, Sigma the unconstrained Q*^-1."""
+        plan = self._node_plan()
+        nrows = self.model.A.shape[0]
+        var = np.bincount(plan["rows"], weights=plan["coef"] * S.lower.data[plan["pos"]],
+                          minlength=nrows)
+        J = plan["cols"]
+        if J.size:
+            E = np.zeros((self.n, J.size))
+            E[J, np.arange(J.size)] = 1.0
+            X = solve(factor, E)
+            var += np.bincount(plan["miss_rows"],
+                               weights=plan["miss_coef"] * X[plan["miss_at"], plan["miss_slot"]],
+                               minlength=nrows)
         return var
 
     def lincomb_node_moments(self, approx, B):
@@ -923,6 +922,7 @@ def fit(model, config=None):
         # exploration cached every node's latent mode: Newton restarts there
         return engine.node_quantities(node.theta)
 
+    engine._node_plan()   # shared by the node workers, so built before them
     if cfg.threads > 1 and len(nodes) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
             node_data = list(ex.map(one, nodes))

@@ -142,7 +142,9 @@ def ar1_precision(n, a, marginal_precision=1.0):
     """Tridiagonal precision of a stationary AR(1) with unit-marginal structure.
 
     Inner diagonal (1+a^2)/(1-a^2), ends 1/(1-a^2), off-diagonal -a/(1-a^2),
-    all scaled by `marginal_precision`.
+    all scaled by `marginal_precision`.  Length 1 is [marginal_precision]
+    itself, so the log-determinant is n log(tau) - (n-1) log(1-a^2) at
+    every length.
     """
     if abs(a) >= 1.0:
         raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
@@ -150,9 +152,7 @@ def ar1_precision(n, a, marginal_precision=1.0):
         raise ValueError("n must be >= 1")
     s = marginal_precision / (1.0 - a * a)
     diag = np.full(n, (1.0 + a * a) * s)
-    if n >= 1:
-        diag[0] = s
-        diag[-1] = s
+    diag[[0, -1]] = s if n > 1 else marginal_precision
     rows = np.concatenate([np.arange(n), np.arange(1, n)])
     cols = np.concatenate([np.arange(n), np.arange(n - 1)])
     vals = np.concatenate([diag, np.full(n - 1, -a * s)])
@@ -263,10 +263,11 @@ class _KronMap:
 def _ar1_terms(n):
     """I, the inner-diagonal indicator and the off-diagonal adjacency of length n.
 
-    ar1_precision(n, a, tau) = tau/(1-a^2) * (I + a^2 D_inner - a Off).
+    ar1_precision(n, a, tau) = tau/(1-a^2) * (I + a^2 D_inner - a Off).  At
+    n = 1 the indicator is [-1], so the single entry is tau.
     """
     inner = np.ones(n)
-    inner[[0, -1]] = 0.0
+    inner[[0, -1]] = 0.0 if n > 1 else -1.0
     off = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], shape=(n, n))
     return [sp.identity(n), sp.diags(inner), off]
 

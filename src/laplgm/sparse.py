@@ -20,10 +20,15 @@ from .errors import DimensionMismatch, NotPositiveDefinite, SingularConstraint
 
 PIVOT_TOL = 1e-12
 
-# selected_inverse switches to a dense sliding-window recursion when the
-# factor is banded and the window fits comfortably in memory.
+# A permuted pattern that is a band of width w plus nb trailing border rows
+# is factorized (and inverted) through LAPACK band storage while
+# n (w + nb + 1) and n (w + nb + 1)^2 stay under these caps; beyond them the
+# SuperLU backend and the general recursion take over.
 _BAND_ENTRY_CAP = 2 * 10**7
 _BAND_FLOP_CAP = 2 * 10**9
+# The blocked selected inversion over the band runs on column blocks of
+# max(w, this) columns, so a narrow band still makes a few large BLAS-3 calls.
+_SELINV_MIN_BLOCK = 32
 
 
 class SparseSymmetric:
@@ -371,13 +376,17 @@ class _BandedBackend:
 
 
 class CholeskyFactor:
-    """Permuted sparse Cholesky factorization P Q P' = L L'."""
+    """Permuted sparse Cholesky factorization P Q P' = L L'.
 
-    __slots__ = ("n", "perm", "logdet", "_backend", "_L")
+    `symbolic` is the SymbolicFactor the factor was computed from.
+    """
 
-    def __init__(self, n, perm, backend):
-        self.n = n
-        self.perm = perm
+    __slots__ = ("n", "perm", "symbolic", "logdet", "_backend", "_L")
+
+    def __init__(self, symbolic, backend):
+        self.n = symbolic.n
+        self.perm = symbolic.perm
+        self.symbolic = symbolic
         self.logdet = backend.logdet()
         self._backend = backend
         self._L = None
@@ -403,10 +412,11 @@ class SymbolicFactor:
     its destination in the numeric storage of that backend: the LAPACK band
     array, the border rows and the border corner, or the permuted CSC matrix
     handed to SuperLU.  `numeric` then factorizes any matrix on the pattern
-    with one scatter and one factorization call.
+    with one scatter and one factorization call, and every factor it returns
+    shares one selected-inverse layout (`selected_inverse_layout`).
     """
 
-    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps", "_splu")
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps", "_splu", "_selinv")
 
     def __init__(self, Q, perm):
         n = Q.n
@@ -419,7 +429,7 @@ class SymbolicFactor:
         w, nb = _detect_bordered_band(r, c, n)
         self.n, self.perm = n, perm
         self.indptr, self.indices = lower.indptr, lower.indices
-        self.w = self.nb = self._maps = self._splu = None
+        self.w = self.nb = self._maps = self._splu = self._selinv = None
         if n * (w + nb + 1) <= _BAND_ENTRY_CAP and n * (w + nb + 1) ** 2 <= _BAND_FLOP_CAP:
             cut = n - nb
             core = r < cut
@@ -463,7 +473,46 @@ class SymbolicFactor:
             indptr, indices, src = self._splu
             Ap = sp.csc_matrix((data[src], indices, indptr), shape=(self.n, self.n))
             backend = _SpluBackend(Ap, self.n, pivot_tol)
-        return CholeskyFactor(self.n, self.perm, backend)
+        return CholeskyFactor(self, backend)
+
+    def selected_inverse_layout(self):
+        """Output pattern of `selected_inverse` for factors of this analysis.
+
+        Returns (indptr, indices, gather, closed): the lower-triangle CSC
+        pattern of the selected inverse in original indexing, the position
+        in the recursion's flat output of each of its entries, and the
+        elimination-closed permuted pattern (indptr, indices, keys) the
+        general recursion runs on (None on the band backend).  Built on the
+        first call and kept, so a factor that is never inverted costs
+        nothing and later calls do no sorting.
+        """
+        if self._selinv is None:
+            n = self.n
+            closed = None
+            if self._maps is not None:
+                cut, w, nb = n - self.nb, self.w, self.nb
+                # band in LAPACK layout: flat d + j (w + 1) holds (j + d, j)
+                src = np.arange((w + 1) * cut)
+                j, d = np.divmod(src, w + 1)
+                live = j + d < cut
+                br, bc = np.tril_indices(nb)
+                prow = np.concatenate([(j + d)[live], cut + np.repeat(np.arange(nb), cut),
+                                       cut + br])
+                pcol = np.concatenate([j[live], np.tile(np.arange(cut), nb), cut + bc])
+                src = np.concatenate([src[live], (w + 1) * cut + np.arange(nb * cut),
+                                      (w + 1 + nb) * cut + br * nb + bc])
+            else:
+                indptr, indices = _closed_lower_pattern(n, *self._splu[:2])
+                pcol = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+                prow = indices
+                src = np.arange(indices.size)
+                closed = (indptr, indices, pcol * n + indices)
+            orow, ocol = self.perm.order[prow], self.perm.order[pcol]
+            keys = np.minimum(orow, ocol) * n + np.maximum(orow, ocol)
+            order = np.argsort(keys)
+            pattern = _csc_from_keys(keys[order], n)
+            self._selinv = (pattern.indptr, pattern.indices, src[order], closed)
+        return self._selinv
 
 
 def analyze(Q, perm=None):
@@ -534,37 +583,6 @@ def _closed_lower_pattern(n, indptr, indices):
     return out_indptr, np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
 
 
-class SelectedInversePlan:
-    """Reusable symbolic analysis for selected inversion on a fixed pattern.
-
-    The closed fill pattern used by the general recursion is computed
-    lazily, only when needed; band-backed factors never need it.
-    """
-
-    __slots__ = ("n", "source_indptr", "source_indices", "_closed")
-
-    def __init__(self, factor):
-        L = factor.L
-        self.n = factor.n
-        self.source_indptr = L.indptr.copy()
-        self.source_indices = L.indices.copy()
-        self._closed = None
-
-    def closed_pattern(self):
-        if self._closed is None:
-            indptr, indices = _closed_lower_pattern(self.n, self.source_indptr,
-                                                    self.source_indices)
-            cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-            keys = cols * self.n + indices
-            self._closed = (indptr, indices, keys)
-        return self._closed
-
-    def matches(self, factor):
-        return (factor.n == self.n
-                and np.array_equal(factor.L.indptr, self.source_indptr)
-                and np.array_equal(factor.L.indices, self.source_indices))
-
-
 def _detect_bordered_band(rows, cols, n, max_border=24):
     """Core bandwidth and trailing border width minimizing the window cost.
 
@@ -583,122 +601,117 @@ def _detect_bordered_band(rows, cols, n, max_border=24):
     return best[0], best[1]
 
 
-def _takahashi_bordered(backend):
-    """Selected inverse over a band plus trailing border rows.
+def _band_window(flat, w, start, lo, rows, cols, masks):
+    """Strided rows x cols window onto a band matrix in LAPACK layout, and its mask.
 
-    A dense sliding window tracks the trailing band block, a strip tracks
-    its coupling with the border, and a small dense block holds the border
-    corner; the recursion is exact on that (closed) pattern.  Reads the
-    factor straight out of the band storage.
+    `flat` is the column-major (w+1) x cut band array raveled, where entry
+    (i, j) of the matrix sits at flat index i + j w.  Window entry (r, c) is
+    matrix entry (start + lo + r, start + c); the mask marks the entries
+    inside the band (0 <= i - j <= w), the only ones that may be read or
+    written through the window.  `masks` caches the mask per window shape.
     """
-    n = backend.n
+    view = np.lib.stride_tricks.as_strided(
+        flat[start * (w + 1) + lo:], shape=(rows, cols),
+        strides=(flat.itemsize, flat.itemsize * w), writeable=True)
+    mask = masks.get((lo, rows, cols))
+    if mask is None:
+        off = lo + np.arange(rows)[:, None] - np.arange(cols)
+        mask = masks[(lo, rows, cols)] = (off >= 0) & (off <= w)
+    return view, mask
+
+
+def _triangular_inverse(L):
+    """L^-1 of a dense lower-triangular L (zero above the diagonal)."""
+    Linv, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"singular triangular factor (info={info})")
+    return Linv
+
+
+def _takahashi_bordered(backend):
+    """Blocked selected inverse over a band plus trailing border rows.
+
+    The band core is cut into column blocks of b >= w columns, so only
+    neighbouring blocks couple.  From the last block back, with C stacking
+    the first min(w, .) rows of the next block's coupling L_{k+1,k} and the
+    border rows M_k, and Sigma_H the inverse already known on those rows:
+
+        Z = C L_kk^-1,  Sigma_{H,k} = -Sigma_H Z,
+        Sigma_kk = L_kk^-T L_kk^-1 - Z' Sigma_{H,k},
+
+    all dense level-3 calls.  Returns one flat array: the band of the
+    inverse in the layout of `lband` ((w+1) x cut, column major, diagonal in
+    row 0), then the border strip Sigma[cut:, :cut] (nb x cut, row major),
+    then the border corner Sigma[cut:, cut:] (nb x nb, row major).
+    """
     cut, w, nb = backend.cut, backend.w, backend.nb
-    lband, M, LF = backend.lband, backend.M, backend.LF
-    diag = np.zeros(n)
-    band = np.zeros((w, max(cut, 0)))
-    strip = np.zeros((nb, max(cut, 0)))   # S[border, j] for band columns j
-    F = np.zeros((nb, nb))                # S on the border block
-
-    # border columns (last nb): patterns live inside the border
-    for jb in range(nb - 1, -1, -1):
-        ld = LF[jb, jb]
-        lvals = LF[jb + 1:, jb]
-        if lvals.size:
-            scol = -(F[jb + 1:, jb + 1:] @ lvals) / ld
-            F[jb + 1:, jb] = scol
-            F[jb, jb + 1:] = scol
-            F[jb, jb] = 1.0 / ld**2 - (lvals @ scol) / ld
-        else:
-            F[jb, jb] = 1.0 / ld**2
-        diag[cut + jb] = F[jb, jb]
-
-    win = np.zeros((w, w))
-    wbuf = np.zeros((w, w))
-    sb = np.zeros((nb, w))
-    sbuf = np.zeros((nb, w))
-    for j in range(cut - 1, -1, -1):
-        ld = lband[0, j]
-        m = min(w, cut - 1 - j)
-        lb = lband[1:m + 1, j]
-        lr = M[:, j]
-        s_band = -(win[:m, :m] @ lb + sb[:, :m].T @ lr) / ld if m else np.zeros(0)
-        s_bord = -(sb[:, :m] @ lb + F @ lr) / ld if nb else np.zeros(0)
-        diag[j] = 1.0 / ld**2 - ((lb @ s_band if m else 0.0)
-                                 + (lr @ s_bord if nb else 0.0)) / ld
-        band[:m, j] = s_band
+    lflat = backend.lband.ravel(order="F")
+    M = backend.M
+    size = (w + 1) * cut
+    out = np.empty(size + nb * cut + nb * nb)
+    band = out[:size]
+    strip = out[size:size + nb * cut].reshape(nb, cut)
+    corner = out[size + nb * cut:].reshape(nb, nb)
+    if nb:
+        LFinv = _triangular_inverse(backend.LF)
+        corner[...] = LFinv.T @ LFinv
+    # inverse on the coupling rows of the block after (h of them) and the border
+    head, h = corner.copy(), 0
+    masks = {}
+    b = max(w, _SELINV_MIN_BLOCK)
+    for s in range((cut - 1) // b * b, -1, -b):
+        bk = min(b, cut - s)
+        view, mask = _band_window(lflat, w, s, 0, bk, bk, masks)
+        Linv = _triangular_inverse(np.where(mask, view, 0.0))
+        Skk = Linv.T @ Linv
+        if h + nb:
+            C = np.empty((h + nb, bk))
+            if h:
+                view, mask = _band_window(lflat, w, s, bk, h, bk, masks)
+                C[:h] = np.where(mask, view, 0.0)
+            C[h:] = M[:, s:s + bk]
+            Z = C @ Linv
+            Shk = -(head @ Z)
+            Skk -= Z.T @ Shk
+            if h:
+                view, mask = _band_window(band, w, s, bk, h, bk, masks)
+                np.copyto(view, Shk[:h], where=mask)
+            strip[:, s:s + bk] = Shk[h:]
+        view, mask = _band_window(band, w, s, 0, bk, bk, masks)
+        np.copyto(view, Skk, where=mask)
+        hn = min(w, bk)
+        head = np.empty((hn + nb, hn + nb))
+        head[:hn, :hn] = Skk[:hn, :hn]
         if nb:
-            strip[:, j] = s_bord
-        if j and w:
-            keep = min(m, w - 1)
-            wbuf[1:keep + 1, 1:keep + 1] = win[:keep, :keep]
-            if keep:
-                wbuf[0, 1:keep + 1] = s_band[:keep]
-                wbuf[1:keep + 1, 0] = s_band[:keep]
-            wbuf[0, 0] = diag[j]
-            win, wbuf = wbuf, win
-            if nb:
-                sbuf[:, 1:keep + 1] = sb[:, :keep]
-                sbuf[:, 0] = s_bord
-                sb, sbuf = sbuf, sb
-    return diag, band, strip, F
+            head[hn:, :hn] = Shk[h:, :hn]
+            head[:hn, hn:] = Shk[h:, :hn].T
+            head[hn:, hn:] = corner
+        h = hn
+    return out
 
 
-def selected_inverse(factor, plan=None):
+def selected_inverse(factor):
     """Values of Q^-1 on (at least) the sparsity pattern of L + L'.
 
     Diagonal entries are the exact marginal variances of the GMRF with
     precision Q.  Entries come back in original (unpermuted) indexing as a
-    SparseSymmetric.  Passing a precomputed plan skips the symbolic stage
-    when many factors share one sparsity pattern.
+    SparseSymmetric whose pattern is fixed by the factor's symbolic
+    analysis: every factor from one `analyze` returns the same pattern.
     """
-    n = factor.n
-    if isinstance(factor._backend, _BandedBackend):
-        backend = factor._backend
-        w, nb = backend.w, backend.nb
-        cut = backend.cut
-        diag, band, strip, F = _takahashi_bordered(backend)
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [diag]
-        for t in range(1, w + 1):
-            m = cut - t
-            if m <= 0:
-                break
-            rows.append(np.arange(t, t + m))
-            cols.append(np.arange(m))
-            vals.append(band[t - 1, :m])
-        if nb:
-            for r in range(nb):
-                rows.append(np.full(cut, cut + r))
-                cols.append(np.arange(cut))
-                vals.append(strip[r])
-            br, bc = np.tril_indices(nb, k=-1)
-            rows.append(cut + br)
-            cols.append(cut + bc)
-            vals.append(F[br, bc])
-        prow = np.concatenate(rows)
-        pcol = np.concatenate(cols)
-        pval = np.concatenate(vals)
+    indptr, indices, gather, closed = factor.symbolic.selected_inverse_layout()
+    if closed is None:
+        values = _takahashi_bordered(factor._backend)
     else:
-        if plan is None or not plan.matches(factor):
-            plan = SelectedInversePlan(factor)
-        indptr, indices, _ = plan.closed_pattern()
-        pval = _takahashi_general(factor, plan)
-        prow = indices
-        pcol = np.repeat(np.arange(n), np.diff(indptr))
-    order = factor.perm.order
-    orow = order[prow]
-    ocol = order[pcol]
-    lo = np.maximum(orow, ocol)
-    hi = np.minimum(orow, ocol)
-    lower = sp.csc_matrix((pval, (lo, hi)), shape=(n, n))
+        values = _takahashi_general(factor, closed)
+    n = factor.n
+    lower = sp.csc_matrix((values[gather], indices, indptr), shape=(n, n))
     return SparseSymmetric(n, lower, validate=False)
 
 
-def _takahashi_general(factor, plan):
+def _takahashi_general(factor, closed):
     """Takahashi recursion on the closed fill pattern (permuted order)."""
-    n = plan.n
-    indptr, indices, keys = plan.closed_pattern()
+    n = factor.n
+    indptr, indices, keys = closed
     # conform the numeric factor onto the closed pattern (zero padding)
     L = factor.L
     lkeys = np.repeat(np.arange(n, dtype=np.int64), np.diff(L.indptr)) * n + L.indices

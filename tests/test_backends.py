@@ -20,7 +20,7 @@ def force_splu(monkeypatch):
     monkeypatch.setattr(sps, "_BAND_FLOP_CAP", 0)
 
 
-def test_backends_agree_on_mesh_precision():
+def test_backends_agree_on_mesh_precision(request):
     mesh = mm.structured_mesh(0, 1, 0, 1, 16, 16)
     fem = mm.assemble(mesh)
     kappa, tau = lm.matern_kappa_tau(0.3, 1.0)
@@ -28,8 +28,9 @@ def test_backends_agree_on_mesh_precision():
     perm = lg.reorder(Q)
     f_band = lg.factorize(Q, perm)
     assert isinstance(f_band._backend, sps._BandedBackend)
-    f_splu = sps.CholeskyFactor(Q.n, perm, sps._SpluBackend(
-        Q.full()[perm.order, :][:, perm.order].tocsc(), Q.n, sps.PIVOT_TOL))
+    request.getfixturevalue("force_splu")
+    f_splu = lg.factorize(Q, perm)
+    assert isinstance(f_splu._backend, sps._SpluBackend)
     assert f_band.logdet == pytest.approx(f_splu.logdet, abs=1e-9)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(Q.n)
@@ -218,3 +219,68 @@ def test_plan_assembled_conditional_precision(backend, request):
     # the Newton iteration goes through the same plan
     approx = engine.gaussian_approximation(theta)
     assert isinstance(approx.factor._backend, kind)
+
+
+def _strip_model(rng, m=5, nx=40, nsite=4, npred=40):
+    """Gaussian rw1 trend + SPDE field on a long strip; observations sit at the
+    strip's left end, and every prediction row pairs the last rw1 node with
+    field nodes along the whole strip, most of them far from the data."""
+    mesh = mm.structured_mesh(0, 10, 0, 1, nx, 3)
+    fem = mm.assemble(mesh)
+    spde = lm.spde_matern_component("s", fem, mesh, alpha=2, initial_range=2.0)
+    spde.log_tau.fixed = True
+    spde.log_kappa.fixed = True
+    trend = lm.Rw1Component("t", m, lm.log_precision_hyper("t.prec", 2.0, fixed=True),
+                            sum_to_zero=True)
+    lik = GaussianLik(HyperParam("o", np.log(2.0), "log", fixed=True))
+    t_obs = np.repeat(np.arange(m), nsite)
+    sites = np.column_stack([rng.uniform(0, 1, t_obs.size), rng.uniform(0, 1, t_obs.size)])
+    obs = lm.StackPart(rng.normal(0, 1, t_obs.size),
+                       {"mu": np.ones(t_obs.size), "t": lm.index_block(t_obs, m),
+                        "s": mm.projector(mesh, sites)}, "obs")
+    grid = np.column_stack([np.linspace(0.2, 9.8, npred), np.full(npred, 0.5)])
+    pred = lm.StackPart(np.full(npred, np.nan),
+                        {"mu": np.ones(npred), "t": lm.index_block(np.full(npred, m - 1), m),
+                         "s": mm.projector(mesh, grid)}, "pred")
+    return lm.build_stack([obs, pred], [lm.FixedEffect("mu"), trend, spde], lik)
+
+
+@pytest.mark.parametrize("backend", ["band", "splu"])
+def test_missing_predictor_pairs_one_solve(backend, request, monkeypatch):
+    # covariance pairs outside the selected-inverse pattern come from one solve
+    # with |J| right-hand sides per node, not from a solve per predictor row
+    if backend == "splu":
+        request.getfixturevalue("force_splu")
+    model = _strip_model(np.random.default_rng(3))
+    engine = eng.Engine(model)
+    plan = engine._node_plan()
+    J = plan["cols"]
+    last_rw1 = model.col_offsets["t"][0] + 4
+    assert last_rw1 in J
+    assert 1 <= J.size < np.unique(plan["miss_rows"]).size
+    theta = np.zeros(0)
+    q = engine.node_quantities(theta)
+
+    _, approx = engine.log_posterior(theta, return_approx=True)
+    S = lg.selected_inverse(approx.factor)
+    shapes = []
+    real = eng.solve
+
+    def spy(factor, b):
+        shapes.append(np.shape(b))
+        return real(factor, b)
+
+    monkeypatch.setattr(eng, "solve", spy)
+    engine._predictor_variances(S, approx.factor)
+    assert shapes == [(model.n_latent, J.size)]
+
+    # dense conditional with the sum-to-zero constraint
+    A = model.A.toarray()
+    A_obs = A[model.observed]
+    Qpost = model.prior_quantities(theta)[0].toarray() + 2.0 * A_obs.T @ A_obs
+    cov = np.linalg.inv(Qpost)
+    M = model.constraint_matrix
+    cov = cov - cov @ M.T @ np.linalg.solve(M @ cov @ M.T, M @ cov)
+    assert np.abs(q["latent_sd"] - np.sqrt(np.diag(cov))).max() <= 1e-8
+    want_sd = np.sqrt(np.einsum("rn,nm,rm->r", A, cov, A))
+    assert np.abs(q["pred_sd"] - want_sd).max() <= 1e-8

@@ -595,12 +595,31 @@ class TestFactorReuse:
         assert abs(ap.x_star[1:].sum()) <= 1e-10
         assert len(count_factorizations) == 1
 
+    def test_gaussian_constrained_one_iteration(self, count_factorizations):
+        # the projected gradient test ends a constrained Gaussian theta after
+        # its first, exact step; x* still meets M x* = e
+        lik = GaussianLik(HyperParam("o", np.log(2.0), "log", fixed=True))
+        g = self.rw1_model(lik)
+        engine = Engine(g)
+        for theta in (np.zeros(0), np.zeros(0)):
+            ap = engine.gaussian_approximation(theta)
+            assert ap.converged and ap.iterations == 1
+            M, e = g.constraint_matrix, g.constraint_rhs
+            assert np.abs(M @ ap.x_star - e).max() <= 1e-10
+        assert len(count_factorizations) == 2
+
     def test_step_below_tolerance_keeps_factor(self, count_factorizations):
-        # a constrained Newton iteration always stops on a small step
+        # restarted at its converged mode, a constrained Newton iteration takes
+        # one step below tolerance and keeps the factor it stepped with
         g = self.rw1_model(PoissonLik())
-        ap = Engine(g).gaussian_approximation(np.zeros(0))
+        engine = Engine(g)
+        ap = engine.gaussian_approximation(np.zeros(0))
         assert ap.converged and ap.iterations >= 2
-        assert len(count_factorizations) == ap.iterations
+        assert len(count_factorizations) <= ap.iterations + 1
+        del count_factorizations[:]
+        again = engine.gaussian_approximation(np.zeros(0), x_init=ap.x_star)
+        assert again.converged and again.iterations == 1
+        assert len(count_factorizations) == 1
 
     def test_revisited_theta_restarts_from_its_mode(self, count_factorizations):
         rng = np.random.default_rng(9)

@@ -313,6 +313,24 @@ class TestComponentStructure:
         assert logdet == pytest.approx(np.linalg.slogdet(Q)[1], abs=1e-9)
         assert corr == 0.0
 
+    def test_ar1_of_length_one_logdet(self):
+        # length 1 is the unit marginal [tau]: the matrix and its
+        # log-determinant agree (an iid block of 3 was off by 3 log(1 - a^2))
+        a = 0.38
+        values = {"p": np.log(2.0), "a": np.log((1.0 + a) / (1.0 - a))}
+        corr = lm.HyperParam("a", transform="correlation", fixed=True)
+        prec = lm.HyperParam("p", fixed=True)
+        assert np.allclose(lm.ar1_precision(1, a, 2.0).to_dense(), [[2.0]])
+        for comp in (lm.IidComponent("u", 3, prec, grouping=lm.Ar1Grouping(1, corr)),
+                     lm.Ar1Component("v", 1, prec, corr),
+                     lm.Ar1Component("w", 4, prec, corr, grouping=lm.Ar1Grouping(1, corr))):
+            Q = comp.precision(values).toarray()
+            _, rank, logdet, _ = comp.prior_terms(values)
+            assert rank == Q.shape[0]
+            assert logdet == pytest.approx(np.linalg.slogdet(Q)[1], abs=1e-10)
+        iid = lm.IidComponent("u", 3, prec, grouping=lm.Ar1Grouping(1, corr))
+        assert np.allclose(iid.precision(values).toarray(), 2.0 * np.eye(3))
+
     def test_replicate_and_rw1_grouping_logdet(self):
         values = {"p": np.log(1.7)}
         for grouping in (lm.ReplicateGrouping(3), lm.Rw1Grouping(3)):

@@ -228,6 +228,82 @@ class TestSelectedInverse:
         assert np.abs(S.diagonal() - np.diag(np.linalg.inv(Qd))).max() <= 1e-8
 
 
+def bordered_band_spd(n, w, nb, rng):
+    """SPD L0 L0' whose leading n - nb rows form a band of width exactly w
+    and whose last nb rows are dense."""
+    cut = n - nb
+    i, j = np.tril_indices(n)
+    keep = (i >= cut) | (i - j <= w)
+    L0 = np.zeros((n, n))
+    L0[i[keep], j[keep]] = rng.uniform(-0.5, 0.5, int(keep.sum())) / np.sqrt(w + nb + 1)
+    L0[np.arange(n), np.arange(n)] = rng.uniform(1.0, 2.0, n)
+    return L0 @ L0.T
+
+
+class TestBlockedSelectedInverse:
+    """The band-plus-border recursion against np.linalg.inv on its whole pattern."""
+
+    @pytest.mark.parametrize("n, w, nb", [
+        (70, 0, 0), (70, 0, 3), (70, 1, 0), (70, 1, 2),
+        (100, 5, 2),              # blocks wider than w + 1
+        (205, 40, 0),             # last block shorter than w
+        (243, 40, 3),             # cut a multiple of the block size
+        (211, 45, 4),             # cut not a multiple of the block size
+        (36, 35, 0), (60, 59, 0),  # w >= cut - 1: one dense core
+    ])
+    def test_dense_oracle(self, n, w, nb):
+        import laplgm.sparse as sps
+        rng = np.random.default_rng(n + 7 * w + nb)
+        Qd = bordered_band_spd(n, w, nb, rng)
+        Q = lg.SparseSymmetric.from_full(Qd)
+        cut = n - nb
+        order = np.concatenate([np.arange(cut)[::-1], np.arange(cut, n)])
+        f = lg.factorize(Q, lg.Permutation(order))
+        assert isinstance(f._backend, sps._BandedBackend)
+        assert (f._backend.w, f._backend.nb) == (w, nb)
+        S = lg.selected_inverse(f)
+        dense = np.linalg.inv(Qd)
+        coo = S.lower.tocoo()
+        # every entry of the band, the border strip and the corner comes back
+        assert coo.nnz == n + sum(cut - d for d in range(1, w + 1)) + nb * cut \
+            + nb * (nb - 1) // 2
+        assert np.all(coo.row >= coo.col)
+        err = np.abs(coo.data - dense[coo.row, coo.col]).max()
+        assert err <= 1e-10 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("backend", ["band", "splu"])
+    def test_one_layout_per_analysis(self, backend, monkeypatch):
+        import laplgm.sparse as sps
+        if backend == "splu":
+            monkeypatch.setattr(sps, "_BAND_FLOP_CAP", 0)
+        rng = np.random.default_rng(31)
+        n, w, nb = 150, 12, 3
+        Q1 = bordered_band_spd(n, w, nb, rng)
+        Q2 = Q1 + np.diag(rng.uniform(0.5, 1.5, n))
+        Q2[Q1 != 0] *= 1.0 + 0.1 * rng.random(int(np.count_nonzero(Q1)))
+        Q2 = 0.5 * (Q2 + Q2.T) + n * np.eye(n)
+        cut = n - nb
+        perm = lg.Permutation(np.concatenate([np.arange(cut)[::-1], np.arange(cut, n)]))
+        sym = lg.analyze(lg.SparseSymmetric.from_full(Q1), perm)
+        kind = sps._BandedBackend if backend == "band" else sps._SpluBackend
+        outs = []
+        for Qd in (Q1, Q2):
+            Q = lg.SparseSymmetric.from_full(Qd)
+            f = lg.factorize(Q, sym)
+            assert isinstance(f._backend, kind)
+            outs.append(lg.selected_inverse(f).lower)
+            fresh = lg.selected_inverse(lg.factorize(Q, perm)).lower
+            assert np.array_equal(fresh.indptr, outs[-1].indptr)
+            assert np.array_equal(fresh.indices, outs[-1].indices)
+            assert np.abs(fresh.data - outs[-1].data).max() <= 1e-14 * np.abs(fresh.data).max()
+            dense = np.linalg.inv(Qd)
+            coo = outs[-1].tocoo()
+            assert np.abs(coo.data - dense[coo.row, coo.col]).max() <= 1e-10 * np.abs(dense).max()
+        assert np.array_equal(outs[0].indptr, outs[1].indptr)
+        assert np.array_equal(outs[0].indices, outs[1].indices)
+        assert sym.selected_inverse_layout() is sym.selected_inverse_layout()
+
+
 class TestSample:
     def test_deterministic(self):
         Q = lg.SparseSymmetric.from_full(np.eye(5))
