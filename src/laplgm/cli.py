@@ -482,6 +482,7 @@ def _write_fit_outputs(bundle, result, out_dir, seed=None):
         "mlik": float(result.mlik),
         "nodes": len(result.nodes),
         "timings": {k: float(v) for k, v in result.timings.items()},
+        "counts": {k: int(v) for k, v in result.counts.items()},
     }
     atomic_write(os.path.join(out_dir, "runlog.json"),
                  json.dumps(log, indent=2, sort_keys=True) + "\n")

@@ -9,15 +9,15 @@ combinations.
 """
 from __future__ import annotations
 
+import dataclasses
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.interpolate
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
@@ -43,6 +43,10 @@ from .sparse import SparseSymmetric, factorize, selected_inverse, solve
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# a Newton step taken with a factor of Q* from an earlier point must shrink
+# the projected gradient at least this much, else Q* is factorized anew
+CHORD_CONTRACTION = 0.1
+
 
 @dataclass
 class EngineConfig:
@@ -65,7 +69,13 @@ class EngineConfig:
 
 @dataclass
 class GaussianApprox:
-    """Gaussian approximation to the latent conditional at one theta."""
+    """Gaussian approximation to the latent conditional at one theta.
+
+    `factor` is the Cholesky factor of `Q_star` = Q*(`theta`, `curvature`),
+    with c = `curvature` the likelihood curvature -d2 log p(y | eta) at the
+    mode `x_star`.  `factorizations` counts the factorizations of Q* made
+    while finding it.
+    """
 
     x_star: np.ndarray
     Q_star: SparseSymmetric
@@ -75,6 +85,9 @@ class GaussianApprox:
     constraint_W: np.ndarray = None        # Q*^-1 M' for the constraint rows
     constraint_cho: object = None
     constraint_logdet: float = 0.0
+    theta: np.ndarray = None
+    curvature: np.ndarray = None
+    factorizations: int = 0
 
 
 @dataclass
@@ -121,6 +134,8 @@ def laplace_integral(g, x0, hess_step=1e-4):
     Returns (log integral, mode, Hessian at the mode); exact whenever g is
     quadratic.
     """
+    import scipy.optimize   # imported on use: a fit never needs it, and it is slow to import
+
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     res = scipy.optimize.minimize(lambda x: -g(x), x0, method="BFGS",
                                   options={"gtol": 1e-10, "maxiter": 500})
@@ -141,32 +156,38 @@ def laplace_integral(g, x0, hess_step=1e-4):
 # quasi-Newton ascent used for the hyperparameter mode
 
 def _maximize(f, x0, grad_step, budget, grad_tol, step_tol=1e-6, max_iter=100,
-              max_step=3.0):
+              max_step=3.0, probe=None):
     """BFGS ascent with central-difference gradients and backtracking.
 
     `f` may raise for or return -inf at invalid points; the line search
     shrinks past them.  Steps are capped at `max_step` per coordinate.
+    `probe`, when given, evaluates the finite-difference points in place of
+    `f` (the engine's probes start from their center and leave it in place).
     Raises ModeSearchFailed once `budget` evaluations are exhausted.
     """
     count = [0]
 
-    def fx(x):
-        if count[0] >= budget:
-            raise ModeSearchFailed(f"evaluation budget {budget} exhausted")
-        count[0] += 1
-        try:
-            v = f(x)
-        except _REJECTABLE:
-            return -np.inf
-        return v if np.isfinite(v) else -np.inf
+    def counted(fn):
+        def fx(x):
+            if count[0] >= budget:
+                raise ModeSearchFailed(f"evaluation budget {budget} exhausted")
+            count[0] += 1
+            try:
+                v = fn(x)
+            except _REJECTABLE:
+                return -np.inf
+            return v if np.isfinite(v) else -np.inf
+        return fx
 
+    fx = counted(f)
+    px = counted(probe or f)
     x = np.asarray(x0, dtype=float).copy()
     p = x.size
     fval = fx(x)
     if not np.isfinite(fval):
         raise ModeSearchFailed("log-posterior not finite at the initial point")
     Hinv = np.eye(p)
-    g = _fd_gradient(fx, x, grad_step)
+    g = _fd_gradient(px, x, grad_step)
     for _ in range(max_iter):
         if np.max(np.abs(g)) <= grad_tol:
             break
@@ -190,7 +211,7 @@ def _maximize(f, x0, grad_step, budget, grad_tol, step_tol=1e-6, max_iter=100,
         if not accepted:
             break
         s = x_new - x
-        g_new = _fd_gradient(fx, x_new, grad_step)
+        g_new = _fd_gradient(px, x_new, grad_step)
         y = g - g_new  # curvature pair for the descent problem on -f
         sy = s @ y
         if sy > 1e-12:
@@ -275,8 +296,11 @@ class Engine:
         self.perm = self._choose_permutation(full)
         self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
         self._pair_plan = None
-        self._x_warm = np.zeros(n)
+        # Newton's warm start: one GaussianApprox (mode, factor and theta)
+        self._warm = None
         self._lp_cache = {}   # theta bytes -> (log posterior, latent mode x*)
+        self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0}
+        self._counts_lock = threading.Lock()
 
     # -- ordering ---------------------------------------------------
 
@@ -333,9 +357,12 @@ class Engine:
         return self.model.likelihood.param(values)
 
     def _penalized_objective(self, x, Qp, param):
-        eta_obs = self.A_obs @ x
-        ll = float(np.sum(self.model.likelihood.log_lik(self.y_obs, eta_obs, param)))
-        return ll - 0.5 * float(x @ (Qp @ x))
+        # a trial step with a factor from an earlier point can overshoot far
+        # enough to overflow the likelihood; the non-finite value rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta_obs = self.A_obs @ x
+            ll = float(np.sum(self.model.likelihood.log_lik(self.y_obs, eta_obs, param)))
+            return ll - 0.5 * float(x @ (Qp @ x))
 
     def _prior_on_pattern(self, Qp):
         """Lower triangle of the prior precision laid on the pattern of Q*."""
@@ -349,96 +376,170 @@ class Engine:
                                self._pattern.indptr), shape=self._pattern.shape)
         return SparseSymmetric(self.n, lower, validate=False)
 
-    def gaussian_approximation(self, theta, x_init=None, Qp=None):
+    def _count(self, name, k=1):
+        with self._counts_lock:
+            self.counts[name] += k
+
+    def _factor_at(self, theta, q_prior, c, x):
+        """Factor of Q*(theta, c), with the constraint solves, as an approximation at x."""
+        self._count("factorizations")
+        Q_star = self._conditional_precision(q_prior, c)
+        factor = factorize(Q_star, self._symbolic)
+        W = cho = None
+        logdet_S = 0.0
+        if self.n_constraints:
+            W = solve(factor, self.M.T)
+            cho, logdet_S = sparse.constraint_cholesky(self.M @ W)
+        return GaussianApprox(x, Q_star, factor, 0, False, constraint_W=W,
+                              constraint_cho=cho, constraint_logdet=logdet_S,
+                              theta=theta, curvature=c)
+
+    def _newton_point(self, F, x, grad):
+        """x + F^-1 grad, projected onto M x = e in the metric of the factor F."""
+        x_prop = x + solve(F.factor, grad)
+        if self.n_constraints:
+            x_prop = x_prop - F.constraint_W @ scipy.linalg.cho_solve(
+                F.constraint_cho, self.M @ x_prop - self.e)
+        return x_prop
+
+    def gaussian_approximation(self, theta, x_init=None, Qp=None, start=None):
         """Newton iteration for the mode and curvature of the latent conditional.
 
-        `Qp`, when given, is `model.prior_quantities(theta)[0]`.  Q* is
-        factorized once per distinct curvature vector: a step below the
-        Newton tolerance, or an unchanged likelihood curvature (a Gaussian
-        likelihood), keeps the last factor.
+        Steps are taken in increment form, x <- x + F^-1 g(x), with the most
+        recent factor F of Q*: that of `start` (a GaussianApprox, possibly at
+        another theta) or one made here.  Q* is factorized at the current
+        point only when there is no factor yet, when a step with a factor
+        from an earlier point fails its first line-search trial, or when the
+        projected gradient shrank by less than CHORD_CONTRACTION over the last
+        step (the simplified, or chord, Newton iteration).  A likelihood
+        whose curvature does not depend on eta factorizes at theta first, so
+        one exact step follows.  The returned factor is that of
+        Q*(theta, c(x*)) at the returned mode x*: the mode is factorized once
+        more unless F already sits there.
+
+        `x_init` defaults to the mode of `start`, else zeros.  `Qp`, when
+        given, is `model.prior_quantities(theta)[0]`.
         """
         cfg = self.config
         model = self.model
         theta = np.asarray(theta, dtype=float)
+        self._count("theta_evals")
         if Qp is None:
             Qp = model.prior_quantities(theta)[0]
         param = self._lik_param(theta)
-        x = np.array(self._x_warm if x_init is None else x_init, dtype=float)
+        if x_init is None:
+            x_init = np.zeros(self.n) if start is None else start.x_star
+        x = np.array(x_init, dtype=float)
         if x.size != self.n:
             raise DimensionMismatch("x_init has wrong length")
-        constrained = self.n_constraints > 0
         q_prior = self._prior_on_pattern(Qp)
+        fixed_curvature = model.likelihood.fixed_curvature
+        F = start
+        factorizations = iterations = 0
+        g_last = fx = None
 
-        iterations = 0
-        converged = False
-        c_factored = None
-        fx = None
-        while True:
+        def curvature(x):
             eta_obs = self.A_obs @ x
             d1, d2 = model.likelihood.derivs(self.y_obs, eta_obs, param)
-            c = -d2
-            if c_factored is None or not np.array_equal(c, c_factored):
-                Q_star = self._conditional_precision(q_prior, c)
-                factor = factorize(Q_star, self._symbolic)
-                c_factored = c
-                W = cho = None
-                logdet_S = 0.0
-                if constrained:
-                    W = solve(factor, self.M.T)
-                    cho, logdet_S = sparse.constraint_cholesky(self.M @ W)
+            return d1, -d2
+
+        def sits_at(F, c):
+            return (F is not None and np.array_equal(F.theta, theta)
+                    and np.array_equal(F.curvature, c))
+
+        def factor_here():
+            """The factor at the current x and its curvature c."""
+            nonlocal factorizations
+            factorizations += 1
+            return self._factor_at(theta, q_prior, c, x)
+
+        def accepted(f):
+            return np.isfinite(f) and f >= fx - 1e-9 * (1.0 + abs(fx))
+
+        def below_tol(x_new, x):
+            return np.max(np.abs(x_new - x)) / (1.0 + np.max(np.abs(x_new))) <= cfg.newton_tol
+
+        while True:
+            d1, c = curvature(x)
             grad = self.A_obs.T @ d1 - Qp @ x
             tol = cfg.newton_tol * (1.0 + np.max(np.abs(x)))
+            g_proj = grad
             feasible = True
-            if constrained:
+            if self.n_constraints:
                 B = self._constraint_basis
-                grad = grad - B @ (B.T @ grad)
+                g_proj = grad - B @ (B.T @ grad)
                 feasible = np.max(np.abs(self.M @ x - self.e)) <= tol
-            if iterations >= 1 and feasible and np.max(np.abs(grad)) <= tol:
-                converged = True
+            g_norm = np.max(np.abs(g_proj))
+            if feasible and g_norm <= tol:
                 break
             if iterations >= cfg.max_newton:
                 raise NonConvergence(iterations)
-            b = d1 + c * eta_obs
-            x_prop = solve(factor, self.A_obs.T @ b)
-            if constrained:
-                x_prop = x_prop - W @ scipy.linalg.cho_solve(cho, self.M @ x_prop - self.e)
+            fresh = sits_at(F, c)
+            if not fresh and (F is None or fixed_curvature
+                              or (g_last is not None and g_norm > CHORD_CONTRACTION * g_last)):
+                F, fresh = factor_here(), True
+            x_prop = self._newton_point(F, x, grad)
+            if not fresh and below_tol(x_prop, x):
+                # only a factor at x certifies a small increment: a stale one
+                # can be far stiffer than Q* here
+                F, fresh = factor_here(), True
+                x_prop = self._newton_point(F, x, grad)
+            if below_tol(x_prop, x):
+                break   # x is the mode, and F sits there
             if fx is None:
                 fx = self._penalized_objective(x, Qp, param)
+            f_new = self._penalized_objective(x_prop, Qp, param)
+            if not fresh and not accepted(f_new):
+                F, fresh = factor_here(), True
+                x_prop = self._newton_point(F, x, grad)
+                f_new = self._penalized_objective(x_prop, Qp, param)
             lam = 1.0
             x_new = x_prop
-            f_new = self._penalized_objective(x_new, Qp, param)
-            while (not np.isfinite(f_new) or f_new < fx - 1e-9 * (1.0 + abs(fx))) \
-                    and lam > 1.0 / 64:
+            while not accepted(f_new) and lam > 1.0 / 64:
                 lam *= 0.5
                 x_new = x + lam * (x_prop - x)
                 f_new = self._penalized_objective(x_new, Qp, param)
-            delta = np.max(np.abs(x_new - x)) / (1.0 + np.max(np.abs(x_new)))
+            converged = below_tol(x_new, x)
             x, fx = x_new, f_new
+            g_last = g_norm
             iterations += 1
-            if delta <= cfg.newton_tol:
-                converged = True
+            self._count("newton_iterations")
+            if converged:   # the line search shrank the step below tolerance
+                c = curvature(x)[1]
                 break
-        self._x_warm = x.copy()
-        return GaussianApprox(x, Q_star, factor, iterations, converged,
-                              constraint_W=W, constraint_cho=cho,
-                              constraint_logdet=logdet_S)
+        if not sits_at(F, c):
+            F = factor_here()
+        return dataclasses.replace(F, x_star=x, iterations=iterations, converged=True,
+                                   factorizations=factorizations)
 
-    def log_posterior(self, theta, return_approx=False, x_init=None):
+    def log_posterior(self, theta, return_approx=False, x_init=None, recenter=True):
         """Unnormalized log posterior density of the hyperparameters.
 
-        Without `x_init`, a theta seen before restarts Newton from its
-        converged latent mode.
+        Newton starts from `x_init` when given, with no factor.  Otherwise it
+        starts from the warm start, the approximation of the last evaluation
+        made with `recenter` (its mode and factor); a theta seen before
+        restarts from its own cached mode instead, keeping the warm factor
+        only when that sits at theta.  With `recenter` this evaluation's
+        approximation becomes the warm start: finite-difference probes and
+        design nodes pass False, so all of them start from their center, and
+        so does the node stage, which must not write shared state.
         """
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
         cached = self._lp_cache.get(key)
-        if cached is not None:
-            if not return_approx:
-                return cached[0]
-            if x_init is None:
+        if cached is not None and not return_approx:
+            return cached[0]
+        start = None
+        if x_init is None:
+            start = self._warm
+            if cached is not None:
                 x_init = cached[1]
+                if start is not None and not np.array_equal(start.theta, theta):
+                    start = None
         Qp, rank, logdet_p, corr = self.model.prior_quantities(theta)
-        approx = self.gaussian_approximation(theta, x_init=x_init, Qp=Qp)
+        approx = self.gaussian_approximation(theta, x_init=x_init, Qp=Qp, start=start)
+        if recenter:
+            self._warm = approx
         x = approx.x_star
         param = self._lik_param(theta)
         ll = float(np.sum(self.model.likelihood.log_lik(self.y_obs, self.A_obs @ x, param)))
@@ -456,6 +557,15 @@ class Engine:
             return lp, approx
         return lp
 
+    def _probe(self, theta):
+        """log_posterior from the warm start, which it leaves in place."""
+        return self.log_posterior(theta, recenter=False)
+
+    def _recenter(self, theta):
+        """Make the approximation at theta the warm start of later evaluations."""
+        if self._warm is None or not np.array_equal(self._warm.theta, theta):
+            self.log_posterior(theta, return_approx=True)
+
     # -- mode and exploration ----------------------------------------
 
     def find_mode(self, theta_init=None):
@@ -466,8 +576,10 @@ class Engine:
         cfg = self.config
         theta0 = model.theta_initial() if theta_init is None else np.asarray(theta_init, float)
         theta_star, _, _ = _maximize(
-            self.log_posterior, theta0, cfg.fd_step_grad, cfg.mode_budget, cfg.mode_grad_tol)
-        H = _fd_hessian(self.log_posterior, theta_star, cfg.fd_step_hess)
+            self.log_posterior, theta0, cfg.fd_step_grad, cfg.mode_budget, cfg.mode_grad_tol,
+            probe=self._probe)
+        self._recenter(theta_star)
+        H = _fd_hessian(self._probe, theta_star, cfg.fd_step_hess)
         H = 0.5 * (H + H.T)
         w, V = np.linalg.eigh(H)
         floor = -1e-6 * max(1.0, float(np.max(np.abs(w))))
@@ -478,7 +590,7 @@ class Engine:
 
     def _lp_or_neginf(self, theta):
         try:
-            return self.log_posterior(theta)
+            return self._probe(theta)
         except _REJECTABLE:
             return -np.inf
 
@@ -489,6 +601,8 @@ class Engine:
         if p == 0 or strategy == "eb":
             lp = self.log_posterior(theta_star)
             return [ThetaNode(theta_star.copy(), lp, 1.0)]
+        # every design point starts from the approximation at the mode
+        self._recenter(theta_star)
 
         Sigma = np.linalg.inv(-H)
         Sigma = 0.5 * (Sigma + Sigma.T)
@@ -553,7 +667,8 @@ class Engine:
 
     def node_quantities(self, theta, x_init=None):
         """Latent mean/sd and per-row predictor mean/sd at one theta node."""
-        lp, approx = self.log_posterior(theta, return_approx=True, x_init=x_init)
+        lp, approx = self.log_posterior(theta, return_approx=True, x_init=x_init,
+                                        recenter=False)
         factor = approx.factor
         S = selected_inverse(factor)
         diag = S.diagonal()
@@ -685,6 +800,8 @@ def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
     center = float(theta_star[j])
 
     if p == 1 and len(nodes) >= 4:
+        import scipy.interpolate   # imported on use: slow to import, and only p = 1 needs it
+
         pts = sorted({(float(nd.theta[j]), float(nd.log_post)) for nd in nodes})
         xs = np.array([a for a, _ in pts])
         ys = np.array([b for _, b in pts])
@@ -806,7 +923,8 @@ def marginal_likelihood(nodes, H):
 class FitResult:
     """Complete output of a fit: mode, nodes, marginals, summaries."""
 
-    def __init__(self, model, engine, theta_mode, H, nodes, node_data, mlik, timings):
+    def __init__(self, model, engine, theta_mode, H, nodes, node_data, mlik, timings,
+                 counts=None):
         self.model = model
         self.engine = engine
         self.theta_mode = theta_mode
@@ -814,6 +932,9 @@ class FitResult:
         self.nodes = nodes
         self.mlik = mlik
         self.timings = timings
+        # deterministic work counts: theta evaluations, Newton iterations and
+        # factorizations of Q*
+        self.counts = counts or {}
         self.diagnostics = None
 
         self.weights = node_weights(nodes)
@@ -932,7 +1053,7 @@ def fit(model, config=None):
 
     mlik = marginal_likelihood(nodes, H)
     result = FitResult(model, engine, theta_star, H, nodes, node_data, mlik,
-                       timings={})
+                       timings={}, counts=dict(engine.counts))
     t3 = time.perf_counter()
     result.timings = {
         "preprocessing": t1 - t0,

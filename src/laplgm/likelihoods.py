@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
-from scipy.stats import nbinom, poisson
+from scipy.special import betainc, gammaln, ndtr, pdtr
 
 from .errors import UnsupportedObservation
 
@@ -38,6 +37,8 @@ class GaussianLik:
     log_precision: object = None  # HyperParam, attached by the model builder
     name: str = "gaussian"
     link: str = "identity"
+    # the curvature -d2 log p / d eta2 does not depend on eta
+    fixed_curvature = True
 
     def hyperparams(self):
         return [self.log_precision] if self.log_precision is not None else []
@@ -74,6 +75,7 @@ class PoissonLik:
 
     name: str = "poisson"
     link: str = "log"
+    fixed_curvature = False
 
     def hyperparams(self):
         return []
@@ -92,7 +94,7 @@ class PoissonLik:
 
     def cdf(self, y, eta, param=None):
         y = _check_counts(y)
-        return poisson.cdf(y, np.exp(eta))
+        return pdtr(y, np.exp(eta))
 
     def inverse_link(self, eta):
         return np.exp(eta)
@@ -113,6 +115,7 @@ class NegBinomialLik:
     log_dispersion: object = None
     name: str = "nbinomial"
     link: str = "log"
+    fixed_curvature = False
 
     def hyperparams(self):
         return [self.log_dispersion] if self.log_dispersion is not None else []
@@ -140,7 +143,8 @@ class NegBinomialLik:
         r = param
         y = _check_counts(y)
         mu = np.exp(eta)
-        return nbinom.cdf(y, r, r / (r + mu))
+        # P(Y <= y) = I_p(r, y + 1), p = r / (r + mu); `nbdtr` would truncate r
+        return betainc(r, y + 1.0, r / (r + mu))
 
     def inverse_link(self, eta):
         return np.exp(eta)

@@ -280,22 +280,56 @@ def _locate(mesh, point, max_steps):
     raise PointOutsideMesh(f"point {tuple(point)} lies outside the mesh (gap {-best_min:.2e})")
 
 
+def _locate_near(mesh, points):
+    """Containing triangle and barycentric weights of each point, found among
+    the triangles incident to its nearest vertex.
+
+    Candidates are tried in increasing triangle order, the order in which the
+    walk of `_locate` starts.  Returns (triangle, weights); triangle is -1
+    for a point no incident triangle contains.
+    """
+    npts = points.shape[0]
+    tri_of = np.full(npts, -1, dtype=np.int64)
+    lam_of = np.zeros((npts, 3))
+    if mesh._tree is None or npts == 0:
+        return tri_of, lam_of
+    nearest = mesh._tree.query(points)[1]
+    # triangles incident to each vertex, in increasing order (CSR)
+    order = np.argsort(mesh.triangles.ravel(), kind="stable")
+    inc_tri = order // 3
+    inc_ptr = np.concatenate([[0], np.cumsum(np.bincount(mesh.triangles.ravel(),
+                                                         minlength=mesh.n_vertices))])
+    counts = inc_ptr[nearest + 1] - inc_ptr[nearest]
+    point = np.repeat(np.arange(npts), counts)
+    offset = np.arange(point.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cand = inc_tri[inc_ptr[nearest][point] + offset]
+    p = mesh.vertices[mesh.triangles[cand]]                  # (k, 3, 2)
+    T = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
+    l01 = np.linalg.solve(T, (points[point] - p[:, 2])[:, :, None])[:, :, 0]
+    lam = np.column_stack([l01, 1.0 - l01[:, 0] - l01[:, 1]])
+    inside = np.flatnonzero(lam.min(axis=1) >= -INSIDE_TOL)
+    found, first = np.unique(point[inside], return_index=True)
+    tri_of[found] = cand[inside[first]]
+    lam_of[found] = lam[inside[first]]
+    return tri_of, lam_of
+
+
 def projector(mesh, points):
     """Sparse barycentric interpolation matrix of shape (len(points), n_vertices).
 
     Each row carries the weights of the containing triangle; weights are
-    clipped at zero and renormalized so they sum to one.
+    clipped at zero and renormalized so they sum to one.  Points are looked
+    up among the triangles around their nearest vertex all at once; the walk
+    of `_locate` handles the few that none of those contains.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows, cols, vals = [], [], []
+    tri_of, lam_of = _locate_near(mesh, points)
     max_steps = max(mesh.n_triangles, 8)
-    for r, pt in enumerate(points):
-        tri, lam = _locate(mesh, pt, max_steps)
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-        for local, w in enumerate(lam):
-            if w > 0.0:
-                rows.append(r)
-                cols.append(int(mesh.triangles[tri][local]))
-                vals.append(float(w))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(points.shape[0], mesh.n_vertices))
+    for r in np.flatnonzero(tri_of < 0):
+        tri_of[r], lam_of[r] = _locate(mesh, points[r], max_steps)
+    lam = np.clip(lam_of, 0.0, None)
+    lam = lam / lam.sum(axis=1, keepdims=True)
+    rows, local = np.nonzero(lam > 0.0)
+    cols = mesh.triangles[tri_of[rows], local]
+    return sp.csr_matrix((lam[rows, local], (rows, cols)),
+                         shape=(points.shape[0], mesh.n_vertices))

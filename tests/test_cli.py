@@ -364,6 +364,24 @@ class TestDeterminismAcrossThreads:
         for name in ("summary_fixed.csv", "summary_hyper.csv", "mlik.txt"):
             assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
+    def test_runlog_counts_identical(self, tmp_path):
+        sim_out = simulate_fixture(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(FIT_TEMPLATE.format(seed=5, data=sim_out / "data.csv", nx=5)
+                       .replace("int_strategy: eb", "int_strategy: ccd"))
+        counts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            run(["fit", "--config", str(cfg), "--out", str(out), "--threads", threads])
+            log = json.loads((out / "runlog.json").read_text())
+            assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations"}
+            assert not set(log["counts"]) & set(log["timings"])
+            counts.append(log["counts"])
+        assert counts[0] == counts[1]
+        # the node stage alone evaluates every node once
+        assert counts[0]["theta_evals"] > log["nodes"]
+        assert counts[0]["factorizations"] >= 1
+
 
 class TestMeshFromFiles:
     def test_fit_with_imported_mesh(self, tmp_path):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -550,7 +553,7 @@ class TestFit:
 
 
 class TestFactorReuse:
-    """Q* is factorized once per distinct curvature vector."""
+    """When the chord Newton iteration factorizes Q* and when it reuses a factor."""
 
     @pytest.fixture
     def count_factorizations(self, monkeypatch):
@@ -565,9 +568,9 @@ class TestFactorReuse:
         return calls
 
     @staticmethod
-    def rw1_model(lik, seed=3, m=6, nobs=18):
+    def rw1_model(lik, seed=3, m=6, nobs=18, fixed=True):
         rng = np.random.default_rng(seed)
-        hy = lm.log_precision_hyper("f.prec", 1.0, fixed=True)
+        hy = lm.log_precision_hyper("f.prec", 1.0, prior=GaussianPrior(0.0, 0.5), fixed=fixed)
         idx = rng.integers(0, m, nobs)
         y = rng.poisson(2.0, nobs).astype(float)
         part = lm.StackPart(y, {"mu": np.ones(nobs), "f": lm.index_block(idx, m)}, "obs")
@@ -597,29 +600,39 @@ class TestFactorReuse:
 
     def test_gaussian_constrained_one_iteration(self, count_factorizations):
         # the projected gradient test ends a constrained Gaussian theta after
-        # its first, exact step; x* still meets M x* = e
+        # its first, exact step; restarted from that approximation, the
+        # converged start takes no step and keeps its factor
         lik = GaussianLik(HyperParam("o", np.log(2.0), "log", fixed=True))
         g = self.rw1_model(lik)
         engine = Engine(g)
-        for theta in (np.zeros(0), np.zeros(0)):
-            ap = engine.gaussian_approximation(theta)
-            assert ap.converged and ap.iterations == 1
-            M, e = g.constraint_matrix, g.constraint_rhs
-            assert np.abs(M @ ap.x_star - e).max() <= 1e-10
-        assert len(count_factorizations) == 2
+        M, e = g.constraint_matrix, g.constraint_rhs
+        ap = engine.gaussian_approximation(np.zeros(0))
+        assert ap.converged and ap.iterations == 1 and ap.factorizations == 1
+        again = engine.gaussian_approximation(np.zeros(0), start=ap)
+        assert again.converged and again.iterations == 0 and again.factorizations == 0
+        assert again.factor is ap.factor
+        for approx in (ap, again):
+            assert np.abs(M @ approx.x_star - e).max() <= 1e-10
+        assert len(count_factorizations) == 1
 
     def test_step_below_tolerance_keeps_factor(self, count_factorizations):
-        # restarted at its converged mode, a constrained Newton iteration takes
-        # one step below tolerance and keeps the factor it stepped with
+        # restarted at its converged mode without a factor, a constrained
+        # Newton iteration factorizes there once and takes no step; with its
+        # own approximation as the start it factorizes nothing
         g = self.rw1_model(PoissonLik())
         engine = Engine(g)
         ap = engine.gaussian_approximation(np.zeros(0))
         assert ap.converged and ap.iterations >= 2
-        assert len(count_factorizations) <= ap.iterations + 1
+        assert ap.factorizations == len(count_factorizations) <= ap.iterations + 1
         del count_factorizations[:]
         again = engine.gaussian_approximation(np.zeros(0), x_init=ap.x_star)
-        assert again.converged and again.iterations == 1
-        assert len(count_factorizations) == 1
+        assert again.converged and again.iterations == 0
+        assert np.array_equal(again.x_star, ap.x_star)
+        assert len(count_factorizations) == again.factorizations == 1
+        del count_factorizations[:]
+        warm = engine.gaussian_approximation(np.zeros(0), start=ap)
+        assert warm.iterations == 0 and warm.factor is ap.factor
+        assert not count_factorizations
 
     def test_revisited_theta_restarts_from_its_mode(self, count_factorizations):
         rng = np.random.default_rng(9)
@@ -627,12 +640,114 @@ class TestFactorReuse:
         engine = Engine(g)
         th = np.array([0.4])
         lp = engine.log_posterior(th)
-        engine.log_posterior(np.array([-0.3]))   # moves the last-point warm start
+        engine.log_posterior(np.array([-0.3]))   # moves the warm start
         del count_factorizations[:]
         lp2, ap = engine.log_posterior(th, return_approx=True)
         assert len(count_factorizations) == 1
-        assert ap.iterations == 1
+        assert ap.iterations == 0
         assert lp2 == pytest.approx(lp, abs=1e-9)
+        # the warm start now sits at th: a second visit factorizes nothing
+        del count_factorizations[:]
+        lp3, ap3 = engine.log_posterior(th, return_approx=True)
+        assert not count_factorizations and ap3.factor is ap.factor
+        assert lp3 == lp2
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_probe_from_converged_center_one_factorization(self, count_factorizations,
+                                                           constrained):
+        if constrained:
+            g = self.rw1_model(PoissonLik(), fixed=False)
+        else:
+            g = poisson_iid_model(np.random.default_rng(9).poisson(2.0, 10).astype(float))
+        engine = Engine(g)
+        center = np.array([0.4])
+        engine.log_posterior(center)
+        for h in (1e-4, -1e-4, 1e-3):
+            del count_factorizations[:]
+            engine._probe(center + h)
+            assert len(count_factorizations) == 1
+            # a probe leaves the warm start at its center
+            assert np.array_equal(engine._warm.theta, center)
+
+    def test_far_jump_refactorizes_after_failed_stale_step(self, count_factorizations):
+        rng = np.random.default_rng(9)
+        y = rng.poisson(2.0, 10).astype(float)
+        g = poisson_iid_model(y)
+        engine = Engine(g)
+        center, far = np.array([-3.0]), np.array([4.0])
+        _, start = engine.log_posterior(center, return_approx=True)
+        # the step with the center's factor lowers the objective at the far theta
+        Qp = g.prior_quantities(far)[0]
+        d1, _ = g.likelihood.derivs(y, g.A @ start.x_star)
+        stale = engine._newton_point(start, start.x_star, g.A.T @ d1 - Qp @ start.x_star)
+        assert (engine._penalized_objective(stale, Qp, None)
+                < engine._penalized_objective(start.x_star, Qp, None))
+        del count_factorizations[:]
+        ap = engine.gaussian_approximation(far, start=start)
+        # one factorization after the failed trial, whose factor then carries
+        # every step, and one at the mode
+        assert ap.converged and ap.factorizations == len(count_factorizations) == 2
+        assert np.array_equal(ap.theta, far)
+        cold = engine.gaussian_approximation(far)
+        assert np.abs(ap.x_star - cold.x_star).max() <= 1e-7
+        d1, _ = g.likelihood.derivs(y, g.A @ ap.x_star)
+        assert np.abs(g.A.T @ d1 - Qp @ ap.x_star).max() <= 1e-7
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_factor_logdet_at_returned_mode(self, constrained):
+        if constrained:
+            g = self.rw1_model(PoissonLik(), fixed=False)
+        else:
+            g = poisson_iid_model(np.random.default_rng(9).poisson(2.0, 10).astype(float))
+        engine = Engine(g)
+        engine.log_posterior(np.array([0.4]))
+        for th in (np.array([0.4 + 1e-4]), np.array([1.1]), np.array([-0.5])):
+            _, ap = engine.log_posterior(th, return_approx=True)
+            A = g.A.toarray()
+            _, d2 = g.likelihood.derivs(g.y, A @ ap.x_star)
+            Q_star = g.prior_quantities(th)[0].toarray() + A.T @ np.diag(-d2) @ A
+            sign, logdet = np.linalg.slogdet(Q_star)
+            assert sign > 0
+            assert ap.factor.logdet == pytest.approx(logdet, rel=1e-12, abs=1e-10)
+            assert np.allclose(ap.Q_star.to_dense(), Q_star, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("step", [1e-4, 0.5, -0.8])
+    def test_center_start_matches_cold_start(self, step):
+        g = self.rw1_model(PoissonLik(), fixed=False)
+        engine = Engine(g)
+        center = np.array([0.2])
+        engine.log_posterior(center)
+        th = center + step
+        warm = engine._probe(th)
+        engine._lp_cache.clear()
+        cold = engine.log_posterior(th, x_init=np.zeros(g.n_latent))
+        assert warm == pytest.approx(cold, abs=1e-8)
+
+    def test_counts_under_threads(self):
+        # the node stage runs Gaussian approximations on worker threads: the
+        # engine's counts must lose no update
+        g = self.rw1_model(PoissonLik(), fixed=False)
+        engine = Engine(g)
+        thetas = [np.array([t]) for t in np.linspace(-0.5, 0.5, 40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                approxs = list(ex.map(engine.gaussian_approximation, thetas, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.counts == {
+            "theta_evals": len(thetas),
+            "newton_iterations": sum(a.iterations for a in approxs),
+            "factorizations": sum(a.factorizations for a in approxs),
+        }
+
+    def test_fit_counts(self, count_factorizations):
+        g = self.rw1_model(PoissonLik(), fixed=False)
+        fit = eng.fit(g, EngineConfig(int_strategy="ccd"))
+        assert fit.counts["factorizations"] == len(count_factorizations)
+        assert fit.counts["theta_evals"] >= len(fit.nodes)
+        assert fit.counts["newton_iterations"] >= 1
 
 
 class TestStructuralPattern:

@@ -105,6 +105,27 @@ class TestCdf:
         assert lik.cdf(60.0, 0.0, tau) == pytest.approx(1.0)
         assert PoissonLik().cdf(300.0, 0.0) == pytest.approx(1.0)
 
+    # y = 0, small and large counts against small and large means
+    YS = np.array([0.0, 0.0, 1.0, 3.0, 17.0, 250.0, 4000.0])
+    ETAS = np.array([-20.0, -2.0, 0.0, 1.3, 4.0, 7.0, 9.5])
+
+    def test_poisson_matches_scipy_stats(self):
+        from scipy.stats import poisson
+        for eta in self.ETAS:
+            got = PoissonLik().cdf(self.YS, np.full(self.YS.size, eta))
+            want = poisson.cdf(self.YS, np.exp(eta))
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("r", [0.35, 1.0, 2.5, 7.7, 1e4])
+    def test_nbinomial_matches_scipy_stats(self, r):
+        # non-integer r included: nbdtr would truncate it
+        from scipy.stats import nbinom
+        lik = NegBinomialLik(HyperParam("d", np.log(r), "log", fixed=True))
+        for eta in self.ETAS:
+            got = lik.cdf(self.YS, np.full(self.YS.size, eta), r)
+            want = nbinom.cdf(self.YS, r, r / (r + np.exp(eta)))
+            assert np.abs(got - want).max() <= 1e-14
+
 
 class TestNormalization:
     def test_discrete_families_sum_to_one(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import laplgm.mesh as mm
 from laplgm.errors import (
@@ -144,3 +145,55 @@ class TestProjector:
     def test_outside_point(self):
         with pytest.raises(PointOutsideMesh):
             mm.projector(unit_square(2, 2), [[1.5, 0.5]])
+
+
+def walk_projector(mesh, points):
+    """Reference projector: one `_locate` walk per point."""
+    rows, cols, vals = [], [], []
+    for r, pt in enumerate(points):
+        tri, lam = mm._locate(mesh, pt, max(mesh.n_triangles, 8))
+        lam = np.clip(lam, 0.0, None)
+        lam = lam / lam.sum()
+        for local, w in enumerate(lam):
+            rows.append(r)
+            cols.append(int(mesh.triangles[tri][local]))
+            vals.append(float(w))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(points), mesh.n_vertices))
+
+
+def perturbed_mesh(seed=0, n=12):
+    # jittered interior vertices: some points lie in no triangle around their
+    # nearest vertex, so the walk fallback runs too
+    m = mm.structured_mesh(0.0, 1.0, 0.0, 1.0, n, n)
+    v = m.vertices.copy()
+    inner = (v > 1e-9).all(axis=1) & (v < 1.0 - 1e-9).all(axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.3, 0.3, (inner.sum(), 2)) / n
+    return mm.TriMesh(v, m.triangles)
+
+
+class TestVectorizedProjector:
+    @pytest.mark.parametrize("mesh", [unit_square(9, 7), perturbed_mesh()],
+                             ids=["structured", "perturbed"])
+    def test_matches_walk(self, mesh):
+        rng = np.random.default_rng(4)
+        random_pts = rng.random((500, 2))
+        tri = mesh.triangles[rng.integers(0, mesh.n_triangles, 100)]
+        a = rng.random((100, 1))
+        edge_pts = a * mesh.vertices[tri[:, 0]] + (1.0 - a) * mesh.vertices[tri[:, 1]]
+        vertex_pts = mesh.vertices[rng.integers(0, mesh.n_vertices, 50)]
+        for pts in (random_pts, edge_pts, vertex_pts):
+            P = mm.projector(mesh, pts)
+            assert abs(P - walk_projector(mesh, pts)).max() <= 1e-14
+
+    def test_fallback_reached(self):
+        mesh = perturbed_mesh()
+        pts = np.random.default_rng(4).random((500, 2))
+        tri_of, _ = mm._locate_near(mesh, pts)
+        assert 0 < np.sum(tri_of < 0) < pts.shape[0]
+
+    def test_outside_points_raise(self):
+        mesh = perturbed_mesh()
+        inside = np.random.default_rng(2).random((20, 2))
+        for outside in ([1.0 + 1e-6, 0.5], [-0.2, -0.2], [0.5, 3.0]):
+            with pytest.raises(PointOutsideMesh):
+                mm.projector(mesh, np.vstack([inside, outside]))
