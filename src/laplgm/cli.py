@@ -483,6 +483,7 @@ def _write_fit_outputs(bundle, result, out_dir, seed=None):
         "nodes": len(result.nodes),
         "timings": {k: float(v) for k, v in result.timings.items()},
         "counts": {k: int(v) for k, v in result.counts.items()},
+        "factor": result.factor_layout,
     }
     atomic_write(os.path.join(out_dir, "runlog.json"),
                  json.dumps(log, indent=2, sort_keys=True) + "\n")

@@ -309,36 +309,50 @@ class Engine:
 
         Dense fixed-effect columns go last (a border), the field keeps its
         natural or reverse-Cuthill-McKee order, and minimum degree competes
-        when the problem is small enough for the general recursion.  Costs
-        are projected as n * (bandwidth + border)^2 or the sum of squared
-        column heights of the symbolic factor.  `full` carries the unit
+        when the problem is small enough for the general recursion.  One more
+        candidate moves the k highest-degree free columns (hubs, such as an
+        rw1 trend that every observation of its time level touches) into the
+        border beside the fixed effects and orders the rest by RCM (Rue &
+        Held 2005, sec. 2.4), for k up to the border cap of the band backend
+        less the fixed effects.  Only prefixes of the degree ranking that end
+        where the degree drops are tried, since a prefix that splits columns
+        of equal degree is picked by index alone; each is scored by RCM on
+        the rest, and k is the cheapest.  Costs are projected as
+        n * (bandwidth + border + 1)^2 or the sum of squared column heights
+        of the symbolic factor, and ties go to the earlier candidate, so the
+        hub border wins only where it is cheaper.  `full` carries the unit
         pattern of the conditional precision.
         """
         n = self.n
         fixed = np.zeros(n, dtype=bool)
         fixed[self.fixed_cols] = True
         free_cols = np.flatnonzero(~fixed)
-        nb = int(self.fixed_cols.size)
+        n_fixed = int(self.fixed_cols.size)
+        lower = sp.tril(full).tocoo()
 
-        def bordered_cost(order):
+        def bordered_cost(order, nb=n_fixed):
             inv = np.argsort(order)
-            coo = sp.tril(full).tocoo()
-            r = inv[coo.row]
-            c = inv[coo.col]
+            r = inv[lower.row]
+            c = inv[lower.col]
             lo = np.minimum(r, c)
             hi = np.maximum(r, c)
             core = hi < (n - nb)
             w = int(np.max(hi[core] - lo[core])) if np.any(core) else 0
             return float(n) * (w + nb + 1) ** 2
 
+        def rcm(cols):
+            sub = full[cols, :][:, cols].tocsr()
+            return cols[scipy.sparse.csgraph.reverse_cuthill_mckee(sub, symmetric_mode=True)]
+
         candidates = []
         natural = np.concatenate([free_cols, self.fixed_cols]).astype(np.int64)
         candidates.append((bordered_cost(natural), 0, natural))
         if free_cols.size:
-            sub = full[free_cols, :][:, free_cols].tocsr()
-            rcm = scipy.sparse.csgraph.reverse_cuthill_mckee(sub, symmetric_mode=True)
-            rcm_order = np.concatenate([free_cols[rcm], self.fixed_cols]).astype(np.int64)
+            rcm_order = np.concatenate([rcm(free_cols), self.fixed_cols]).astype(np.int64)
             candidates.append((bordered_cost(rcm_order), 1, rcm_order))
+            hub_order = self._hub_border_order(full, free_cols, bordered_cost, rcm)
+            if hub_order is not None:
+                candidates.append((hub_order[0], 3, hub_order[1]))
         if n <= 1500:
             pattern = SparseSymmetric(n, sp.tril(full, format="csc"), validate=False)
             md = sparse.reorder(pattern)
@@ -349,6 +363,26 @@ class Engine:
             candidates.append((3.0 * float(np.sum(heights**2)), 2, md.order))
         _, _, best = min(candidates, key=lambda t: (t[0], t[1]))
         return sparse.Permutation(best)
+
+    def _hub_border_order(self, full, free_cols, bordered_cost, rcm):
+        """(cost, order) of the cheapest hub border, or None when none is tried."""
+        n_fixed = int(self.fixed_cols.size)
+        k_max = min(sparse.MAX_BORDER - n_fixed, free_cols.size - 1)
+        if k_max < 1:
+            return None
+        sub = full[free_cols, :][:, free_cols]
+        degree = np.diff(sub.tocsc().indptr)
+        rank = np.argsort(-degree, kind="stable")
+        ranked = degree[rank]
+        best = None
+        for k in np.flatnonzero(ranked[:k_max] > ranked[1:k_max + 1]) + 1:
+            hubs = free_cols[rank[:k]]
+            rest = np.setdiff1d(free_cols, hubs)
+            order = np.concatenate([rcm(rest), hubs, self.fixed_cols]).astype(np.int64)
+            cost = bordered_cost(order, n_fixed + k)
+            if best is None or cost < best[0]:
+                best = (cost, order)
+        return best
 
     # -- per-theta quantities ----------------------------------------
 
@@ -690,7 +724,6 @@ class Engine:
             "latent_sd": np.sqrt(diag),
             "pred_mean": mean_rows,
             "pred_sd": np.sqrt(var_rows),
-            "approx": approx,
         }
 
     def _node_plan(self):
@@ -789,19 +822,16 @@ def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
 
     One free hyperparameter: normalized interpolation of exp(log_post)
     through the node values with Gaussian tails.  Higher dimensions: the
-    nodes are projected onto coordinate j and smoothed with a
-    moment-matched Gaussian kernel.
+    marginal of the functional e_j'theta (`hyper_lincomb_marginal`).
     """
     if len(nodes) == 0:
         raise ValueError("need at least one node")
     p = nodes[0].theta.size
-    Sigma = np.linalg.inv(-H) if p else np.zeros((0, 0))
-    sd_lap = float(np.sqrt(Sigma[j, j]))
-    center = float(theta_star[j])
-
     if p == 1 and len(nodes) >= 4:
         import scipy.interpolate   # imported on use: slow to import, and only p = 1 needs it
 
+        sd_lap = float(np.sqrt(np.linalg.inv(-H)[j, j]))
+        center = float(theta_star[j])
         pts = sorted({(float(nd.theta[j]), float(nd.log_post)) for nd in nodes})
         xs = np.array([a for a, _ in pts])
         ys = np.array([b for _, b in pts])
@@ -817,25 +847,17 @@ def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
             logf[mask] = base - ((grid[mask] - center) ** 2
                                  - (x_end - center) ** 2) / (2.0 * sd_lap**2)
         return MarginalDensity(grid, np.exp(logf - logf.max()))
-
-    w = node_weights(nodes)
-    means = np.array([nd.theta[j] for nd in nodes])
-    mhat = float(w @ means)
-    vhat = float(w @ (means - mhat) ** 2)
-    var_kernel = np.clip(Sigma[j, j] - vhat, 0.05 * Sigma[j, j], Sigma[j, j])
-    s = np.sqrt(var_kernel)
-    grid = center + sd_lap * np.linspace(-span, span, points)
-    z = (grid[:, None] - means[None, :]) / s
-    dens = (np.exp(-0.5 * z**2) / (s * np.sqrt(2 * np.pi))) @ w
-    return MarginalDensity(grid, dens)
+    v = np.zeros(p)
+    v[j] = 1.0
+    return hyper_lincomb_marginal(nodes, v, 0.0, theta_star, H, points, span)
 
 
 def hyper_lincomb_marginal(nodes, v, offset, theta_star, H, points=75, span=6.0):
     """Marginal of a linear functional v'theta + offset of the hyperparameters.
 
-    The node mixture is projected onto the functional and smoothed with a
-    moment-matched Gaussian kernel, mirroring the coordinate-marginal
-    construction.
+    The nodes are projected onto the functional and smoothed with a Gaussian
+    kernel whose variance tops the spread of the projected nodes up to the
+    Laplace variance v' Sigma v (at least 5% of it).
     """
     v = np.asarray(v, dtype=float)
     Sigma = np.linalg.inv(-H)
@@ -935,6 +957,8 @@ class FitResult:
         # deterministic work counts: theta evaluations, Newton iterations and
         # factorizations of Q*
         self.counts = counts or {}
+        # the layout every factorization of Q* in the fit shares
+        self.factor_layout = engine._symbolic.layout()
         self.diagnostics = None
 
         self.weights = node_weights(nodes)

@@ -26,9 +26,13 @@ PIVOT_TOL = 1e-12
 # SuperLU backend and the general recursion take over.
 _BAND_ENTRY_CAP = 2 * 10**7
 _BAND_FLOP_CAP = 2 * 10**9
-# The blocked selected inversion over the band runs on column blocks of
-# max(w, this) columns, so a narrow band still makes a few large BLAS-3 calls.
-_SELINV_MIN_BLOCK = 32
+# widest trailing border the band backend tracks
+MAX_BORDER = 24
+# The blocked selected inversion over the band runs on column blocks of this
+# many columns, whatever the bandwidth: a narrow band still makes a few large
+# BLAS-3 calls, and a wide one pays about w^2 + 2 w b flops per column, not
+# the 4 w^2 of blocks as wide as the band.
+_SELINV_BLOCK = 64
 
 
 class SparseSymmetric:
@@ -450,6 +454,14 @@ class SymbolicFactor:
             pattern = _csc_from_keys(keys[order], n)
             self._splu = (pattern.indptr, pattern.indices, src[order])
 
+    def layout(self):
+        """Backend and shape of the factor: {"backend", "n", "w", "nb"}.
+
+        w and nb, the band width and the border rows, are None on SuperLU.
+        """
+        return {"backend": "band" if self._maps is not None else "splu",
+                "n": int(self.n), "w": self.w, "nb": self.nb}
+
     def numeric(self, Q, pivot_tol=PIVOT_TOL):
         """Cholesky factor of Q, whose lower triangle lies on the analyzed pattern."""
         lower = Q.lower
@@ -583,7 +595,7 @@ def _closed_lower_pattern(n, indptr, indices):
     return out_indptr, np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
 
 
-def _detect_bordered_band(rows, cols, n, max_border=24):
+def _detect_bordered_band(rows, cols, n, max_border=MAX_BORDER):
     """Core bandwidth and trailing border width minimizing the window cost.
 
     `rows >= cols` index the lower-triangle entries of the permuted matrix.
@@ -631,18 +643,28 @@ def _triangular_inverse(L):
 def _takahashi_bordered(backend):
     """Blocked selected inverse over a band plus trailing border rows.
 
-    The band core is cut into column blocks of b >= w columns, so only
-    neighbouring blocks couple.  From the last block back, with C stacking
-    the first min(w, .) rows of the next block's coupling L_{k+1,k} and the
-    border rows M_k, and Sigma_H the inverse already known on those rows:
+    The band core is cut into column blocks of b = _SELINV_BLOCK columns.
+    Block k (columns s .. s + b - 1) couples only to the h = min(w, .) band
+    rows after it, which may reach over several later blocks, and to the
+    border.  From the last block back, with C stacking those rows of L
+    (L_{H,k}) and the border rows M_k, and Sigma_H the inverse already known
+    on them:
 
         Z = C L_kk^-1,  Sigma_{H,k} = -Sigma_H Z,
         Sigma_kk = L_kk^-T L_kk^-1 - Z' Sigma_{H,k},
 
-    all dense level-3 calls.  Returns one flat array: the band of the
-    inverse in the layout of `lband` ((w+1) x cut, column major, diagonal in
-    row 0), then the border strip Sigma[cut:, :cut] (nb x cut, row major),
-    then the border corner Sigma[cut:, cut:] (nb x nb, row major).
+    all dense level-3 calls.  The rows after block k - 1 are this block's
+    first rows and then the first rows of H, so the next Sigma_H is the
+    current one shifted by b: [[Sigma_kk, Sigma_{H,k}[:m]'], [Sigma_{H,k}[:m],
+    Sigma_H[:m, :m]]] plus the border rows.  Every entry of Sigma_H lies
+    inside the band (its rows span fewer than w + 1), and the entries of
+    Sigma_{H,k} outside the band are computed but not stored.  When w <= b
+    the shift is empty and H lies within the next block.
+
+    Returns one flat array: the band of the inverse in the layout of `lband`
+    ((w+1) x cut, column major, diagonal in row 0), then the border strip
+    Sigma[cut:, :cut] (nb x cut, row major), then the border corner
+    Sigma[cut:, cut:] (nb x nb, row major).
     """
     cut, w, nb = backend.cut, backend.w, backend.nb
     lflat = backend.lband.ravel(order="F")
@@ -655,10 +677,10 @@ def _takahashi_bordered(backend):
     if nb:
         LFinv = _triangular_inverse(backend.LF)
         corner[...] = LFinv.T @ LFinv
-    # inverse on the coupling rows of the block after (h of them) and the border
+    # inverse on the h band rows after the block (H) and on the border
     head, h = corner.copy(), 0
     masks = {}
-    b = max(w, _SELINV_MIN_BLOCK)
+    b = _SELINV_BLOCK
     for s in range((cut - 1) // b * b, -1, -b):
         bk = min(b, cut - s)
         view, mask = _band_window(lflat, w, s, 0, bk, bk, masks)
@@ -679,14 +701,24 @@ def _takahashi_bordered(backend):
             strip[:, s:s + bk] = Shk[h:]
         view, mask = _band_window(band, w, s, 0, bk, bk, masks)
         np.copyto(view, Skk, where=mask)
-        hn = min(w, bk)
-        head = np.empty((hn + nb, hn + nb))
-        head[:hn, :hn] = Skk[:hn, :hn]
+        # H of the block before: k rows of this block, then the first m of H
+        hn = min(w, cut - s)
+        k = min(hn, bk)
+        m = hn - k
+        new = np.empty((hn + nb, hn + nb))
+        new[:k, :k] = Skk[:k, :k]
+        if m:
+            new[k:hn, :k] = Shk[:m]
+            new[:k, k:hn] = Shk[:m].T
+            new[k:hn, k:hn] = head[:m, :m]
         if nb:
-            head[hn:, :hn] = Shk[h:, :hn]
-            head[:hn, hn:] = Shk[h:, :hn].T
-            head[hn:, hn:] = corner
-        h = hn
+            new[hn:, :k] = Shk[h:, :k]
+            new[:k, hn:] = Shk[h:, :k].T
+            if m:
+                new[hn:, k:hn] = head[h:, :m]
+                new[k:hn, hn:] = head[:m, h:]
+            new[hn:, hn:] = corner
+        head, h = new, hn
     return out
 
 

@@ -284,3 +284,89 @@ def test_missing_predictor_pairs_one_solve(backend, request, monkeypatch):
     assert np.abs(q["latent_sd"] - np.sqrt(np.diag(cov))).max() <= 1e-8
     want_sd = np.sqrt(np.einsum("rn,nm,rm->r", A, cov, A))
     assert np.abs(q["pred_sd"] - want_sd).max() <= 1e-8
+
+
+# ------------------------------------------------------------------
+# hub columns in the dense border
+
+def _trend_field_model(n_sites, seed=11, T=12, trend=True):
+    """Two fixed effects, an rw1 trend over T time levels (sum to zero) and a
+    replicate SPDE field on a 13 x 13 mesh, with Gaussian observations at the
+    same n_sites sites at every time level: each trend column couples to every
+    field node near a site at its time, far more than a field node's stencil."""
+    rng = np.random.default_rng(seed)
+    mesh = mm.structured_mesh(-0.25, 1.25, -0.25, 1.25, 12, 12)
+    fem = mm.assemble(mesh)
+    spde = lm.spde_matern_component("s", fem, mesh, alpha=2, initial_range=0.3,
+                                    grouping=lm.ReplicateGrouping(T))
+    sites = rng.random((n_sites, 2))
+    t_idx = np.repeat(np.arange(T), n_sites)
+    nobs = t_idx.size
+    blocks = {"mu": np.ones(nobs), "z": rng.random(nobs),
+              "s": lm.group_block(mm.projector(mesh, sites)[np.tile(np.arange(n_sites), T)],
+                                  t_idx, T)}
+    comps = [lm.FixedEffect("mu"), lm.FixedEffect("z")]
+    if trend:
+        blocks["t"] = lm.index_block(t_idx, T)
+        comps.append(lm.Rw1Component("t", T, lm.log_precision_hyper("t.prec", 1.0)))
+    comps.append(spde)
+    part = lm.StackPart(rng.normal(0.0, 1.0, nobs), blocks, "obs")
+    return lm.build_stack([part], comps, GaussianLik(HyperParam("o", np.log(4.0), "log")))
+
+
+@pytest.fixture
+def old_ordering(monkeypatch):
+    """Engines built under it order without the hub-border candidate."""
+    monkeypatch.setattr(eng.Engine, "_hub_border_order", lambda *args: None)
+
+
+@pytest.mark.parametrize("n_sites", [60, 15])
+def test_trend_columns_join_the_border(n_sites):
+    model = _trend_field_model(n_sites)
+    engine = eng.Engine(model)
+    sym = engine._symbolic
+    start, size = model.col_offsets["t"]
+    assert set(range(start, start + size)) <= set(engine.perm.order[engine.n - sym.nb:])
+    assert sym.nb == size + 2
+    spatial = eng.Engine(_trend_field_model(n_sites, trend=False))._symbolic
+    assert sym.w <= spatial.w
+
+
+@pytest.mark.parametrize("nx, T", [(5, 6), (13, 8)])
+def test_no_hubs_keeps_permutation(nx, T, request):
+    # an SPDE x AR(1) field: at nx = 5 hub borders are scored and lose (and
+    # minimum degree competes); at nx = 13, the desk shape, more columns share
+    # the highest degree than the border holds, so none is tried
+    rng = np.random.default_rng(nx)
+    mesh = mm.structured_mesh(0, 1, 0, 1, nx, nx)
+    spde = lm.spde_matern_component("s", mm.assemble(mesh), mesh, alpha=2, initial_range=0.4,
+                                    grouping=lm.Ar1Grouping(T, lm.correlation_hyper("a")))
+    sites = rng.random((20, 2))
+    t_idx = np.repeat(np.arange(T), 20)
+    block = lm.group_block(mm.projector(mesh, sites)[np.tile(np.arange(20), T)], t_idx, T)
+    part = lm.StackPart(rng.poisson(1.0, t_idx.size).astype(float),
+                        {"mu": np.ones(t_idx.size), "z": rng.random(t_idx.size), "s": block},
+                        "obs")
+    model = lm.build_stack([part], [lm.FixedEffect("mu"), lm.FixedEffect("z"), spde],
+                           PoissonLik())
+    order = eng.Engine(model).perm.order
+    request.getfixturevalue("old_ordering")
+    assert np.array_equal(order, eng.Engine(model).perm.order)
+
+
+def test_hub_border_log_posterior_and_factor(request):
+    model = _trend_field_model(60)
+    engine = eng.Engine(model)
+    request.getfixturevalue("old_ordering")
+    old = eng.Engine(model)
+    assert engine._symbolic.w < old._symbolic.w
+    for shift in (0.0, 0.7, -1.2):
+        theta = model.theta_initial() + shift
+        lp = engine.log_posterior(theta, x_init=np.zeros(model.n_latent))
+        assert lp == pytest.approx(old.log_posterior(theta, x_init=np.zeros(model.n_latent)),
+                                   abs=1e-9)
+    _, approx = engine.log_posterior(model.theta_initial(), return_approx=True)
+    order = engine.perm.order
+    PQP = approx.Q_star.full()[order][:, order]
+    L = approx.factor.L
+    assert abs(L @ L.T - PQP).max() <= 1e-12 * abs(PQP).max()

@@ -383,6 +383,52 @@ class TestDeterminismAcrossThreads:
         assert counts[0]["factorizations"] >= 1
 
 
+    def test_runlog_factor_layout_identical(self, tmp_path):
+        cfg = _trend_replicate_config(tmp_path)
+        layouts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            run(["fit", "--config", str(cfg), "--out", str(out), "--threads", threads])
+            log = json.loads((out / "runlog.json").read_text())
+            assert not set(log["factor"]) & (set(log["counts"]) | set(log["timings"]))
+            layouts.append(log["factor"])
+        assert layouts[0] == layouts[1]
+
+
+def _trend_replicate_config(tmp_path, n_times=10, nx=12):
+    """Gaussian fit of an rw1 trend over time plus a replicate SPDE field on
+    a 13 x 13 mesh (above the size where minimum degree competes)."""
+    sim_out = simulate_fixture(tmp_path, n_sites=20, n_times=n_times, sim_nx=8)
+    cfg = tmp_path / "trend.cfg"
+    cfg.write_text(
+        FIT_TEMPLATE.format(seed=5, data=sim_out / "data.csv", nx=nx)
+        .replace("family: poisson", "family: gaussian")
+        .replace("  - name: spatial\n",
+                 "  - name: trend\n"
+                 "    kind: rw1\n"
+                 "    covariate: time\n"
+                 "    sum_to_zero: true\n"
+                 "  - name: spatial\n")
+        .replace("kind: ar1", "kind: replicate"))
+    return cfg
+
+
+class TestFactorLayout:
+    def test_trend_columns_in_border(self, tmp_path):
+        n_times = 10
+        cfg = _trend_replicate_config(tmp_path, n_times)
+        out = tmp_path / "fit"
+        run(["fit", "--config", str(cfg), "--out", str(out), "--int-strategy", "eb"])
+        log = json.loads((out / "runlog.json").read_text())
+        factor = log["factor"]
+        assert set(factor) == {"backend", "n", "w", "nb"}
+        assert factor["backend"] == "band"
+        assert factor["n"] == log["n_latent"] == 3 + n_times + n_times * 169
+        # the rw1 trend joins the three fixed effects in the dense border
+        assert factor["nb"] >= n_times + 3
+        assert factor["w"] < 169
+
+
 class TestMeshFromFiles:
     def test_fit_with_imported_mesh(self, tmp_path):
         import laplgm.mesh as mm

@@ -328,6 +328,23 @@ class TestHyperMarginals:
         step = np.sqrt(np.linalg.inv(-H)[0, 0])
         assert abs(mg.marginal_mode(m) - ts[0]) <= step
 
+    def test_coordinate_marginal_is_unit_lincomb(self):
+        # p > 1: the marginal of theta_j is that of e_j'theta + 0, bit for bit
+        rng = np.random.default_rng(3)
+        p = 3
+        B = rng.normal(size=(p, p))
+        H = -(B @ B.T + p * np.eye(p))
+        ts = rng.normal(size=p)
+        nodes = [eng.ThetaNode(ts + 0.5 * rng.normal(size=p), -3.0 * rng.random(), 1.0)
+                 for _ in range(15)]
+        for j in range(p):
+            m = eng.hyper_marginals(nodes, j, ts, H)
+            e = np.zeros(p)
+            e[j] = 1.0
+            ref = eng.hyper_lincomb_marginal(nodes, e, 0.0, ts, H)
+            assert np.array_equal(m.grid, ref.grid)
+            assert np.array_equal(m.density, ref.density)
+
 
 class TestLatentMarginals:
     def test_gaussian_eb_matches_dense_conditional(self):
@@ -507,6 +524,15 @@ class TestFit:
         for z in qs.values():
             vals = [z.quantiles[q] for q in mg.SUMMARY_QUANTILES]
             assert np.all(np.diff(vals) >= 0)
+
+    def test_node_quantities_hold_no_factor(self):
+        # fit keeps every node's dict until FitResult is built: no factor in them
+        import laplgm.sparse as sps
+        g = poisson_iid_model([1.0, 2.0, 0.0, 4.0])
+        q = Engine(g).node_quantities(g.theta_initial())
+        assert set(q) == {"log_post", "x_star", "latent_sd", "pred_mean", "pred_sd"}
+        for value in q.values():
+            assert not isinstance(value, (eng.GaussianApprox, sps.CholeskyFactor))
 
     def test_timings_recorded(self):
         g = poisson_iid_model([1.0, 2.0, 0.0])

@@ -247,9 +247,16 @@ class TestBlockedSelectedInverse:
         (70, 0, 0), (70, 0, 3), (70, 1, 0), (70, 1, 2),
         (100, 5, 2),              # blocks wider than w + 1
         (205, 40, 0),             # last block shorter than w
-        (243, 40, 3),             # cut a multiple of the block size
-        (211, 45, 4),             # cut not a multiple of the block size
+        (243, 40, 3),             # cut a multiple of w
+        (131, 40, 3),             # cut a multiple of the 64-column block
+        (211, 45, 4),             # cut not a multiple of the block
         (36, 35, 0), (60, 59, 0),  # w >= cut - 1: one dense core
+        (200, 64, 0), (200, 64, 2),     # w equal to the block
+        (230, 65, 0), (231, 65, 4),     # one row of H beyond the next block
+        (300, 100, 0), (300, 100, 3),   # H over two later blocks
+        (259, 100, 3),                  # ... with cut a multiple of the block
+        (400, 150, 0), (403, 150, 5),   # H over three later blocks
+        (140, 128, 3),                  # w >= 2 blocks, cut - w < a block
     ])
     def test_dense_oracle(self, n, w, nb):
         import laplgm.sparse as sps
