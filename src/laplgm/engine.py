@@ -47,6 +47,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # the projected gradient at least this much, else Q* is factorized anew
 CHORD_CONTRACTION = 0.1
 
+# central-difference step in theta for the terms of the theta-gradient that
+# need no Newton solve (prior quantities and the likelihood at a fixed eta)
+PRIOR_DIFF_STEP = 1e-4
+
 
 @dataclass
 class EngineConfig:
@@ -56,7 +60,6 @@ class EngineConfig:
     grid_step: float = 1.0           # step in standardized z coordinates
     log_drop: float = 2.5            # keep grid nodes within this log drop
     max_grid_nodes: int = 256
-    fd_step_grad: float = 1e-4
     fd_step_hess: float = 1e-3
     newton_tol: float = 1e-8
     max_newton: int = 50
@@ -102,15 +105,6 @@ class ThetaNode:
 # ------------------------------------------------------------------
 # generic Laplace approximation of an integral
 
-def _fd_gradient(f, x, step):
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return g
-
-
 def _fd_hessian(f, x, step):
     p = x.size
     H = np.zeros((p, p))
@@ -155,39 +149,35 @@ def laplace_integral(g, x0, hess_step=1e-4):
 # ------------------------------------------------------------------
 # quasi-Newton ascent used for the hyperparameter mode
 
-def _maximize(f, x0, grad_step, budget, grad_tol, step_tol=1e-6, max_iter=100,
-              max_step=3.0, probe=None):
-    """BFGS ascent with central-difference gradients and backtracking.
+def _maximize(f, x0, grad, budget, grad_tol, step_tol=1e-6, max_iter=100, max_step=3.0):
+    """BFGS ascent with backtracking.
 
     `f` may raise for or return -inf at invalid points; the line search
-    shrinks past them.  Steps are capped at `max_step` per coordinate.
-    `probe`, when given, evaluates the finite-difference points in place of
-    `f` (the engine's probes start from their center and leave it in place).
-    Raises ModeSearchFailed once `budget` evaluations are exhausted.
+    shrinks past them.  `grad(x)` is the gradient of `f` at a point where `f`
+    was just evaluated and finite.  Steps are capped at `max_step` per
+    coordinate.  Raises ModeSearchFailed once `budget` evaluations of `f` are
+    exhausted; returns (x, f(x), evaluations of f).
     """
-    count = [0]
+    count = 0
 
-    def counted(fn):
-        def fx(x):
-            if count[0] >= budget:
-                raise ModeSearchFailed(f"evaluation budget {budget} exhausted")
-            count[0] += 1
-            try:
-                v = fn(x)
-            except _REJECTABLE:
-                return -np.inf
-            return v if np.isfinite(v) else -np.inf
-        return fx
+    def fx(x):
+        nonlocal count
+        if count >= budget:
+            raise ModeSearchFailed(f"evaluation budget {budget} exhausted")
+        count += 1
+        try:
+            v = f(x)
+        except _REJECTABLE:
+            return -np.inf
+        return v if np.isfinite(v) else -np.inf
 
-    fx = counted(f)
-    px = counted(probe or f)
     x = np.asarray(x0, dtype=float).copy()
     p = x.size
     fval = fx(x)
     if not np.isfinite(fval):
         raise ModeSearchFailed("log-posterior not finite at the initial point")
     Hinv = np.eye(p)
-    g = _fd_gradient(px, x, grad_step)
+    g = grad(x)
     for _ in range(max_iter):
         if np.max(np.abs(g)) <= grad_tol:
             break
@@ -211,7 +201,7 @@ def _maximize(f, x0, grad_step, budget, grad_tol, step_tol=1e-6, max_iter=100,
         if not accepted:
             break
         s = x_new - x
-        g_new = _fd_gradient(px, x_new, grad_step)
+        g_new = grad(x_new)
         y = g - g_new  # curvature pair for the descent problem on -f
         sy = s @ y
         if sy > 1e-12:
@@ -222,7 +212,7 @@ def _maximize(f, x0, grad_step, budget, grad_tol, step_tol=1e-6, max_iter=100,
         x, fval, g = x_new, f_new, g_new
         if np.max(np.abs(s)) <= step_tol:
             break
-    return x, fval, count[0]
+    return x, fval, count
 
 
 # ------------------------------------------------------------------
@@ -296,10 +286,12 @@ class Engine:
         self.perm = self._choose_permutation(full)
         self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
         self._pair_plan = None
+        self._trace_plan = None
         # Newton's warm start: one GaussianApprox (mode, factor and theta)
         self._warm = None
         self._lp_cache = {}   # theta bytes -> (log posterior, latent mode x*)
-        self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0}
+        self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
+                       "gradients": 0}
         self._counts_lock = threading.Lock()
 
     # -- ordering ---------------------------------------------------
@@ -554,7 +546,7 @@ class Engine:
         made with `recenter` (its mode and factor); a theta seen before
         restarts from its own cached mode instead, keeping the warm factor
         only when that sits at theta.  With `recenter` this evaluation's
-        approximation becomes the warm start: finite-difference probes and
+        approximation becomes the warm start: the Hessian's probes and the
         design nodes pass False, so all of them start from their center, and
         so does the node stage, which must not write shared state.
         """
@@ -600,6 +592,106 @@ class Engine:
         if self._warm is None or not np.array_equal(self._warm.theta, theta):
             self.log_posterior(theta, return_approx=True)
 
+    # -- theta-gradient ------------------------------------------------
+
+    def _selinv_trace_weights(self):
+        """Where the selected inverse holds each entry of the pattern of Q*, and its weight.
+
+        tr(Q*^-1 D) for a symmetric D with lower-triangle data d on the pattern
+        of Q* is sum(weight * S.lower.data[pos] * d): off-diagonal entries
+        count twice.  The pattern of L covers that of Q*, so every entry is
+        found.  Built on first use.
+        """
+        if self._trace_plan is None:
+            P = self._pattern
+            cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(P.indptr))
+            pos, _ = self._selinv_positions(cols * self.n + P.indices)
+            self._trace_plan = (pos, np.where(P.indices == cols, 1.0, 2.0))
+        return self._trace_plan
+
+    def log_posterior_gradient(self, approx):
+        """Gradient in theta of `log_posterior`, from the approximation at theta.
+
+        `approx` is the Gaussian approximation at `approx.theta`, with its
+        factor at the mode.  No Newton iteration runs: the gradient takes one
+        selected inverse, one solve with p right-hand sides, and central
+        differences (step PRIOR_DIFF_STEP) of the terms that hold x* fixed:
+        the prior quantities and the likelihood at eta* as functions of its
+        hyperparameter psi.  For each theta_j, with dQ = dQ/dtheta_j:
+
+        * prior terms: d[log pi(theta) + logdet(Q)/2 + corr];
+        * envelope terms: -x*' dQ x* / 2 + d_psi sum log p(y | eta*, psi); x*
+          adds no chain-rule term, since it maximizes the penalized
+          likelihood on M x = e;
+        * -tr(Q*^-1 dQ*) / 2 with dQ* = dQ + A' diag(dc) A, where
+          dc = c'(eta*) A dx* + d_psi c, and dx* = Q*^-1 (-dQ x* + A' d_psi d1)
+          projected onto M dx = 0;
+        * with constraints, +tr((M W)^-1 W' dQ* W) / 2, W = Q*^-1 M'.
+
+        (Kristensen et al. 2016 differentiate the Laplace approximation
+        through the same sparse inverse subset.)
+        """
+        self._count("gradients")
+        model = self.model
+        lik = model.likelihood
+        theta = approx.theta
+        x = approx.x_star
+        p = theta.size
+        h = PRIOR_DIFF_STEP
+        P = model.prior_pattern()
+        eta = self.A_obs @ x
+        param = self._lik_param(theta)
+        grad = np.zeros(p)
+        rhs = np.zeros((self.n, p))
+        dq = np.zeros((self._pattern.nnz, p))   # dQ on the pattern of Q*
+        dc_psi = np.zeros((self.y_obs.size, p))
+        dQs = []
+        for j in range(p):
+            step = np.zeros(p)
+            step[j] = h
+            sides = []
+            for th in (theta + step, theta - step):
+                Qp, _, logdet_p, corr = model.prior_quantities(th)
+                sides.append((Qp.data, log_prior_theta(model, th) + 0.5 * logdet_p + corr,
+                              self._lik_param(th)))
+            (q_up, s_up, psi_up), (q_dn, s_dn, psi_dn) = sides
+            dQ = sp.csc_matrix(((q_up - q_dn) / (2.0 * h), P.indices, P.indptr), shape=P.shape)
+            dQs.append(dQ)
+            dQx = dQ @ x
+            grad[j] = (s_up - s_dn) / (2.0 * h) - 0.5 * float(x @ dQx)
+            rhs[:, j] = -dQx
+            dq[:, j] = self._prior_on_pattern(dQ)
+            if psi_up != psi_dn:
+                ll = lik.log_lik(self.y_obs, eta, psi_up) - lik.log_lik(self.y_obs, eta, psi_dn)
+                (d1_up, d2_up), (d1_dn, d2_dn) = (lik.derivs(self.y_obs, eta, psi)
+                                                  for psi in (psi_up, psi_dn))
+                grad[j] += float(np.sum(ll)) / (2.0 * h)
+                rhs[:, j] += self.A_obs.T @ ((d1_up - d1_dn) / (2.0 * h))
+                dc_psi[:, j] = -(d2_up - d2_dn) / (2.0 * h)
+        dx = solve(approx.factor, rhs)
+        W = approx.constraint_W
+        if self.n_constraints:
+            dx = dx - W @ scipy.linalg.cho_solve(approx.constraint_cho, self.M @ dx)
+        dc = lik.curvature_slope(self.y_obs, eta, param)[:, None] * (self.A_obs @ dx) + dc_psi
+        dq_star = dq + self._lik_map @ dc
+        pos, weight = self._selinv_trace_weights()
+        S = selected_inverse(approx.factor)
+        grad -= 0.5 * ((weight * S.lower.data[pos]) @ dq_star)
+        if self.n_constraints:
+            AW = self.A_obs @ W
+            for j in range(p):
+                WdW = W.T @ (dQs[j] @ W) + AW.T @ (dc[:, j, None] * AW)
+                grad[j] += 0.5 * float(np.trace(
+                    scipy.linalg.cho_solve(approx.constraint_cho, WdW)))
+        return grad
+
+    def _gradient_at(self, theta):
+        """`log_posterior_gradient` at theta, reading the warm start when it sits there."""
+        approx = self._warm
+        if approx is None or not np.array_equal(approx.theta, theta):
+            _, approx = self.log_posterior(theta, return_approx=True)
+        return self.log_posterior_gradient(approx)
+
     # -- mode and exploration ----------------------------------------
 
     def find_mode(self, theta_init=None):
@@ -609,11 +701,23 @@ class Engine:
             return np.zeros(0), np.zeros((0, 0))
         cfg = self.config
         theta0 = model.theta_initial() if theta_init is None else np.asarray(theta_init, float)
-        theta_star, _, _ = _maximize(
-            self.log_posterior, theta0, cfg.fd_step_grad, cfg.mode_budget, cfg.mode_grad_tol,
-            probe=self._probe)
+        # built before any factor is alive: building the selected-inverse
+        # layout takes more transient memory than any other step of a fit
+        self._selinv_trace_weights()
+        theta_star, _, _ = _maximize(self.log_posterior, theta0, self._gradient_at,
+                                     cfg.mode_budget, cfg.mode_grad_tol)
         self._recenter(theta_star)
-        H = _fd_hessian(self._probe, theta_star, cfg.fd_step_hess)
+        # H is the symmetrized central difference of analytic gradients, each
+        # at a probe from the approximation at the mode
+        h = cfg.fd_step_hess
+        H = np.zeros((p, p))
+        for j in range(p):
+            step = np.zeros(p)
+            step[j] = h
+            g_up, g_dn = (self.log_posterior_gradient(
+                self.log_posterior(th, return_approx=True, recenter=False)[1])
+                for th in (theta_star + step, theta_star - step))
+            H[:, j] = (g_up - g_dn) / (2.0 * h)
         H = 0.5 * (H + H.T)
         w, V = np.linalg.eigh(H)
         floor = -1e-6 * max(1.0, float(np.max(np.abs(w))))
@@ -745,13 +849,10 @@ class Engine:
         Sigma[:, J], from which each missing pair is read.
         """
         n = self.n
-        indptr, indices, _, _ = self._symbolic.selected_inverse_layout()
-        skeys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
         keys, rows, weights = _row_pairs(self.model.A)
         cols, rws = np.divmod(keys, n)
         coef = np.where(rws == cols, weights, 2.0 * weights)
-        pos = np.minimum(np.searchsorted(skeys, keys), skeys.size - 1)
-        hit = skeys[pos] == keys
+        pos, hit = self._selinv_positions(keys)
         # the diagonal is always in the pattern: every missing pair has i > j
         miss_keys, miss_of = np.unique(keys[~hit], return_inverse=True)
         mj, mi = np.divmod(miss_keys, n)
@@ -774,6 +875,18 @@ class Engine:
             "cols": J, "miss_rows": rows[~hit], "miss_coef": coef[~hit],
             "miss_at": at, "miss_slot": slot,
         }
+
+    def _selinv_positions(self, keys):
+        """Where the selected inverse's lower data holds each entry key j * n + i (i >= j).
+
+        Returns (positions, hit): `hit` is False for the keys outside the
+        pattern, whose positions are meaningless.
+        """
+        n = self.n
+        indptr, indices, _, _ = self._symbolic.selected_inverse_layout()
+        skeys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+        pos = np.minimum(np.searchsorted(skeys, keys), skeys.size - 1)
+        return pos, skeys[pos] == keys
 
     def _predictor_variances(self, S, factor):
         """a' Sigma a for every row a of A, Sigma the unconstrained Q*^-1."""

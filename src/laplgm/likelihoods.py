@@ -1,9 +1,11 @@
 """Univariate observation models.
 
 Each family exposes the log-density, its first two derivatives with respect
-to the linear predictor, and the CDF used for probability integral
-transforms.  All three are vectorized over observations and strictly
-log-concave in the predictor, which the Gaussian approximation relies on.
+to the linear predictor, the slope dc/d eta of its curvature
+c = -d2 log p / d eta2 (the hyperparameter gradient of the Laplace
+approximation reads it), and the CDF used for probability integral
+transforms.  All are vectorized over observations and strictly log-concave
+in the predictor, which the Gaussian approximation relies on.
 """
 from __future__ import annotations
 
@@ -58,6 +60,9 @@ class GaussianLik:
         d2 = np.full_like(d1, -tau)
         return d1, d2
 
+    def curvature_slope(self, y, eta, param=None):
+        return np.zeros(np.shape(y))
+
     def cdf(self, y, eta, param=None):
         tau = param
         return ndtr((np.asarray(y, dtype=float) - eta) * np.sqrt(tau))
@@ -91,6 +96,9 @@ class PoissonLik:
         y = _check_counts(y)
         mu = np.exp(eta)
         return y - mu, -mu
+
+    def curvature_slope(self, y, eta, param=None):
+        return np.exp(eta)
 
     def cdf(self, y, eta, param=None):
         y = _check_counts(y)
@@ -138,6 +146,12 @@ class NegBinomialLik:
         d1 = y - (r + y) * frac
         d2 = -(r + y) * r * mu / (r + mu) ** 2
         return d1, d2
+
+    def curvature_slope(self, y, eta, param=None):
+        r = param
+        y = _check_counts(y)
+        mu = np.exp(eta)
+        return (r + y) * r * mu * (r - mu) / (r + mu) ** 3
 
     def cdf(self, y, eta, param=None):
         r = param

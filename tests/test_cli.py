@@ -374,13 +374,15 @@ class TestDeterminismAcrossThreads:
             out = tmp_path / f"t{threads}"
             run(["fit", "--config", str(cfg), "--out", str(out), "--threads", threads])
             log = json.loads((out / "runlog.json").read_text())
-            assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations"}
+            assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations",
+                                          "gradients"}
             assert not set(log["counts"]) & set(log["timings"])
             counts.append(log["counts"])
         assert counts[0] == counts[1]
         # the node stage alone evaluates every node once
         assert counts[0]["theta_evals"] > log["nodes"]
         assert counts[0]["factorizations"] >= 1
+        assert counts[0]["gradients"] >= 1
 
 
     def test_runlog_factor_layout_identical(self, tmp_path):

@@ -223,6 +223,125 @@ class TestLogPosteriorTheta:
                 oracle(th), abs=1e-8)
 
 
+class TestThetaGradient:
+    """The analytic theta-gradient against tight differences of log_posterior."""
+
+    TIGHT = EngineConfig(newton_tol=1e-12)
+
+    @staticmethod
+    def iid_poisson_fixed(seed=21, n=10, nobs=40):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n, nobs)
+        y = rng.poisson(np.exp(0.6 + rng.normal(0, 0.7, n))[idx]).astype(float)
+        hy = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        part = lm.StackPart(y, {"mu": np.ones(nobs), "u": lm.index_block(idx, n)}, "obs")
+        return lm.build_stack([part], [lm.FixedEffect("mu"), lm.IidComponent("u", n, hy)],
+                              PoissonLik())
+
+    @staticmethod
+    def negative_binomial(seed=44, cells=6):
+        from laplgm.latent import LogGammaPrior
+        from laplgm.likelihoods import NegBinomialLik
+        rng = np.random.default_rng(seed)
+        cell = np.repeat(np.arange(cells), 8)
+        mu = np.exp(rng.normal(1.0, 0.4, cells))[cell]
+        y = rng.negative_binomial(10.0, 10.0 / (10.0 + mu)).astype(float)
+        lik = NegBinomialLik(HyperParam("nb.logdisp", np.log(10.0), "log",
+                                        LogGammaPrior(10.0, 1.0)))
+        hy = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        part = lm.StackPart(y, {"u": lm.index_block(cell, cells)}, "obs")
+        return lm.build_stack([part], [lm.IidComponent("u", cells, hy)], lik)
+
+    @staticmethod
+    def rw1_sum_to_zero(lik, y, idx, m):
+        # no intercept: one would absorb the constrained direction, and the
+        # constraint terms of the gradient would vanish
+        hy = lm.log_precision_hyper("f.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        part = lm.StackPart(y, {"f": lm.index_block(idx, m)}, "obs")
+        return lm.build_stack([part], [lm.Rw1Component("f", m, hy, sum_to_zero=True)], lik)
+
+    @classmethod
+    def gaussian_rw1_sum_to_zero(cls, seed=3, m=6, nobs=18):
+        rng = np.random.default_rng(seed)
+        lik = GaussianLik(HyperParam("obs.logprec", 0.5, "log", GaussianPrior(0.0, 1.0)))
+        idx = rng.integers(0, m, nobs)
+        return cls.rw1_sum_to_zero(lik, rng.normal(1.0 + np.sin(idx), 0.7), idx, m)
+
+    @classmethod
+    def poisson_rw1_sum_to_zero(cls, seed=8, m=6, nobs=24):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, m, nobs)
+        y = rng.poisson(np.exp(0.8 + 0.5 * np.sin(idx))).astype(float)
+        return cls.rw1_sum_to_zero(PoissonLik(), y, idx, m)
+
+    @staticmethod
+    def ar1_grouped_spde(seed=15, T=3, n_sites=7):
+        import laplgm.mesh as mm
+        rng = np.random.default_rng(seed)
+        mesh = mm.structured_mesh(0, 1, 0, 1, 3, 3)
+        spde = lm.spde_matern_component(
+            "s", mm.assemble(mesh), mesh, alpha=2, initial_range=0.5,
+            grouping=lm.Ar1Grouping(T, lm.correlation_hyper("s.a")))
+        proj = mm.projector(mesh, rng.random((n_sites, 2)))
+        block = lm.group_block(proj[np.tile(np.arange(n_sites), T)],
+                               np.repeat(np.arange(T), n_sites), T)
+        y = rng.poisson(2.0, n_sites * T).astype(float)
+        part = lm.StackPart(y, {"mu": np.ones(n_sites * T), "s": block}, "obs")
+        return lm.build_stack([part], [lm.FixedEffect("mu"), spde], PoissonLik())
+
+    MODELS = ["iid_poisson_fixed", "negative_binomial", "gaussian_rw1_sum_to_zero",
+              "poisson_rw1_sum_to_zero", "ar1_grouped_spde"]
+
+    def tight_log_posterior(self, g):
+        """log_posterior on a fresh engine per theta: no warm start, Newton to 1e-12."""
+        return lambda th: Engine(g, self.TIGHT).log_posterior(np.asarray(th, dtype=float))
+
+    @staticmethod
+    def central_gradient(f, theta, h=1e-4):
+        out = np.zeros(theta.size)
+        for j in range(theta.size):
+            e = np.zeros(theta.size)
+            e[j] = h
+            out[j] = (f(theta + e) - f(theta - e)) / (2.0 * h)
+        return out
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("offset", [-0.4, 0.3])
+    def test_matches_tight_central_difference(self, model, offset):
+        g = getattr(self, model)()
+        theta = g.theta_initial() + offset
+        engine = Engine(g, self.TIGHT)
+        _, approx = engine.log_posterior(theta, return_approx=True)
+        got = engine.log_posterior_gradient(approx)
+        want = self.central_gradient(self.tight_log_posterior(g), theta)
+        assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max())
+        assert engine.counts["gradients"] == 1
+
+    def test_conjugate_closed_form(self):
+        g, idx, y, pp = conjugate_model()
+        oracle = conjugate_logpost(g, idx, y, pp)
+        engine = Engine(g)
+        h = 1e-4
+        for t in (-0.8, 0.1, 1.3):
+            _, approx = engine.log_posterior(np.array([t]), return_approx=True)
+            got = engine.log_posterior_gradient(approx)[0]
+            want = (oracle(t + h) - oracle(t - h)) / (2.0 * h)
+            assert got == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_mode_hessian_against_tight_reference(self, model):
+        g = getattr(self, model)()
+        engine = Engine(g)
+        theta_star, H = engine.find_mode()
+        p = theta_star.size
+        # one gradient per accepted BFGS point and 2p for the Hessian
+        assert engine.counts["gradients"] >= 2 * p + 1
+        ref = eng._fd_hessian(self.tight_log_posterior(g), theta_star, 1e-3)
+        got, want = np.linalg.slogdet(-H), np.linalg.slogdet(-0.5 * (ref + ref.T))
+        assert got[0] == want[0] == 1
+        assert got[1] == pytest.approx(want[1], rel=1e-3, abs=1e-3)
+
+
 class TestFindMode:
     def test_conjugate_mode_matches_golden_section(self):
         g, idx, y, pp = conjugate_model()
@@ -240,7 +359,11 @@ class TestFindMode:
             d = x - target
             return -0.5 * (3.0 * d[0] ** 2 + 0.5 * d[1] ** 2 + d[0] * d[1])
 
-        x, fval, evals = eng._maximize(f, np.zeros(2), grad_step=1e-6,
+        def grad(x):
+            d = x - target
+            return -np.array([3.0 * d[0] + 0.5 * d[1], 0.5 * d[1] + 0.5 * d[0]])
+
+        x, fval, evals = eng._maximize(f, np.zeros(2), grad=grad,
                                        budget=200, grad_tol=1e-8)
         assert np.abs(x - target).max() <= 1e-6
         assert evals <= 5 * 13  # a handful of iterations
@@ -766,6 +889,7 @@ class TestFactorReuse:
             "theta_evals": len(thetas),
             "newton_iterations": sum(a.iterations for a in approxs),
             "factorizations": sum(a.factorizations for a in approxs),
+            "gradients": 0,
         }
 
     def test_fit_counts(self, count_factorizations):

@@ -77,6 +77,28 @@ class TestDerivs:
         assert np.abs((d2 - fd2) / np.maximum(np.abs(d2), 1.0)).max() <= 1e-5
 
     @pytest.mark.parametrize("family,param", [
+        ("gaussian", 1.7), ("poisson", None), ("nbinomial", 0.37), ("nbinomial", 2.5),
+        ("nbinomial", 41.3)])
+    def test_curvature_slope_finite_difference_oracle(self, family, param):
+        # y = 0 and large counts, eta on both sides of log r for the negative binomial
+        ys = np.array([0.0, 0.0, 0.0, 1.0, 7.0, 250.0, 4000.0, 4000.0])
+        etas = np.array([-2.0, 0.3, 3.1, 1.2, -0.7, 5.5, 8.3, 6.1])
+        if family == "gaussian":
+            lik, param = gaussian(param)
+            ys = ys - 3.0
+        elif family == "poisson":
+            lik = PoissonLik()
+        else:
+            lik = NegBinomialLik(HyperParam("d", np.log(param), "log", fixed=True))
+        slope = lik.curvature_slope(ys, etas, param)
+        h = 1e-4
+        fd = -(lik.derivs(ys, etas + h, param)[1] - lik.derivs(ys, etas - h, param)[1]) / (2 * h)
+        c = -lik.derivs(ys, etas, param)[1]
+        assert np.all(np.abs(slope - fd) <= 1e-7 * np.maximum(np.abs(slope), c))
+        if family == "gaussian":
+            assert np.all(slope == 0.0)
+
+    @pytest.mark.parametrize("family,param", [
         ("gaussian", 0.4), ("poisson", None), ("nbinomial", 3.0)])
     def test_log_concavity(self, family, param):
         rng = np.random.default_rng(5)
