@@ -19,7 +19,6 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph
 
 from . import sparse
 from .errors import (
@@ -297,23 +296,22 @@ class Engine:
     # -- ordering ---------------------------------------------------
 
     def _choose_permutation(self, full):
-        """Pick the cheapest of a few deterministic ordering candidates.
+        """Pick the cheapest of a few deterministic band-ordering candidates.
 
-        Dense fixed-effect columns go last (a border), the field keeps its
-        natural or reverse-Cuthill-McKee order, and minimum degree competes
-        when the problem is small enough for the general recursion.  One more
-        candidate moves the k highest-degree free columns (hubs, such as an
-        rw1 trend that every observation of its time level touches) into the
-        border beside the fixed effects and orders the rest by RCM (Rue &
-        Held 2005, sec. 2.4), for k up to the border cap of the band backend
-        less the fixed effects.  Only prefixes of the degree ranking that end
-        where the degree drops are tried, since a prefix that splits columns
-        of equal degree is picked by index alone; each is scored by RCM on
-        the rest, and k is the cheapest.  Costs are projected as
-        n * (bandwidth + border + 1)^2 or the sum of squared column heights
-        of the symbolic factor, and ties go to the earlier candidate, so the
-        hub border wins only where it is cheaper.  `full` carries the unit
-        pattern of the conditional precision.
+        Dense fixed-effect columns go last (a border), and the field keeps
+        its natural or reverse-Cuthill-McKee order.  One more candidate moves
+        the k highest-degree free columns (hubs, such as an rw1 trend that
+        every observation of its time level touches) into the border beside
+        the fixed effects and orders the rest by RCM (Rue & Held 2005, sec.
+        2.4), for k up to the border cap of the band factorization less the
+        fixed effects.  Only prefixes of the degree ranking that end where
+        the degree drops are tried, since a prefix that splits columns of
+        equal degree is picked by index alone; each is scored by RCM on the
+        rest, and k is the cheapest.  Costs are projected as
+        n * (bandwidth + border + 1)^2, the flops of the band factorization,
+        and ties go to the earlier candidate, so the hub border wins only
+        where it is cheaper.  `full` carries the unit pattern of the
+        conditional precision.
         """
         n = self.n
         fixed = np.zeros(n, dtype=bool)
@@ -333,8 +331,7 @@ class Engine:
             return float(n) * (w + nb + 1) ** 2
 
         def rcm(cols):
-            sub = full[cols, :][:, cols].tocsr()
-            return cols[scipy.sparse.csgraph.reverse_cuthill_mckee(sub, symmetric_mode=True)]
+            return cols[sparse.rcm(full[cols, :][:, cols])]
 
         candidates = []
         natural = np.concatenate([free_cols, self.fixed_cols]).astype(np.int64)
@@ -344,15 +341,7 @@ class Engine:
             candidates.append((bordered_cost(rcm_order), 1, rcm_order))
             hub_order = self._hub_border_order(full, free_cols, bordered_cost, rcm)
             if hub_order is not None:
-                candidates.append((hub_order[0], 3, hub_order[1]))
-        if n <= 1500:
-            pattern = SparseSymmetric(n, sp.tril(full, format="csc"), validate=False)
-            md = sparse.reorder(pattern)
-            od = sp.tril(full, format="csc")[md.order, :][:, md.order].tocsc()
-            ip, _ = sparse._closed_lower_pattern(n, od.indptr, od.indices)
-            heights = np.diff(ip).astype(float)
-            # the general recursion pays an extra constant per entry
-            candidates.append((3.0 * float(np.sum(heights**2)), 2, md.order))
+                candidates.append((hub_order[0], 2, hub_order[1]))
         _, _, best = min(candidates, key=lambda t: (t[0], t[1]))
         return sparse.Permutation(best)
 
@@ -883,7 +872,7 @@ class Engine:
         pattern, whose positions are meaningless.
         """
         n = self.n
-        indptr, indices, _, _ = self._symbolic.selected_inverse_layout()
+        indptr, indices, _ = self._symbolic.selected_inverse_layout()
         skeys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
         pos = np.minimum(np.searchsorted(skeys, keys), skeys.size - 1)
         return pos, skeys[pos] == keys

@@ -13,6 +13,10 @@ class NotPositiveDefinite(LaplgmError, ValueError):
     """A pivot fell below tolerance: the matrix is not numerically SPD."""
 
 
+class ProblemTooLarge(LaplgmError):
+    """The band factor of a permuted precision would exceed the memory cap."""
+
+
 class SingularConstraint(LaplgmError, ValueError):
     """The constraint system M Q^-1 M' is numerically singular."""
 

@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from scipy.special import expit, gammaln, gamma as gamma_fn
 
 from .errors import DimensionMismatch, InvalidCorrelation, UnknownTag
-from .sparse import SparseSymmetric, _csc_from_keys, factorize, reorder
+from .sparse import Permutation, SparseSymmetric, _csc_from_keys, analyze, factorize, rcm
+from .sparse import reorder  # noqa: F401  (bench/tracing.py wraps laplgm.latent.reorder)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -553,12 +554,22 @@ class SpdeMaternComponent(_Component):
             logdet = (2.0 * ns * log_tau + np.sum(np.log(self.fem.mass_diag))
                       + self.alpha * np.sum(np.log(kappa2 + lam)))
         else:
-            block = self._layout[0]
-            Q = sp.csc_matrix((block.combine(coefs), block.pattern.indices,
-                               block.pattern.indptr), shape=block.pattern.shape)
-            wrapped = SparseSymmetric.from_full(Q)
-            logdet = factorize(wrapped, reorder(wrapped)).logdet
+            # C is diagonal, so log|Q| = 2 ns log tau + alpha log|kappa^2 C + G|
+            # - (alpha - 1) log|C|, and kappa^2 C + G is as sparse as the mesh
+            terms, symbolic = self._operator_analysis
+            P = terms.pattern
+            K = sp.csc_matrix((terms.combine([kappa2, 1.0]), P.indices, P.indptr), shape=P.shape)
+            log_k = factorize(SparseSymmetric(ns, K, validate=False), symbolic).logdet
+            logdet = (2.0 * ns * log_tau + self.alpha * log_k
+                      - (self.alpha - 1) * np.sum(np.log(self.fem.mass_diag)))
         return coefs, float(logdet)
+
+    @cached_property
+    def _operator_analysis(self):
+        """C and the lower triangle of G on one pattern, analyzed under RCM."""
+        terms = _Terms([sp.diags(self.fem.mass_diag), self.fem.stiffness.lower])
+        K = SparseSymmetric(self.size, terms.pattern, validate=False)
+        return terms, analyze(K, Permutation(rcm(K.full())))
 
 
 def spde_matern_component(name, fem, mesh, alpha=2, initial_range=None, initial_sigma=1.0,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .latent import matern_kappa_tau, spde_precision
 from .mesh import assemble, projector
-from .sparse import factorize, reorder, sample
+from .errors import ProblemTooLarge
+from .sparse import Permutation, factorize, rcm, reorder, sample
 
 # substream offsets from the master seed (column streams of the spatial
 # innovations occupy 0 .. n_times-1)
@@ -108,7 +109,12 @@ def simulate(spec, seed):
     kappa, tau = matern_kappa_tau(spec.range0, spec.sigma0, nu=nu)
     fem = assemble(spec.mesh)
     Q = spde_precision(fem, spec.alpha, kappa, tau)
-    factor = factorize(Q, reorder(Q))
+    try:
+        # the minimum-degree order fixes a seed's draws
+        factor = factorize(Q, reorder(Q))
+    except ProblemTooLarge:
+        # its band is nearly dense: past the band cap, a band ordering
+        factor = factorize(Q, Permutation(rcm(Q.full())))
     T = spec.n_times
     eps = sample(factor, T, seed)
 

@@ -1,11 +1,13 @@
 """Sparse symmetric positive-definite linear algebra for Gauss-Markov models.
 
-Lower-triangle storage, minimum-degree reordering, Cholesky factorization,
-log-determinants, selected inversion (Takahashi recursions) and seeded GMRF
-sampling with exact linear constraints.  The numeric factorization of the
-permuted matrix is backed by LAPACK band routines when its pattern is a band
-plus a small dense border, and by SuperLU run without pivoting otherwise;
-either way the caller's fill-reducing permutation is the one that matters.
+Lower-triangle storage, minimum-degree and reverse Cuthill-McKee orderings,
+Cholesky factorization, log-determinants, selected inversion (a blocked
+Takahashi recursion) and seeded GMRF sampling with exact linear constraints.
+The permuted matrix is factorized through LAPACK band storage: its pattern
+is read as a band plus a small dense trailing border, as every model the
+package builds is under a band ordering with its dense columns last (Rue &
+Held 2005, sec. 2.4.3).  The caller's permutation sets the band width; a
+band too large to store raises ProblemTooLarge.
 """
 from __future__ import annotations
 
@@ -14,18 +16,16 @@ import heapq
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.csgraph
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularConstraint
+from .errors import DimensionMismatch, NotPositiveDefinite, ProblemTooLarge, SingularConstraint
 
 PIVOT_TOL = 1e-12
 
 # A permuted pattern that is a band of width w plus nb trailing border rows
-# is factorized (and inverted) through LAPACK band storage while
-# n (w + nb + 1) and n (w + nb + 1)^2 stay under these caps; beyond them the
-# SuperLU backend and the general recursion take over.
+# is stored in n (w + nb + 1) floats; beyond this many (160 MB) the analysis
+# raises ProblemTooLarge.
 _BAND_ENTRY_CAP = 2 * 10**7
-_BAND_FLOP_CAP = 2 * 10**9
 # widest trailing border the band backend tracks
 MAX_BORDER = 24
 # The blocked selected inversion over the band runs on column blocks of this
@@ -238,40 +238,14 @@ def reorder(Q):
     return Permutation(order)
 
 
-class _SpluBackend:
-    """SuperLU without pivoting on the permuted matrix."""
+def rcm(full):
+    """Reverse Cuthill-McKee order of a full symmetric sparse pattern.
 
-    __slots__ = ("lu", "d")
-
-    def __init__(self, Ap, n, pivot_tol):
-        try:
-            lu = spla.splu(Ap, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise NotPositiveDefinite(f"factorization failed: {exc}") from exc
-        if not np.array_equal(lu.perm_r, np.arange(n)):
-            raise NotPositiveDefinite("row pivoting occurred: matrix is not SPD")
-        d = lu.U.diagonal()
-        if not np.all(np.isfinite(d)) or np.min(d) <= pivot_tol:
-            raise NotPositiveDefinite(
-                f"pivot {np.min(d):.3e} at or below tolerance {pivot_tol:.1e}")
-        self.lu = lu
-        self.d = d
-
-    def logdet(self):
-        return float(np.sum(np.log(self.d)))
-
-    def solve(self, bp):
-        return self.lu.solve(bp)
-
-    def solve_Lt(self, z):
-        L = self.build_L()
-        return spla.spsolve_triangular(L.T.tocsr(), z, lower=False)
-
-    def build_L(self):
-        L = (self.lu.L.tocsc() @ sp.diags(np.sqrt(self.d))).tocsc()
-        L.sort_indices()
-        return L
+    A band ordering: the band width it leaves is what the band factorization
+    pays for, while a minimum-degree order (`reorder`) of a mesh precision
+    leaves a nearly dense band.
+    """
+    return scipy.sparse.csgraph.reverse_cuthill_mckee(sp.csr_matrix(full), symmetric_mode=True)
 
 
 class _BandedBackend:
@@ -412,15 +386,16 @@ def _csc_from_keys(keys, n):
 class SymbolicFactor:
     """Analysis of one lower-triangle pattern under a fixed permutation.
 
-    Holds the backend choice and, for every stored entry of the pattern,
-    its destination in the numeric storage of that backend: the LAPACK band
-    array, the border rows and the border corner, or the permuted CSC matrix
-    handed to SuperLU.  `numeric` then factorizes any matrix on the pattern
-    with one scatter and one factorization call, and every factor it returns
-    shares one selected-inverse layout (`selected_inverse_layout`).
+    The permuted pattern is read as a band of width w plus nb dense trailing
+    border rows, and every stored entry gets its destination in the numeric
+    storage: the LAPACK band array, the border rows or the border corner.
+    `numeric` then factorizes any matrix on the pattern with one scatter and
+    one band factorization, and every factor it returns shares one
+    selected-inverse layout (`selected_inverse_layout`).  A band that would
+    take more than `_BAND_ENTRY_CAP` entries raises ProblemTooLarge.
     """
 
-    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps", "_splu", "_selinv")
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps", "_selinv")
 
     def __init__(self, Q, perm):
         n = Q.n
@@ -431,36 +406,26 @@ class SymbolicFactor:
         pc = inv[np.repeat(np.arange(n), np.diff(lower.indptr))]
         r, c = np.maximum(pr, pc), np.minimum(pr, pc)
         w, nb = _detect_bordered_band(r, c, n)
-        self.n, self.perm = n, perm
+        if n * (w + nb + 1) > _BAND_ENTRY_CAP:
+            raise ProblemTooLarge(
+                f"the factor of n = {n} with band width w = {w} and border nb = {nb} "
+                f"needs {n * (w + nb + 1)} entries, over the cap of {_BAND_ENTRY_CAP}")
+        cut = n - nb
+        core = r < cut
+        corner = c >= cut
+        border = ~core & ~corner
+        self.n, self.perm, self.w, self.nb = n, perm, w, nb
         self.indptr, self.indices = lower.indptr, lower.indices
-        self.w = self.nb = self._maps = self._splu = self._selinv = None
-        if n * (w + nb + 1) <= _BAND_ENTRY_CAP and n * (w + nb + 1) ** 2 <= _BAND_FLOP_CAP:
-            cut = n - nb
-            core = r < cut
-            corner = c >= cut
-            border = ~core & ~corner
-            self.w, self.nb = w, nb
-            self._maps = tuple(
-                (np.flatnonzero(sel), dst) for sel, dst in (
-                    (core, (r - c + c * (w + 1))[core]),
-                    (border, (c * nb + r - cut)[border]),
-                    (corner, ((r - cut) * nb + c - cut)[corner])))
-        else:
-            off = np.flatnonzero(r != c)
-            rows = np.concatenate([r, c[off]])
-            keys = np.concatenate([c, r[off]]) * n + rows
-            src = np.concatenate([np.arange(r.size), off])
-            order = np.argsort(keys, kind="stable")
-            pattern = _csc_from_keys(keys[order], n)
-            self._splu = (pattern.indptr, pattern.indices, src[order])
+        self._maps = tuple(
+            (np.flatnonzero(sel), dst) for sel, dst in (
+                (core, (r - c + c * (w + 1))[core]),
+                (border, (c * nb + r - cut)[border]),
+                (corner, ((r - cut) * nb + c - cut)[corner])))
+        self._selinv = None
 
     def layout(self):
-        """Backend and shape of the factor: {"backend", "n", "w", "nb"}.
-
-        w and nb, the band width and the border rows, are None on SuperLU.
-        """
-        return {"backend": "band" if self._maps is not None else "splu",
-                "n": int(self.n), "w": self.w, "nb": self.nb}
+        """Shape of the factor: {"n", "w", "nb"}, the band width and border rows."""
+        return {"n": int(self.n), "w": self.w, "nb": self.nb}
 
     def numeric(self, Q, pivot_tol=PIVOT_TOL):
         """Cholesky factor of Q, whose lower triangle lies on the analyzed pattern."""
@@ -471,59 +436,56 @@ class SymbolicFactor:
         data = lower.data
         if not np.all(np.isfinite(data)):
             raise NotPositiveDefinite("matrix contains non-finite entries")
-        if self._maps is not None:
-            cut, w, nb = self.n - self.nb, self.w, self.nb
-            parts = []
-            for (src, dst), size in zip(self._maps, ((w + 1) * cut, cut * nb, nb * nb)):
-                buf = np.zeros(size)
-                buf[dst] = data[src]
-                parts.append(buf)
-            ab = parts[0].reshape((w + 1, cut), order="F")
-            backend = _BandedBackend(ab, parts[1].reshape(cut, nb),
-                                     parts[2].reshape(nb, nb), pivot_tol)
-        else:
-            indptr, indices, src = self._splu
-            Ap = sp.csc_matrix((data[src], indices, indptr), shape=(self.n, self.n))
-            backend = _SpluBackend(Ap, self.n, pivot_tol)
+        cut, w, nb = self.n - self.nb, self.w, self.nb
+        parts = []
+        for (src, dst), size in zip(self._maps, ((w + 1) * cut, cut * nb, nb * nb)):
+            buf = np.zeros(size)
+            buf[dst] = data[src]
+            parts.append(buf)
+        ab = parts[0].reshape((w + 1, cut), order="F")
+        backend = _BandedBackend(ab, parts[1].reshape(cut, nb),
+                                 parts[2].reshape(nb, nb), pivot_tol)
         return CholeskyFactor(self, backend)
 
     def selected_inverse_layout(self):
         """Output pattern of `selected_inverse` for factors of this analysis.
 
-        Returns (indptr, indices, gather, closed): the lower-triangle CSC
-        pattern of the selected inverse in original indexing, the position
-        in the recursion's flat output of each of its entries, and the
-        elimination-closed permuted pattern (indptr, indices, keys) the
-        general recursion runs on (None on the band backend).  Built on the
-        first call and kept, so a factor that is never inverted costs
-        nothing and later calls do no sorting.
+        Returns (indptr, indices, gather): the lower-triangle CSC pattern of
+        the selected inverse in original indexing, and the position in the
+        recursion's flat output of each of its entries.  Built on the first
+        call and kept, so a factor that is never inverted costs nothing and
+        later calls do no sorting.
+
+        Each slot of the flat output (see `_takahashi_bordered`) gets the key
+        col * n + row of its entry in original indexing, filled one band
+        diagonal or border row at a time, and n^2 where the slot holds no
+        entry; the sort order of the keys, cut at n^2, is the gather map.
         """
         if self._selinv is None:
-            n = self.n
-            closed = None
-            if self._maps is not None:
-                cut, w, nb = n - self.nb, self.w, self.nb
-                # band in LAPACK layout: flat d + j (w + 1) holds (j + d, j)
-                src = np.arange((w + 1) * cut)
-                j, d = np.divmod(src, w + 1)
-                live = j + d < cut
-                br, bc = np.tril_indices(nb)
-                prow = np.concatenate([(j + d)[live], cut + np.repeat(np.arange(nb), cut),
-                                       cut + br])
-                pcol = np.concatenate([j[live], np.tile(np.arange(cut), nb), cut + bc])
-                src = np.concatenate([src[live], (w + 1) * cut + np.arange(nb * cut),
-                                      (w + 1 + nb) * cut + br * nb + bc])
-            else:
-                indptr, indices = _closed_lower_pattern(n, *self._splu[:2])
-                pcol = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-                prow = indices
-                src = np.arange(indices.size)
-                closed = (indptr, indices, pcol * n + indices)
-            orow, ocol = self.perm.order[prow], self.perm.order[pcol]
-            keys = np.minimum(orow, ocol) * n + np.maximum(orow, ocol)
-            order = np.argsort(keys)
-            pattern = _csc_from_keys(keys[order], n)
-            self._selinv = (pattern.indptr, pattern.indices, src[order], closed)
+            n, order = self.n, self.perm.order
+            cut, w, nb = n - self.nb, self.w, self.nb
+            size = (w + 1) * cut
+            keys = np.full(size + nb * cut + nb * nb, n * n, dtype=np.int64)
+
+            def pair_keys(prow, pcol):
+                a, b = order[prow], order[pcol]
+                return np.minimum(a, b) * n + np.maximum(a, b)
+
+            j = np.arange(cut)
+            # band in LAPACK layout: flat d + j (w + 1) holds (j + d, j)
+            for d in range(w + 1):
+                keys[d:size:w + 1][:cut - d] = pair_keys(j[d:], j[:cut - d])
+            for r in range(nb):
+                keys[size + r * cut:size + (r + 1) * cut] = pair_keys(cut + r, j)
+            br, bc = np.tril_indices(nb)
+            keys[size + nb * cut + br * nb + bc] = pair_keys(cut + br, cut + bc)
+            live = int(np.count_nonzero(keys < n * n))
+            gather = np.argsort(keys)[:live]
+            keys = keys[gather]
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            pattern = sp.csc_matrix((np.ones(live), np.remainder(keys, n, out=keys), indptr),
+                                    shape=(n, n))
+            self._selinv = (pattern.indptr, pattern.indices, gather)
         return self._selinv
 
 
@@ -543,11 +505,12 @@ def analyze(Q, perm=None):
 def factorize(Q, perm=None, pivot_tol=PIVOT_TOL):
     """Sparse Cholesky factorization of an SPD matrix.
 
-    The permuted matrix is factorized either by a LAPACK band routine
-    (when its pattern is a band plus a small trailing border) or by
-    SuperLU run without pivoting, so L L' reproduces P Q P' exactly.
-    A pivot at or below `pivot_tol` (or any row swap) raises
-    NotPositiveDefinite.  `perm` is a Permutation (None: identity), or a
+    The permuted matrix is factorized by a LAPACK band routine, its
+    pattern read as a band plus a small trailing border, so L L' reproduces
+    P Q P' exactly.  A pivot at or below `pivot_tol` raises
+    NotPositiveDefinite, and a band over `_BAND_ENTRY_CAP` entries raises
+    ProblemTooLarge: the permutation should be a band ordering (`rcm`) with
+    dense columns last.  `perm` is a Permutation (None: identity), or a
     SymbolicFactor from `analyze` when many matrices share one pattern;
     then only the numeric stage runs.
     """
@@ -565,34 +528,6 @@ def solve(factor, b):
     out = np.empty_like(x_perm)
     out[order] = x_perm
     return out
-
-
-def _closed_lower_pattern(n, indptr, indices):
-    """Elimination-fill closure of a lower-triangular pattern.
-
-    Returns CSC-style (indptr, indices) with the diagonal first in every
-    column.  The closure guarantees that for any i, k > j present in column
-    j, the pair (max(i,k), min(i,k)) is present too, which the Takahashi
-    recursion relies on.
-    """
-    patterns = []
-    for j in range(n):
-        col = indices[indptr[j]:indptr[j + 1]]
-        patterns.append(set(col[col > j].tolist()))
-    for j in range(n):
-        pj = patterns[j]
-        if pj:
-            p = min(pj)
-            patterns[p] |= pj
-            patterns[p].discard(p)
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    cols = []
-    for j in range(n):
-        rows = np.fromiter(patterns[j], dtype=np.int64, count=len(patterns[j]))
-        rows.sort()
-        cols.append(np.concatenate(([j], rows)))
-        out_indptr[j + 1] = out_indptr[j] + rows.size + 1
-    return out_indptr, np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
 
 
 def _detect_bordered_band(rows, cols, n, max_border=MAX_BORDER):
@@ -730,46 +665,11 @@ def selected_inverse(factor):
     SparseSymmetric whose pattern is fixed by the factor's symbolic
     analysis: every factor from one `analyze` returns the same pattern.
     """
-    indptr, indices, gather, closed = factor.symbolic.selected_inverse_layout()
-    if closed is None:
-        values = _takahashi_bordered(factor._backend)
-    else:
-        values = _takahashi_general(factor, closed)
+    indptr, indices, gather = factor.symbolic.selected_inverse_layout()
+    values = _takahashi_bordered(factor._backend)
     n = factor.n
     lower = sp.csc_matrix((values[gather], indices, indptr), shape=(n, n))
     return SparseSymmetric(n, lower, validate=False)
-
-
-def _takahashi_general(factor, closed):
-    """Takahashi recursion on the closed fill pattern (permuted order)."""
-    n = factor.n
-    indptr, indices, keys = closed
-    # conform the numeric factor onto the closed pattern (zero padding)
-    L = factor.L
-    lkeys = np.repeat(np.arange(n, dtype=np.int64), np.diff(L.indptr)) * n + L.indices
-    pos = np.searchsorted(lkeys, keys)
-    pos = np.minimum(pos, lkeys.size - 1)
-    ldata = np.where(lkeys[pos] == keys, L.data[pos], 0.0)
-    sdata = np.zeros(indices.size)
-    for j in range(n - 1, -1, -1):
-        lo, hi = indptr[j], indptr[j + 1]
-        ld = ldata[lo]
-        rows = indices[lo + 1:hi]
-        m = rows.size
-        if m == 0:
-            sdata[lo] = 1.0 / ld**2
-            continue
-        lvals = ldata[lo + 1:hi]
-        r64 = rows.astype(np.int64)
-        qk = np.minimum.outer(r64, r64) * n + np.maximum.outer(r64, r64)
-        qk = qk.ravel()
-        p = np.searchsorted(keys, qk)
-        p = np.minimum(p, keys.size - 1)
-        sub = np.where(keys[p] == qk, sdata[p], 0.0).reshape(m, m)
-        scol = -(sub @ lvals) / ld
-        sdata[lo + 1:hi] = scol
-        sdata[lo] = 1.0 / ld**2 - (lvals @ scol) / ld
-    return sdata
 
 
 def sample(factor, count, seed):

@@ -1,4 +1,4 @@
-"""Cross-checks of the two factorization backends and recursion paths."""
+"""The band factorization and the engine's plans against dense oracles."""
 import numpy as np
 import pytest
 
@@ -13,40 +13,28 @@ from laplgm.latent import GaussianPrior, HyperParam
 from laplgm.likelihoods import GaussianLik, PoissonLik
 
 
-@pytest.fixture
-def force_splu(monkeypatch):
-    """Shrink the band caps so factorize falls back to SuperLU everywhere."""
-    monkeypatch.setattr(sps, "_BAND_ENTRY_CAP", 0)
-    monkeypatch.setattr(sps, "_BAND_FLOP_CAP", 0)
-
-
-def test_backends_agree_on_mesh_precision(request):
+def test_backends_agree_on_mesh_precision():
+    # the band factor under a minimum-degree order, a nearly dense band
     mesh = mm.structured_mesh(0, 1, 0, 1, 16, 16)
     fem = mm.assemble(mesh)
     kappa, tau = lm.matern_kappa_tau(0.3, 1.0)
     Q = lm.spde_precision(fem, 2, kappa, tau)
-    perm = lg.reorder(Q)
-    f_band = lg.factorize(Q, perm)
-    assert isinstance(f_band._backend, sps._BandedBackend)
-    request.getfixturevalue("force_splu")
-    f_splu = lg.factorize(Q, perm)
-    assert isinstance(f_splu._backend, sps._SpluBackend)
-    assert f_band.logdet == pytest.approx(f_splu.logdet, abs=1e-9)
+    f = lg.factorize(Q, lg.reorder(Q))
+    Qd = Q.to_dense()
+    assert f.logdet == pytest.approx(np.linalg.slogdet(Qd)[1], abs=1e-9)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(Q.n)
-    assert np.abs(lg.solve(f_band, b) - lg.solve(f_splu, b)).max() <= 1e-9
-    d_band = lg.selected_inverse(f_band).diagonal()
-    d_splu = lg.selected_inverse(f_splu).diagonal()
-    assert np.abs(d_band - d_splu).max() <= 1e-10
+    assert np.abs(lg.solve(f, b) - np.linalg.solve(Qd, b)).max() <= 1e-9
+    d = lg.selected_inverse(f).diagonal()
+    assert np.abs(d - np.diag(np.linalg.inv(Qd))).max() <= 1e-10
 
 
-def test_generic_takahashi_on_mesh_scale(force_splu):
+def test_generic_takahashi_on_mesh_scale():
     # scattered minimum-degree pattern at a few hundred dimensions
     mesh = mm.structured_mesh(0, 1, 0, 1, 15, 15)
     fem = mm.assemble(mesh)
     Q = lm.spde_precision(fem, 2, 8.0, 0.05)
     f = lg.factorize(Q, lg.reorder(Q))
-    assert isinstance(f._backend, sps._SpluBackend)
     S = lg.selected_inverse(f)
     dense = np.linalg.inv(Q.to_dense())
     assert np.abs(S.diagonal() - np.diag(dense)).max() <= 1e-8
@@ -55,8 +43,9 @@ def test_generic_takahashi_on_mesh_scale(force_splu):
     assert err <= 1e-8
 
 
-def test_engine_fit_on_splu_backend(force_splu):
-    # the full engine flow (plan caching, pair plan, constraints) on SuperLU
+def test_engine_fit_on_splu_backend():
+    # the full engine flow (plan caching, pair plan, constraints) against the
+    # dense subspace oracle
     rng = np.random.default_rng(5)
     m = 10
     tau_obs = 2.5
@@ -69,9 +58,7 @@ def test_engine_fit_on_splu_backend(force_splu):
         [part], [lm.FixedEffect("mu"), lm.Rw1Component("f", m, hyp)], lik)
     fit = eng.fit(model, EngineConfig(int_strategy="grid"))
     engine = fit.engine
-    _, approx = engine.log_posterior(fit.theta_mode, return_approx=True)
-    assert isinstance(approx.factor._backend, sps._SpluBackend)
-    # moments still match the dense subspace oracle at the mode
+    # moments match the dense subspace oracle at the mode
     import scipy.linalg
     A = model.A.toarray()
     tau = np.exp(fit.theta_mode[0])
@@ -186,11 +173,9 @@ def test_spde_summary_transform_consistency():
     assert summ["variance"].integral() == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("backend", ["band", "splu"])
-def test_plan_assembled_conditional_precision(backend, request):
+@pytest.mark.parametrize("backend", ["band"])
+def test_plan_assembled_conditional_precision(backend):
     # Q* laid on the engine's fixed pattern vs prior_quantities + A' diag(c) A
-    if backend == "splu":
-        request.getfixturevalue("force_splu")
     rng = np.random.default_rng(12)
     mesh = mm.structured_mesh(0, 1, 0, 1, 4, 4)
     fem = mm.assemble(mesh)
@@ -213,12 +198,10 @@ def test_plan_assembled_conditional_precision(backend, request):
     want = Qp.toarray() + A.T @ np.diag(c) @ A
     assert np.abs(Q_star.to_dense() - want).max() <= 1e-10
     factor = eng.factorize(Q_star, engine._symbolic)
-    kind = sps._BandedBackend if backend == "band" else sps._SpluBackend
-    assert isinstance(factor._backend, kind)
     assert factor.logdet == pytest.approx(np.linalg.slogdet(want)[1], abs=1e-10)
     # the Newton iteration goes through the same plan
     approx = engine.gaussian_approximation(theta)
-    assert isinstance(approx.factor._backend, kind)
+    assert approx.factor.symbolic is engine._symbolic
 
 
 def _strip_model(rng, m=5, nx=40, nsite=4, npred=40):
@@ -245,12 +228,10 @@ def _strip_model(rng, m=5, nx=40, nsite=4, npred=40):
     return lm.build_stack([obs, pred], [lm.FixedEffect("mu"), trend, spde], lik)
 
 
-@pytest.mark.parametrize("backend", ["band", "splu"])
-def test_missing_predictor_pairs_one_solve(backend, request, monkeypatch):
+@pytest.mark.parametrize("backend", ["band"])
+def test_missing_predictor_pairs_one_solve(backend, monkeypatch):
     # covariance pairs outside the selected-inverse pattern come from one solve
     # with |J| right-hand sides per node, not from a solve per predictor row
-    if backend == "splu":
-        request.getfixturevalue("force_splu")
     model = _strip_model(np.random.default_rng(3))
     engine = eng.Engine(model)
     plan = engine._node_plan()
@@ -334,9 +315,9 @@ def test_trend_columns_join_the_border(n_sites):
 
 @pytest.mark.parametrize("nx, T", [(5, 6), (13, 8)])
 def test_no_hubs_keeps_permutation(nx, T, request):
-    # an SPDE x AR(1) field: at nx = 5 hub borders are scored and lose (and
-    # minimum degree competes); at nx = 13, the desk shape, more columns share
-    # the highest degree than the border holds, so none is tried
+    # an SPDE x AR(1) field: at nx = 5 hub borders are scored and lose; at
+    # nx = 13, the desk shape, more columns share the highest degree than the
+    # border holds, so none is tried
     rng = np.random.default_rng(nx)
     mesh = mm.structured_mesh(0, 1, 0, 1, nx, nx)
     spde = lm.spde_matern_component("s", mm.assemble(mesh), mesh, alpha=2, initial_range=0.4,

@@ -399,7 +399,7 @@ class TestDeterminismAcrossThreads:
 
 def _trend_replicate_config(tmp_path, n_times=10, nx=12):
     """Gaussian fit of an rw1 trend over time plus a replicate SPDE field on
-    a 13 x 13 mesh (above the size where minimum degree competes)."""
+    a 13 x 13 mesh."""
     sim_out = simulate_fixture(tmp_path, n_sites=20, n_times=n_times, sim_nx=8)
     cfg = tmp_path / "trend.cfg"
     cfg.write_text(
@@ -423,8 +423,7 @@ class TestFactorLayout:
         run(["fit", "--config", str(cfg), "--out", str(out), "--int-strategy", "eb"])
         log = json.loads((out / "runlog.json").read_text())
         factor = log["factor"]
-        assert set(factor) == {"backend", "n", "w", "nb"}
-        assert factor["backend"] == "band"
+        assert set(factor) == {"n", "w", "nb"}
         assert factor["n"] == log["n_latent"] == 3 + n_times + n_times * 169
         # the rw1 trend joins the three fixed effects in the dense border
         assert factor["nb"] >= n_times + 3
@@ -554,3 +553,15 @@ class TestModelBuilding:
         rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_band_over_the_entry_cap_reported(self, tmp_path, monkeypatch, capsys):
+        import laplgm.sparse as sps
+        path = tmp_path / "fit.cfg"
+        path.write_text(SPDE_CONFIG.format(data=_small_data(tmp_path), prior=""))
+        monkeypatch.setattr(sps, "_BAND_ENTRY_CAP", 10)
+        rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for name in ("n = 75", "w = ", "nb = "):
+            assert name in err

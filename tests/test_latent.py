@@ -331,6 +331,20 @@ class TestComponentStructure:
         iid = lm.IidComponent("u", 3, prec, grouping=lm.Ar1Grouping(1, corr))
         assert np.allclose(iid.precision(values).toarray(), 2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_spde_logdet_above_eigenvalue_cutoff(self, alpha):
+        # 841 nodes: log|Q| from the band factor of kappa^2 C + G
+        mesh = mm.structured_mesh(0, 1, 0, 1, 28, 28)
+        fem = mm.assemble(mesh)
+        comp = lm.spde_matern_component("s", fem, mesh, alpha=alpha)
+        assert comp.size == 841
+        for log_tau, log_kappa in ((0.3, 1.2), (-1.1, 2.5)):
+            values = {"s.log_tau": log_tau, "s.log_kappa": log_kappa}
+            _, logdet = comp._block(values)
+            Q = lm.spde_precision(fem, alpha, np.exp(log_kappa), np.exp(log_tau))
+            assert logdet == pytest.approx(np.linalg.slogdet(Q.to_dense())[1],
+                                           rel=1e-10, abs=1e-8)
+
     def test_replicate_and_rw1_grouping_logdet(self):
         values = {"p": np.log(1.7)}
         for grouping in (lm.ReplicateGrouping(3), lm.Rw1Grouping(3)):

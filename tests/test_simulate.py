@@ -29,6 +29,24 @@ class TestDeterminism:
         assert not np.array_equal(sim.simulate(spec, 1).y, sim.simulate(spec, 2).y)
 
 
+    def test_band_ordering_past_the_entry_cap(self, monkeypatch):
+        import laplgm.latent as lm
+        import laplgm.sparse as sps
+        spec = small_spec()
+        Q = lm.spde_precision(mm.assemble(spec.mesh), 2, 1.0, 1.0)
+        amd = sps.analyze(Q, sps.reorder(Q))
+        rcm = sps.analyze(Q, sps.Permutation(sps.rcm(Q.full())))
+        # under the cap of the RCM band, below the minimum-degree band
+        cap = Q.n * (rcm.w + rcm.nb + 1)
+        assert cap < Q.n * (amd.w + amd.nb + 1)
+        monkeypatch.setattr(sps, "_BAND_ENTRY_CAP", cap)
+        d1 = sim.simulate(spec, seed=42)
+        d2 = sim.simulate(spec, seed=42)
+        assert np.array_equal(d1.y, d2.y)
+        assert np.array_equal(d1.field_nodes, d2.field_nodes)
+        assert np.all(np.isfinite(d1.field_nodes))
+
+
 class TestArStructure:
     def test_lag_one_correlation(self):
         spec = small_spec(n_times=500, sites=sim.random_sites(4, seed=1))

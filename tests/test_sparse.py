@@ -8,6 +8,7 @@ import laplgm as lg
 from laplgm.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
+    ProblemTooLarge,
     SingularConstraint,
 )
 
@@ -154,6 +155,17 @@ class TestFactorize:
             assert resid <= 1e-10 * np.abs(Qd).max()
             assert np.all(f.L.diagonal() > 0)
 
+    def test_band_over_the_entry_cap(self, monkeypatch):
+        import laplgm.sparse as sps
+        Q = lg.SparseSymmetric.from_full(ar1_dense_precision(50, 0.5))
+        # a tridiagonal band takes n (w + 1) = 100 entries
+        monkeypatch.setattr(sps, "_BAND_ENTRY_CAP", 100)
+        assert lg.factorize(Q).logdet == pytest.approx(
+            np.linalg.slogdet(Q.to_dense())[1], abs=1e-10)
+        monkeypatch.setattr(sps, "_BAND_ENTRY_CAP", 99)
+        with pytest.raises(ProblemTooLarge, match=r"n = 50 .*w = 1 .*nb = 0"):
+            lg.factorize(Q)
+
 
 class TestSolve:
     def test_identity(self):
@@ -214,19 +226,6 @@ class TestSelectedInverse:
         for i, j, v in zip(coo.row, coo.col, coo.data):
             assert abs(v - Sinv[i, j]) <= 1e-9
 
-    def test_general_recursion_path(self):
-        import laplgm.sparse as sps
-        rng = np.random.default_rng(9)
-        Qd = random_spd(35, rng, density=0.08)
-        Q = lg.SparseSymmetric.from_full(Qd)
-        old = sps._BAND_FLOP_CAP
-        sps._BAND_FLOP_CAP = 0  # force the closed-pattern recursion
-        try:
-            S = lg.selected_inverse(lg.factorize(Q, lg.reorder(Q)))
-        finally:
-            sps._BAND_FLOP_CAP = old
-        assert np.abs(S.diagonal() - np.diag(np.linalg.inv(Qd))).max() <= 1e-8
-
 
 def bordered_band_spd(n, w, nb, rng):
     """SPD L0 L0' whose leading n - nb rows form a band of width exactly w
@@ -278,11 +277,8 @@ class TestBlockedSelectedInverse:
         err = np.abs(coo.data - dense[coo.row, coo.col]).max()
         assert err <= 1e-10 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("backend", ["band", "splu"])
-    def test_one_layout_per_analysis(self, backend, monkeypatch):
-        import laplgm.sparse as sps
-        if backend == "splu":
-            monkeypatch.setattr(sps, "_BAND_FLOP_CAP", 0)
+    @pytest.mark.parametrize("backend", ["band"])
+    def test_one_layout_per_analysis(self, backend):
         rng = np.random.default_rng(31)
         n, w, nb = 150, 12, 3
         Q1 = bordered_band_spd(n, w, nb, rng)
@@ -292,12 +288,10 @@ class TestBlockedSelectedInverse:
         cut = n - nb
         perm = lg.Permutation(np.concatenate([np.arange(cut)[::-1], np.arange(cut, n)]))
         sym = lg.analyze(lg.SparseSymmetric.from_full(Q1), perm)
-        kind = sps._BandedBackend if backend == "band" else sps._SpluBackend
         outs = []
         for Qd in (Q1, Q2):
             Q = lg.SparseSymmetric.from_full(Qd)
             f = lg.factorize(Q, sym)
-            assert isinstance(f._backend, kind)
             outs.append(lg.selected_inverse(f).lower)
             fresh = lg.selected_inverse(lg.factorize(Q, perm)).lower
             assert np.array_equal(fresh.indptr, outs[-1].indptr)
@@ -381,6 +375,67 @@ class TestConstrain:
         M = np.vstack([np.ones(4), np.ones(4)])  # rank deficient
         with pytest.raises(SingularConstraint):
             lg.constrain(np.zeros(4), None, f, M, np.zeros(2))
+
+
+def coordinate_sort_layout(sym):
+    """The selected-inverse layout built by sorting coordinate arrays over
+    every slot of the recursion's flat output."""
+    n, order = sym.n, sym.perm.order
+    cut, w, nb = n - sym.nb, sym.w, sym.nb
+    src = np.arange((w + 1) * cut)
+    j, d = np.divmod(src, w + 1)
+    live = j + d < cut
+    br, bc = np.tril_indices(nb)
+    prow = np.concatenate([(j + d)[live], cut + np.repeat(np.arange(nb), cut), cut + br])
+    pcol = np.concatenate([j[live], np.tile(np.arange(cut), nb), cut + bc])
+    src = np.concatenate([src[live], (w + 1) * cut + np.arange(nb * cut),
+                          (w + 1 + nb) * cut + br * nb + bc])
+    orow, ocol = order[prow], order[pcol]
+    keys = np.minimum(orow, ocol) * n + np.maximum(orow, ocol)
+    perm = np.argsort(keys)
+    cols, rows = np.divmod(keys[perm], n)
+    pattern = sp.csc_matrix((np.ones(rows.size), rows, np.searchsorted(cols, np.arange(n + 1))),
+                            shape=(n, n))
+    return pattern.indptr, pattern.indices, src[perm]
+
+
+@pytest.mark.parametrize("n, w, nb, shuffle", [
+    (70, 0, 0, False), (70, 1, 2, False), (131, 40, 3, False),
+    (60, 59, 0, False), (90, 7, 4, True), (120, 30, 0, True),
+])
+def test_selected_inverse_layout_matches_coordinate_sort(n, w, nb, shuffle):
+    rng = np.random.default_rng(n + w + nb)
+    Q = lg.SparseSymmetric.from_full(bordered_band_spd(n, w, nb, rng))
+    cut = n - nb
+    order = np.concatenate([np.arange(cut)[::-1], np.arange(cut, n)])
+    if shuffle:
+        # the same band read under a random relabelling of the variables
+        relabel = rng.permutation(n)
+        inv = np.argsort(relabel)
+        Q = lg.SparseSymmetric.from_full(Q.full()[inv][:, inv])
+        order = relabel[order]
+    sym = lg.analyze(Q, lg.Permutation(order))
+    assert (sym.w, sym.nb) == (w, nb)
+    for got, want in zip(sym.selected_inverse_layout(), coordinate_sort_layout(sym)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_sample_on_minimum_degree_order_matches_dense_cholesky():
+    import laplgm.latent as lm
+    import laplgm.mesh as mm
+    fem = mm.assemble(mm.structured_mesh(0, 1, 0, 1, 8, 8))
+    Q = lm.spde_precision(fem, 2, 6.0, 0.3)
+    perm = lg.reorder(Q)
+    X = lg.sample(lg.factorize(Q, perm), 3, seed=11)
+    order = perm.order
+    L = np.linalg.cholesky(Q.to_dense()[np.ix_(order, order)])
+    Z = np.column_stack([
+        np.random.Generator(np.random.Philox(key=11).jumped(j)).standard_normal(Q.n)
+        for j in range(3)])
+    want = np.empty_like(Z)
+    want[order] = np.linalg.solve(L.T, Z)
+    assert np.abs(X - want).max() <= 1e-10
 
 
 class TestProperties:
