@@ -364,7 +364,7 @@ def engine_config(cfg, args):
                      "newton_tol", "max_newton", "mode_budget", "mode_grad_tol",
                      "marginal_points", "marginal_span", "threads"}, "engine")
     ec = EngineConfig()
-    ec.threads = os.cpu_count() or 1  # results do not depend on the cap
+    # `threads` is accepted and has no effect: inference runs on the calling thread
     if cfg.get("threads") is not None:
         ec.threads = int(cfg["threads"])
     if sec.get("int_strategy") is not None:
@@ -582,7 +582,8 @@ def make_parser():
                        help="configuration file (repeatable for compare)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; inference runs on one thread")
         p.add_argument("--int-strategy", dest="int_strategy",
                        choices=["grid", "ccd", "eb"], default=None)
     return parser

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -66,6 +65,7 @@ class EngineConfig:
     mode_grad_tol: float = 1e-2
     marginal_points: int = 75
     marginal_span: float = 6.0
+    # accepted and unused: inference runs on the calling thread
     threads: int = 1
 
 
@@ -76,7 +76,8 @@ class GaussianApprox:
     `factor` is the Cholesky factor of `Q_star` = Q*(`theta`, `curvature`),
     with c = `curvature` the likelihood curvature -d2 log p(y | eta) at the
     mode `x_star`.  `factorizations` counts the factorizations of Q* made
-    while finding it.
+    while finding it.  `selinv` is the selected inverse of `factor` that a
+    theta-gradient left for the node at the mode, else None.
     """
 
     x_star: np.ndarray
@@ -90,15 +91,21 @@ class GaussianApprox:
     theta: np.ndarray = None
     curvature: np.ndarray = None
     factorizations: int = 0
+    selinv: SparseSymmetric = None
 
 
 @dataclass
 class ThetaNode:
-    """One integration node in hyperparameter space."""
+    """One integration node in hyperparameter space.
+
+    `quantities` holds the latent and predictor moments of the Gaussian
+    approximation at `theta` (see `Engine.node_quantities`).
+    """
 
     theta: np.ndarray
     log_post: float
     weight: float
+    quantities: dict = None
 
 
 # ------------------------------------------------------------------
@@ -289,6 +296,7 @@ class Engine:
         # Newton's warm start: one GaussianApprox (mode, factor and theta)
         self._warm = None
         self._lp_cache = {}   # theta bytes -> (log posterior, latent mode x*)
+        self._center = None   # (theta*, log posterior, node quantities) at the mode
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0}
         self._counts_lock = threading.Lock()
@@ -536,8 +544,7 @@ class Engine:
         restarts from its own cached mode instead, keeping the warm factor
         only when that sits at theta.  With `recenter` this evaluation's
         approximation becomes the warm start: the Hessian's probes and the
-        design nodes pass False, so all of them start from their center, and
-        so does the node stage, which must not write shared state.
+        design nodes pass False, so all of them start from their center.
         """
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
@@ -551,6 +558,10 @@ class Engine:
                 x_init = cached[1]
                 if start is not None and not np.array_equal(start.theta, theta):
                     start = None
+        if self._warm is not None:
+            # a theta-gradient's selected inverse is not held beside the
+            # factors of a new Newton iteration
+            self._warm.selinv = None
         Qp, rank, logdet_p, corr = self.model.prior_quantities(theta)
         approx = self.gaussian_approximation(theta, x_init=x_init, Qp=Qp, start=start)
         if recenter:
@@ -571,10 +582,6 @@ class Engine:
         if return_approx:
             return lp, approx
         return lp
-
-    def _probe(self, theta):
-        """log_posterior from the warm start, which it leaves in place."""
-        return self.log_posterior(theta, recenter=False)
 
     def _recenter(self, theta):
         """Make the approximation at theta the warm start of later evaluations."""
@@ -618,7 +625,8 @@ class Engine:
         * with constraints, +tr((M W)^-1 W' dQ* W) / 2, W = Q*^-1 M'.
 
         (Kristensen et al. 2016 differentiate the Laplace approximation
-        through the same sparse inverse subset.)
+        through the same sparse inverse subset.)  The selected inverse is left
+        on `approx.selinv`.
         """
         self._count("gradients")
         model = self.model
@@ -664,7 +672,7 @@ class Engine:
         dc = lik.curvature_slope(self.y_obs, eta, param)[:, None] * (self.A_obs @ dx) + dc_psi
         dq_star = dq + self._lik_map @ dc
         pos, weight = self._selinv_trace_weights()
-        S = selected_inverse(approx.factor)
+        S = approx.selinv = selected_inverse(approx.factor)
         grad -= 0.5 * ((weight * S.lower.data[pos]) @ dq_star)
         if self.n_constraints:
             AW = self.A_obs @ W
@@ -695,7 +703,9 @@ class Engine:
         self._selinv_trace_weights()
         theta_star, _, _ = _maximize(self.log_posterior, theta0, self._gradient_at,
                                      cfg.mode_budget, cfg.mode_grad_tol)
-        self._recenter(theta_star)
+        # the node at the mode reads the selected inverse of the last gradient
+        # and frees it, so that it is not held through the probes
+        self._center_node(theta_star)
         # H is the symmetrized central difference of analytic gradients, each
         # at a probe from the approximation at the mode
         h = cfg.fd_step_hess
@@ -715,21 +725,39 @@ class Engine:
             H = (V * w) @ V.T
         return theta_star, H
 
-    def _lp_or_neginf(self, theta):
-        try:
-            return self._probe(theta)
-        except _REJECTABLE:
-            return -np.inf
+    def _center_node(self, theta_star):
+        """(log posterior, node quantities) at theta_star, made the warm start.
+
+        Computed once per mode: the selected inverse that a theta-gradient
+        left on the warm start is read, then freed.
+        """
+        center = self._center
+        if center is None or not np.array_equal(center[0], theta_star):
+            self._recenter(theta_star)
+            lp = self.log_posterior(theta_star)
+            center = (theta_star.copy(), lp, self._node_quantities(lp, self._warm))
+            self._warm.selinv = None
+            self._center = center
+        return center[1], center[2]
 
     def explore(self, theta_star, H, strategy=None):
+        """Integration nodes, each with its log posterior and node quantities.
+
+        Every design point is one Gaussian approximation, started from the
+        one at theta_star; the node reads its quantities from it, and the
+        factor is dropped before the next point.  A design point is dropped
+        when its approximation fails or its log posterior is not finite, and
+        on the grid when it lies more than `log_drop` below the center (the
+        points that end the grid's axes included); counts["nodes_dropped"]
+        counts them.
+        """
         cfg = self.config
         strategy = strategy or cfg.int_strategy
         p = theta_star.size
+        self.counts.setdefault("nodes_dropped", 0)
+        lp0, q0 = self._center_node(theta_star)
         if p == 0 or strategy == "eb":
-            lp = self.log_posterior(theta_star)
-            return [ThetaNode(theta_star.copy(), lp, 1.0)]
-        # every design point starts from the approximation at the mode
-        self._recenter(theta_star)
+            return [ThetaNode(theta_star.copy(), lp0, 1.0, q0)]
 
         Sigma = np.linalg.inv(-H)
         Sigma = 0.5 * (Sigma + Sigma.T)
@@ -741,6 +769,25 @@ class Engine:
             if not z.any():
                 return theta_star.copy()
             return theta_star + scale @ (cfg.grid_step * z)
+
+        # theta bytes -> (log posterior, node quantities or None when dropped)
+        seen = {theta_star.tobytes(): (lp0, q0)}
+
+        def node_at(z, keep):
+            """The node at design point z, or None when keep(log posterior) is False."""
+            th = theta_of(z)
+            key = th.tobytes()
+            if key not in seen:
+                try:
+                    lp, approx = self.log_posterior(th, return_approx=True, recenter=False)
+                except _REJECTABLE:
+                    lp, approx = -np.inf, None
+                seen[key] = (lp, self._node_quantities(lp, approx) if keep(lp) else None)
+            lp, q = seen[key]
+            if q is None:
+                self._count("nodes_dropped")
+                return None
+            return ThetaNode(th, lp, 1.0, q)
 
         if strategy == "ccd":
             zs = [np.zeros(p)]
@@ -754,11 +801,12 @@ class Engine:
                     z = np.zeros(p)
                     z[j] = s * r
                     zs.append(z)
-            nodes = [ThetaNode(theta_of(z), self._lp_or_neginf(theta_of(z)), 1.0)
-                     for z in zs]
-            nodes = [nd for nd in nodes if np.isfinite(nd.log_post)]
+            nodes = [node_at(z, np.isfinite) for z in zs]
+            nodes = [nd for nd in nodes if nd is not None]
         elif strategy == "grid":
-            lp0 = self.log_posterior(theta_star)
+            def near(lp):
+                return lp0 - lp <= cfg.log_drop
+
             extents = []
             for j in range(p):
                 ext = []
@@ -767,7 +815,7 @@ class Engine:
                     while m < 20:
                         z = np.zeros(p)
                         z[j] = s * (m + 1)
-                        if lp0 - self._lp_or_neginf(theta_of(z)) > cfg.log_drop:
+                        if node_at(z, near) is None:
                             break
                         m += 1
                     ext.append(m)
@@ -779,10 +827,9 @@ class Engine:
             for z in candidates:
                 if len(nodes) >= cfg.max_grid_nodes:
                     break
-                th = theta_of(np.array(z, dtype=float))
-                lp = self._lp_or_neginf(th)
-                if lp0 - lp <= cfg.log_drop:
-                    nodes.append(ThetaNode(th, lp, 1.0))
+                nd = node_at(z, near)
+                if nd is not None:
+                    nodes.append(nd)
         else:
             raise ValueError(f"unknown int_strategy {strategy!r}")
         wgt = 1.0 / len(nodes)
@@ -796,8 +843,15 @@ class Engine:
         """Latent mean/sd and per-row predictor mean/sd at one theta node."""
         lp, approx = self.log_posterior(theta, return_approx=True, x_init=x_init,
                                         recenter=False)
+        return self._node_quantities(lp, approx)
+
+    def _node_quantities(self, lp, approx):
+        """`node_quantities` from the log posterior and Gaussian approximation at a node.
+
+        Reads the selected inverse that a theta-gradient left on `approx`, if any.
+        """
         factor = approx.factor
-        S = selected_inverse(factor)
+        S = approx.selinv if approx.selinv is not None else selected_inverse(factor)
         diag = S.diagonal()
         A = self.model.A
         var_rows = self._predictor_variances(S, factor)
@@ -822,7 +876,8 @@ class Engine:
     def _node_plan(self):
         """The predictor pair plan, built on first use.
 
-        `fit` builds it before the node stage starts its worker threads.
+        `fit` builds it before any factor is alive: it reads the
+        selected-inverse layout, whose build takes the most transient memory.
         """
         if self._pair_plan is None:
             self._pair_plan = self._build_pair_plan()
@@ -1047,8 +1102,7 @@ def marginal_likelihood(nodes, H):
 class FitResult:
     """Complete output of a fit: mode, nodes, marginals, summaries."""
 
-    def __init__(self, model, engine, theta_mode, H, nodes, node_data, mlik, timings,
-                 counts=None):
+    def __init__(self, model, engine, theta_mode, H, nodes, mlik, timings, counts=None):
         self.model = model
         self.engine = engine
         self.theta_mode = theta_mode
@@ -1064,6 +1118,7 @@ class FitResult:
         self.diagnostics = None
 
         self.weights = node_weights(nodes)
+        node_data = [nd.quantities for nd in nodes]
         self.latent_mean = np.stack([d["x_star"] for d in node_data])
         self.latent_sd = np.stack([d["latent_sd"] for d in node_data])
         self.pred_mean = np.stack([d["pred_mean"] for d in node_data])
@@ -1156,35 +1211,27 @@ class FitResult:
 
 
 def fit(model, config=None):
-    """Full inference pass: mode search, exploration, per-node marginals."""
+    """Full inference pass: mode search, then exploration, which gives the node moments."""
     t0 = time.perf_counter()
     engine = Engine(model, config)
-    cfg = engine.config
+    engine._node_plan()
     t1 = time.perf_counter()
 
     theta_star, H = engine.find_mode()
-    nodes = engine.explore(theta_star, H)
-
-    def one(node):
-        # exploration cached every node's latent mode: Newton restarts there
-        return engine.node_quantities(node.theta)
-
-    engine._node_plan()   # shared by the node workers, so built before them
-    if cfg.threads > 1 and len(nodes) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            node_data = list(ex.map(one, nodes))
-    else:
-        node_data = [one(nd) for nd in nodes]
     t2 = time.perf_counter()
+    nodes = engine.explore(theta_star, H)
+    t3 = time.perf_counter()
 
     mlik = marginal_likelihood(nodes, H)
-    result = FitResult(model, engine, theta_star, H, nodes, node_data, mlik,
+    result = FitResult(model, engine, theta_star, H, nodes, mlik,
                        timings={}, counts=dict(engine.counts))
-    t3 = time.perf_counter()
+    t4 = time.perf_counter()
     result.timings = {
         "preprocessing": t1 - t0,
-        "solving": t2 - t1,
-        "postprocessing": t3 - t2,
-        "total": t3 - t0,
+        "mode_search": t2 - t1,
+        "exploration": t3 - t2,
+        "solving": (t2 - t1) + (t3 - t2),
+        "postprocessing": t4 - t3,
+        "total": t4 - t0,
     }
     return result

@@ -375,11 +375,11 @@ class TestDeterminismAcrossThreads:
             run(["fit", "--config", str(cfg), "--out", str(out), "--threads", threads])
             log = json.loads((out / "runlog.json").read_text())
             assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations",
-                                          "gradients"}
+                                          "gradients", "nodes_dropped"}
             assert not set(log["counts"]) & set(log["timings"])
             counts.append(log["counts"])
         assert counts[0] == counts[1]
-        # the node stage alone evaluates every node once
+        # the mode search evaluates theta* and more, and exploration every other node
         assert counts[0]["theta_evals"] > log["nodes"]
         assert counts[0]["factorizations"] >= 1
         assert counts[0]["gradients"] >= 1

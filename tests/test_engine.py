@@ -649,7 +649,7 @@ class TestFit:
             assert np.all(np.diff(vals) >= 0)
 
     def test_node_quantities_hold_no_factor(self):
-        # fit keeps every node's dict until FitResult is built: no factor in them
+        # every node of a fit keeps its dict: no factor in them
         import laplgm.sparse as sps
         g = poisson_iid_model([1.0, 2.0, 0.0, 4.0])
         q = Engine(g).node_quantities(g.theta_initial())
@@ -660,8 +660,10 @@ class TestFit:
     def test_timings_recorded(self):
         g = poisson_iid_model([1.0, 2.0, 0.0])
         fit = eng.fit(g)
-        assert set(fit.timings) == {"preprocessing", "solving", "postprocessing", "total"}
+        assert set(fit.timings) == {"preprocessing", "mode_search", "exploration", "solving",
+                                    "postprocessing", "total"}
         assert fit.timings["total"] > 0
+        assert fit.timings["solving"] == fit.timings["mode_search"] + fit.timings["exploration"]
 
     def test_negative_binomial_fit(self):
         from laplgm.latent import LogGammaPrior
@@ -813,7 +815,7 @@ class TestFactorReuse:
         engine.log_posterior(center)
         for h in (1e-4, -1e-4, 1e-3):
             del count_factorizations[:]
-            engine._probe(center + h)
+            engine.log_posterior(center + h, recenter=False)
             assert len(count_factorizations) == 1
             # a probe leaves the warm start at its center
             assert np.array_equal(engine._warm.theta, center)
@@ -867,13 +869,13 @@ class TestFactorReuse:
         center = np.array([0.2])
         engine.log_posterior(center)
         th = center + step
-        warm = engine._probe(th)
+        warm = engine.log_posterior(th, recenter=False)
         engine._lp_cache.clear()
         cold = engine.log_posterior(th, x_init=np.zeros(g.n_latent))
         assert warm == pytest.approx(cold, abs=1e-8)
 
     def test_counts_under_threads(self):
-        # the node stage runs Gaussian approximations on worker threads: the
+        # Gaussian approximations run on several threads at once: the
         # engine's counts must lose no update
         g = self.rw1_model(PoissonLik(), fixed=False)
         engine = Engine(g)
@@ -898,6 +900,96 @@ class TestFactorReuse:
         assert fit.counts["factorizations"] == len(count_factorizations)
         assert fit.counts["theta_evals"] >= len(fit.nodes)
         assert fit.counts["newton_iterations"] >= 1
+
+
+class TestOnePass:
+    """Exploration reads each node's quantities from the approximation it made there."""
+
+    @staticmethod
+    def two_hyper_model(seed=2):
+        rng = np.random.default_rng(seed)
+        y = rng.poisson(2.0, 20).astype(float)
+        hy1 = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        hy2 = lm.log_precision_hyper("v.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        comps = [lm.IidComponent("u", 10, hy1), lm.IidComponent("v", 10, hy2)]
+        part = lm.StackPart(y, {"u": lm.index_block(rng.integers(0, 10, 20), 10),
+                                "v": lm.index_block(rng.integers(0, 10, 20), 10)}, "obs")
+        return lm.build_stack([part], comps, PoissonLik())
+
+    @pytest.mark.parametrize("strategy", ["ccd", "grid", "eb"])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_nodes_match_node_quantities(self, strategy, constrained):
+        # node_quantities(theta) makes the approximation at a node anew, from
+        # the mode cached there: the same factor, so the same moments
+        if constrained:
+            g = TestFactorReuse.rw1_model(PoissonLik(), fixed=False)
+        else:
+            g = poisson_iid_model(np.random.default_rng(9).poisson(2.0, 10).astype(float))
+        fit = eng.fit(g, EngineConfig(int_strategy=strategy))
+        assert len(fit.nodes) >= (1 if strategy == "eb" else 3)
+        for k, nd in enumerate(fit.nodes):
+            q = fit.engine.node_quantities(nd.theta)
+            for key, rows in (("x_star", fit.latent_mean), ("latent_sd", fit.latent_sd),
+                              ("pred_mean", fit.pred_mean), ("pred_sd", fit.pred_sd)):
+                assert np.max(np.abs(q[key] - rows[k])) <= 1e-12
+        if strategy == "grid":
+            # each axis of the grid ends at a point more than log_drop down
+            assert fit.counts["nodes_dropped"] >= 2
+        else:
+            assert fit.counts["nodes_dropped"] == 0
+
+    def test_each_design_node_evaluated_once(self, monkeypatch):
+        real_approx, real_find, real_selinv = (
+            Engine.gaussian_approximation, Engine.find_mode, eng.selected_inverse)
+        found, evaluated, selinv_calls = [], [], []
+
+        def approx(self, theta, *args, **kwargs):
+            if found:
+                evaluated.append(np.array(theta, dtype=float).tobytes())
+            return real_approx(self, theta, *args, **kwargs)
+
+        def find_mode(self, *args, **kwargs):
+            out = real_find(self, *args, **kwargs)
+            found.append(out[0].copy())
+            return out
+
+        def selinv(factor):
+            selinv_calls.append(1)
+            return real_selinv(factor)
+
+        monkeypatch.setattr(Engine, "gaussian_approximation", approx)
+        monkeypatch.setattr(Engine, "find_mode", find_mode)
+        monkeypatch.setattr(eng, "selected_inverse", selinv)
+        fit = eng.fit(self.two_hyper_model(), EngineConfig(int_strategy="ccd"))
+        assert len(fit.nodes) == 9
+        others = [nd.theta.tobytes() for nd in fit.nodes
+                  if not np.array_equal(nd.theta, found[0])]
+        assert len(others) == 8
+        # theta* reuses the approximation of the mode search; every other
+        # node is one Gaussian approximation, and nothing else is evaluated
+        assert sorted(evaluated) == sorted(others)
+        # the node at theta* reads the selected inverse of the last gradient
+        assert len(selinv_calls) == fit.counts["gradients"] + len(fit.nodes) - 1
+
+    def test_dropped_design_point_counted(self, monkeypatch):
+        from laplgm.errors import NonConvergence
+        engine = Engine(self.two_hyper_model())
+        ts, H = engine.find_mode()
+        real = Engine.log_posterior
+        failed = []
+
+        def flaky(self, theta, *args, **kwargs):
+            if not failed and not np.array_equal(theta, ts):
+                failed.append(np.array(theta, dtype=float))
+                raise NonConvergence(0)
+            return real(self, theta, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "log_posterior", flaky)
+        nodes = engine.explore(ts, H, "ccd")
+        assert engine.counts["nodes_dropped"] == 1
+        assert len(nodes) == 8
+        assert not any(np.array_equal(nd.theta, failed[0]) for nd in nodes)
+        assert all(nd.weight == pytest.approx(1.0 / 8.0) for nd in nodes)
 
 
 class TestStructuralPattern:
