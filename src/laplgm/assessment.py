@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataMismatch
 from .latent import SpdeMaternComponent, matern_range_variance
@@ -62,28 +61,36 @@ def _node_tensors(fit, model, with_cdf=False):
     return obs, y, llik, cdf, w
 
 
-def cpo_pit(fit, model):
-    """Leave-one-out predictive density and CDF without reestimation.
+def _logsumexp(a):
+    """log Σ exp(a) over axes (0, 2), with scipy.special.logsumexp's arithmetic.
 
-    cpo_i is the harmonic-mean identity evaluated on the node mixture;
-    pit_i replaces the reciprocal density by cdf/density.  failure_i is 1
-    when the inner expectation is non-finite, dominated by a single
-    quadrature contribution, or peaks on the outermost quadrature nodes
-    (the reciprocal integrand blowing up in the tail).
+    The entries equal to the maximum are taken out of the sum and counted
+    (m), and the result is log1p(s) + log(m) + max with s the sum of the
+    other exponentials over m.  A slice that is all -inf gives -inf.
     """
-    obs, y, llik, cdf, w = _node_tensors(fit, model, with_cdf=True)
+    a_max = np.max(a, axis=(0, 2), keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=(0, 2), keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore"):   # -inf - -inf on all -inf slices
+        e = np.exp(a - a_max)
+    e[at_max] = 0.0
+    s = np.sum(e, axis=(0, 2), keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[0, :, 0]
+
+
+def _cpo_pit(fit, llik, cdf, w):
     logw = np.log(fit.weights)[:, None, None] + np.log(w)[None, None, :]
     contrib = logw - llik
     # log E[1/lik]
-    log_inv = logsumexp(contrib, axis=(0, 2))
+    log_inv = _logsumexp(contrib)
     cpo = np.exp(-log_inv)
     with np.errstate(divide="ignore"):
-        log_num = logsumexp(contrib + np.log(np.clip(cdf, 0.0, None)), axis=(0, 2))
+        log_num = _logsumexp(contrib + np.log(np.clip(cdf, 0.0, None)))
     pit = np.clip(np.exp(log_num - log_inv), 0.0, 1.0)
 
     contrib_max = np.max(contrib, axis=(0, 2))
     share = np.exp(contrib_max - log_inv)
-    flat = contrib.transpose(1, 0, 2).reshape(obs.size, -1)
+    flat = contrib.transpose(1, 0, 2).reshape(llik.shape[1], -1)
     q_at_max = np.argmax(flat, axis=1) % GH_POINTS
     at_boundary = (q_at_max < 2) | (q_at_max >= GH_POINTS - 2)
     failure = ((~np.isfinite(log_inv)) | (share > FAILURE_SHARE)
@@ -91,9 +98,7 @@ def cpo_pit(fit, model):
     return cpo, pit, failure
 
 
-def dic(fit, model):
-    """Deviance information criterion and its effective parameter count."""
-    obs, y, llik, _, w = _node_tensors(fit, model)
+def _dic(fit, model, obs, y, llik, w):
     wmix = fit.weights[:, None, None] * w[None, None, :]
     dbar = -2.0 * float(np.sum(llik * wmix))
     param_mode = model.likelihood.param(model.values_from_theta(fit.theta_mode))
@@ -103,11 +108,9 @@ def dic(fit, model):
     return dbar + p_dic, p_dic
 
 
-def waic(fit, model):
-    """Widely applicable information criterion with its penalty."""
-    obs, y, llik, _, w = _node_tensors(fit, model)
+def _waic(fit, llik, w):
     logw = np.log(fit.weights)[:, None, None] + np.log(w)[None, None, :]
-    lppd_i = logsumexp(logw + llik, axis=(0, 2))
+    lppd_i = _logsumexp(logw + llik)
     wmix = np.exp(logw)
     e1 = np.sum(llik * wmix, axis=(0, 2))
     e2 = np.sum(llik**2 * wmix, axis=(0, 2))
@@ -115,13 +118,39 @@ def waic(fit, model):
     return float(-2.0 * (np.sum(lppd_i) - np.sum(p_i))), float(np.sum(p_i))
 
 
+def cpo_pit(fit, model):
+    """Leave-one-out predictive density and CDF without reestimation.
+
+    cpo_i is the harmonic-mean identity evaluated on the node mixture;
+    pit_i replaces the reciprocal density by cdf/density.  failure_i is 1
+    when the inner expectation is non-finite, dominated by a single
+    quadrature contribution, or peaks on the outermost quadrature nodes
+    (the reciprocal integrand blowing up in the tail).
+    """
+    _, _, llik, cdf, w = _node_tensors(fit, model, with_cdf=True)
+    return _cpo_pit(fit, llik, cdf, w)
+
+
+def dic(fit, model):
+    """Deviance information criterion and its effective parameter count."""
+    obs, y, llik, _, w = _node_tensors(fit, model)
+    return _dic(fit, model, obs, y, llik, w)
+
+
+def waic(fit, model):
+    """Widely applicable information criterion with its penalty."""
+    _, _, llik, _, w = _node_tensors(fit, model)
+    return _waic(fit, llik, w)
+
+
 def assess(fit, model):
-    """All diagnostics in one pass; also attached to the fit."""
-    cpo, pit, failure = cpo_pit(fit, model)
-    dic_val, p_dic = dic(fit, model)
-    waic_val, p_waic = waic(fit, model)
+    """All diagnostics from one likelihood tensor; also attached to the fit."""
+    obs, y, llik, cdf, w = _node_tensors(fit, model, with_cdf=True)
+    cpo, pit, failure = _cpo_pit(fit, llik, cdf, w)
+    dic_val, p_dic = _dic(fit, model, obs, y, llik, w)
+    waic_val, p_waic = _waic(fit, llik, w)
     diagnostics = Diagnostics(
-        index=np.flatnonzero(model.observed),
+        index=obs,
         cpo=cpo, pit=pit, failure=failure,
         dic=dic_val, p_dic=p_dic, waic=waic_val, p_waic=p_waic,
         mlik=fit.mlik,

@@ -456,7 +456,8 @@ def _run_fit(cfg, args, config_path):
 
 def _write_fit_outputs(bundle, result, out_dir, seed=None):
     model = bundle.model
-    header, rows = _summary_rows(result.fixed_summary())
+    fixed = result.fixed_summary()
+    header, rows = _summary_rows(fixed)
     write_csv(os.path.join(out_dir, "summary_fixed.csv"), "summary_fixed", header, rows)
     header, rows = _summary_rows(result.hyper_summary(scale="natural"))
     write_csv(os.path.join(out_dir, "summary_hyper.csv"), "summary_hyper", header, rows)
@@ -467,7 +468,7 @@ def _write_fit_outputs(bundle, result, out_dir, seed=None):
         m = result.hyper_marginal(h.name, scale="natural")
         write_csv(os.path.join(mdir, f"hyper_{h.name}.csv"), "marginal",
                   ["grid", "density"], list(zip(m.grid, m.density)))
-    for name, _ in result.fixed_summary().items():
+    for name in fixed:
         idx = model.col_offsets[name][0]
         m = result.latent_marginal(idx)
         write_csv(os.path.join(mdir, f"fixed_{name}.csv"), "marginal",

@@ -71,13 +71,44 @@ def emarginal(fun, m):
     return float(np.trapezoid(fun(m.grid) * m.density, m.grid))
 
 
+def _simpson_cells(y, dx):
+    # integral over the first cell of each triple from the quadratic through
+    # its three points (Cartwright's unequal-interval Simpson formula)
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative composite Simpson integral of y over x, starting at 0.
+
+    The rule and its arithmetic are those of
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``: even cells
+    come from their left-hand triple, odd cells and the last cell from their
+    right-hand triple, and fewer than three points fall back to the
+    trapezoid rule.
+    """
+    dx = np.diff(x)
+    if y.size < 3:
+        cells = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        left = _simpson_cells(y, dx)
+        right = _simpson_cells(y[::-1], dx[::-1])[::-1]
+        cells = np.empty(dx.size)
+        cells[:-1:2] = left[::2]
+        cells[1::2] = right[::2]
+        cells[-1] = right[-1]
+    return np.concatenate(([0.0], np.cumsum(cells)))
+
+
 def _cdf_knots(m):
     # cumulative Simpson integral at the grid points (the trapezoid rule's
     # O(h^2) end-point bias is visible in tail quantiles)
-    from scipy.integrate import cumulative_simpson
-
-    cdf = cumulative_simpson(m.density, x=m.grid, initial=0.0)
-    cdf = np.maximum.accumulate(cdf)
+    cdf = np.maximum.accumulate(_cumulative_simpson(m.density, m.grid))
     return cdf / cdf[-1]
 
 

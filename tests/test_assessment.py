@@ -244,3 +244,60 @@ class TestAssessAndCompare:
         f1, f2 = eng.fit(m1), eng.fit(m2)
         with pytest.raises(DataMismatch):
             ass.compare([("a", f1, m1), ("b", f2, m2)])
+
+
+class TestLogSumExp:
+    """The numpy log-sum-exp against scipy.special.logsumexp, bit for bit."""
+
+    def test_equals_scipy(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            a = rng.normal(0.0, 20.0, (7, 40, ass.GH_POINTS))
+            a[:, ::3] = np.round(a[:, ::3])              # ties at the maximum
+            a[0, ::4, 0] = a[-1, ::4, -1] = 50.0
+            a[:, 2::5] += 800.0                         # exp would overflow unshifted
+            a[:, 1::6, :4] = -np.inf
+            with np.errstate(divide="ignore"):
+                want = logsumexp(a, axis=(0, 2))
+            got = ass._logsumexp(a)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_all_minus_inf_slice_without_warning(self):
+        a = np.random.default_rng(3).normal(size=(4, 6, ass.GH_POINTS))
+        a[:, [1, 4]] = -np.inf
+        got = ass._logsumexp(a)                          # RuntimeWarning is an error here
+        assert np.all(got[[1, 4]] == -np.inf)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(got, logsumexp(a, axis=(0, 2)))
+
+
+def poisson_toy_model(seed=9):
+    build, y = poisson_toy(seed=seed)
+    return build(y)
+
+
+def gaussian_free_precision_toy(seed=12, n=24, cells=6):
+    rng = np.random.default_rng(seed)
+    cell = np.repeat(np.arange(cells), n // cells)
+    y = rng.normal(0.5, 0.7, cells)[cell] + rng.normal(0.0, 0.5, n)
+    lik = GaussianLik(lm.log_precision_hyper("obs.prec", 4.0, prior=GaussianPrior(1.0, 0.5)))
+    hy = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+    part = lm.StackPart(y, {"mu": np.ones(n), "u": lm.index_block(cell, cells)}, "obs")
+    return lm.build_stack([part], [lm.FixedEffect("mu"), lm.IidComponent("u", cells, hy)], lik)
+
+
+class TestAssessOnePass:
+    @pytest.mark.parametrize("make_model", [poisson_toy_model, gaussian_free_precision_toy],
+                             ids=["poisson", "gaussian"])
+    def test_equals_separate_calls(self, make_model):
+        model = make_model()
+        fit = eng.fit(model, EngineConfig(int_strategy="ccd"))
+        assert len(fit.nodes) > 1
+        d = ass.assess(fit, model)
+        cpo, pit, failure = ass.cpo_pit(fit, model)
+        for got, want in ((d.cpo, cpo), (d.pit, pit), (d.failure, failure)):
+            assert np.array_equal(got, want)
+        assert (d.dic, d.p_dic) == ass.dic(fit, model)
+        assert (d.waic, d.p_waic) == ass.waic(fit, model)
+        assert np.array_equal(d.index, np.flatnonzero(model.observed))

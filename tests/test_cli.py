@@ -565,3 +565,29 @@ class TestModelBuilding:
         assert err.startswith("error:")
         for name in ("n = 75", "w = ", "nb = "):
             assert name in err
+
+
+class TestImportFootprint:
+    def test_assess_loads_no_integrate_or_optimize(self, tmp_path):
+        # a fresh interpreter, so that no other test's imports count
+        import subprocess
+        import sys
+        path = tmp_path / "fit.cfg"
+        path.write_text(SPDE_CONFIG.format(data=_small_data(tmp_path), prior=""))
+        out = tmp_path / "out"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import laplgm.cli as cli\n"
+            f"code = cli.main(['assess', '--config', {str(path)!r}, '--out', {str(out)!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                               if m.startswith(('scipy.integrate', 'scipy.optimize')))]))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        with open(out / "runlog.json") as fh:
+            assert len(json.load(fh)["theta_mode"]) >= 2
+        assert loaded == []

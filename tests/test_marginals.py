@@ -103,3 +103,48 @@ class TestMixture:
         w = np.array([0.25, 0.75])
         m = mg.mixture_marginal(means, sds, w, points=401, span=8.0)
         assert mg.emarginal(lambda x: x, m) == pytest.approx(w @ means, abs=1e-6)
+
+
+class TestCumulativeSimpson:
+    """The numpy rule against scipy.integrate.cumulative_simpson, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 75, 76])
+    @pytest.mark.parametrize("grid", ["linspace", "random"])
+    def test_equals_scipy(self, n, grid):
+        from scipy.integrate import cumulative_simpson
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            if grid == "linspace":
+                x = np.linspace(-2.0, 3.5, n)
+            else:
+                x = np.sort(rng.uniform(-2.0, 3.5, n))
+            y = rng.uniform(-0.5, 2.0, n)
+            got = mg._cumulative_simpson(y, x)
+            want = cumulative_simpson(y, x=x, initial=0.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_two_point_marginal_reaches_cdf(self):
+        # a transformed marginal can keep as few as two grid points
+        m = mg.MarginalDensity(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+        assert np.array_equal(mg._cdf_knots(m), [0.0, 1.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: standard_normal_grid(0.3, 1.7),
+        lambda: mg.mixture_marginal(np.array([-1.0, 2.0]), np.array([0.3, 0.6]),
+                                    np.array([0.25, 0.75])),
+        lambda: mg.transform_marginal(standard_normal_grid(0.0, 0.4), np.exp, np.exp),
+    ])
+    def test_quantiles_equal_scipy_rule(self, make, monkeypatch):
+        from scipy.integrate import cumulative_simpson
+        m = make()
+        got_q = mg.qmarginal(np.array([0.01, 0.3, 0.5, 0.9]), m)
+        got_z = mg.zmarginal(m)
+
+        def scipy_knots(md):
+            cdf = np.maximum.accumulate(cumulative_simpson(md.density, x=md.grid, initial=0.0))
+            return cdf / cdf[-1]
+
+        monkeypatch.setattr(mg, "_cdf_knots", scipy_knots)
+        assert np.array_equal(got_q, mg.qmarginal(np.array([0.01, 0.3, 0.5, 0.9]), m))
+        assert got_z == mg.zmarginal(m)
