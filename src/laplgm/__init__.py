@@ -14,15 +14,10 @@ from .engine import (
     FitResult,
     GaussianApprox,
     ThetaNode,
-    explore_theta,
-    find_mode_theta,
     fit,
-    gaussian_approximation,
     hyper_marginals,
     laplace_integral,
-    latent_marginals,
     linear_combination_marginals,
-    log_posterior_theta,
     marginal_likelihood,
 )
 from .latent import (

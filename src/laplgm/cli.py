@@ -363,22 +363,19 @@ def engine_config(cfg, args):
     check_keys(sec, {"int_strategy", "grid_step", "log_drop", "max_grid_nodes",
                      "newton_tol", "max_newton", "mode_budget", "mode_grad_tol",
                      "marginal_points", "marginal_span", "threads"}, "engine")
+    # `threads` (top level, engine section or --threads) is accepted and
+    # ignored: inference runs on the calling thread
     ec = EngineConfig()
-    # `threads` is accepted and has no effect: inference runs on the calling thread
-    if cfg.get("threads") is not None:
-        ec.threads = int(cfg["threads"])
     if sec.get("int_strategy") is not None:
         ec.int_strategy = str(sec["int_strategy"])
     for key in ("grid_step", "log_drop", "newton_tol", "mode_grad_tol", "marginal_span"):
         if sec.get(key) is not None:
             setattr(ec, key, float(sec[key]))
-    for key in ("max_grid_nodes", "max_newton", "mode_budget", "marginal_points", "threads"):
+    for key in ("max_grid_nodes", "max_newton", "mode_budget", "marginal_points"):
         if sec.get(key) is not None:
             setattr(ec, key, int(sec[key]))
     if getattr(args, "int_strategy", None):
         ec.int_strategy = args.int_strategy
-    if getattr(args, "threads", None):
-        ec.threads = args.threads
     return ec
 
 

@@ -66,6 +66,7 @@ class EngineConfig:
     marginal_points: int = 75
     marginal_span: float = 6.0
     # accepted and unused: inference runs on the calling thread
+    # (bench/workloads.py passes it)
     threads: int = 1
 
 
@@ -76,8 +77,7 @@ class GaussianApprox:
     `factor` is the Cholesky factor of `Q_star` = Q*(`theta`, `curvature`),
     with c = `curvature` the likelihood curvature -d2 log p(y | eta) at the
     mode `x_star`.  `factorizations` counts the factorizations of Q* made
-    while finding it.  `selinv` is the selected inverse of `factor` that a
-    theta-gradient left for the node at the mode, else None.
+    while finding it.
     """
 
     x_star: np.ndarray
@@ -91,7 +91,6 @@ class GaussianApprox:
     theta: np.ndarray = None
     curvature: np.ndarray = None
     factorizations: int = 0
-    selinv: SparseSymmetric = None
 
 
 @dataclass
@@ -141,15 +140,23 @@ def laplace_integral(g, x0, hess_step=1e-4):
                                   options={"gtol": 1e-10, "maxiter": 500})
     x_star = res.x
     H = _fd_hessian(g, x_star, hess_step)
-    negH = -(0.5 * (H + H.T))
+    return _laplace_evidence(float(g(x_star)), 0.5 * (H + H.T)), x_star, H
+
+
+def _laplace_evidence(log_peak, H):
+    """log of exp(log_peak) (2 pi)^(p/2) |-H|^(-1/2), the Laplace integral at a mode.
+
+    Raises ModeSearchFailed unless H is negative definite, which the
+    Cholesky factor of -H tests.
+    """
+    p = H.shape[0]
+    if p == 0:
+        return float(log_peak)
     try:
-        c = np.linalg.cholesky(negH)
+        c = np.linalg.cholesky(-H)
     except np.linalg.LinAlgError as exc:
-        raise ModeSearchFailed(f"Hessian not negative definite at mode: {exc}") from exc
-    d = x_star.size
-    logdet_negH = 2.0 * float(np.sum(np.log(np.diag(c))))
-    value = 0.5 * d * LOG_2PI - 0.5 * logdet_negH + float(g(x_star))
-    return value, x_star, H
+        raise ModeSearchFailed(f"Hessian not negative definite at the mode: {exc}") from exc
+    return float(log_peak + 0.5 * p * LOG_2PI - np.sum(np.log(np.diag(c))))
 
 
 # ------------------------------------------------------------------
@@ -291,12 +298,9 @@ class Engine:
         full = (lower + sp.tril(lower, k=-1).T).tocsc()
         self.perm = self._choose_permutation(full)
         self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
+        # built on first use: with `counts`, the only engine state a fit changes
         self._pair_plan = None
         self._trace_plan = None
-        # Newton's warm start: one GaussianApprox (mode, factor and theta)
-        self._warm = None
-        self._lp_cache = {}   # theta bytes -> (log posterior, latent mode x*)
-        self._center = None   # (theta*, log posterior, node quantities) at the mode
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0}
         self._counts_lock = threading.Lock()
@@ -535,37 +539,17 @@ class Engine:
         return dataclasses.replace(F, x_star=x, iterations=iterations, converged=True,
                                    factorizations=factorizations)
 
-    def log_posterior(self, theta, return_approx=False, x_init=None, recenter=True):
+    def log_posterior(self, theta, start=None, x_init=None, return_approx=False):
         """Unnormalized log posterior density of the hyperparameters.
 
-        Newton starts from `x_init` when given, with no factor.  Otherwise it
-        starts from the warm start, the approximation of the last evaluation
-        made with `recenter` (its mode and factor); a theta seen before
-        restarts from its own cached mode instead, keeping the warm factor
-        only when that sits at theta.  With `recenter` this evaluation's
-        approximation becomes the warm start: the Hessian's probes and the
-        design nodes pass False, so all of them start from their center.
+        One Laplace approximation at theta, a function of theta and of where
+        Newton starts: from `start` (a GaussianApprox, possibly at another
+        theta, whose mode and factor it reuses), else from `x_init` with no
+        factor, else from zeros.  No earlier evaluation enters the value.
         """
         theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        cached = self._lp_cache.get(key)
-        if cached is not None and not return_approx:
-            return cached[0]
-        start = None
-        if x_init is None:
-            start = self._warm
-            if cached is not None:
-                x_init = cached[1]
-                if start is not None and not np.array_equal(start.theta, theta):
-                    start = None
-        if self._warm is not None:
-            # a theta-gradient's selected inverse is not held beside the
-            # factors of a new Newton iteration
-            self._warm.selinv = None
         Qp, rank, logdet_p, corr = self.model.prior_quantities(theta)
         approx = self.gaussian_approximation(theta, x_init=x_init, Qp=Qp, start=start)
-        if recenter:
-            self._warm = approx
         x = approx.x_star
         param = self._lik_param(theta)
         ll = float(np.sum(self.model.likelihood.log_lik(self.y_obs, self.A_obs @ x, param)))
@@ -576,17 +560,9 @@ class Engine:
         lp += 0.5 * (self.n - k) * LOG_2PI - 0.5 * approx.factor.logdet \
             - 0.5 * approx.constraint_logdet
         lp = float(lp)
-        # the first value computed at theta stays, so later calls do not
-        # depend on which warm start a re-evaluation used
-        self._lp_cache.setdefault(key, (lp, x))
         if return_approx:
             return lp, approx
         return lp
-
-    def _recenter(self, theta):
-        """Make the approximation at theta the warm start of later evaluations."""
-        if self._warm is None or not np.array_equal(self._warm.theta, theta):
-            self.log_posterior(theta, return_approx=True)
 
     # -- theta-gradient ------------------------------------------------
 
@@ -605,13 +581,14 @@ class Engine:
             self._trace_plan = (pos, np.where(P.indices == cols, 1.0, 2.0))
         return self._trace_plan
 
-    def log_posterior_gradient(self, approx):
+    def log_posterior_gradient(self, approx, S=None):
         """Gradient in theta of `log_posterior`, from the approximation at theta.
 
         `approx` is the Gaussian approximation at `approx.theta`, with its
-        factor at the mode.  No Newton iteration runs: the gradient takes one
-        selected inverse, one solve with p right-hand sides, and central
-        differences (step PRIOR_DIFF_STEP) of the terms that hold x* fixed:
+        factor at the mode, and `S` the selected inverse of that factor,
+        computed here when not given.  No Newton iteration runs: the gradient
+        takes one selected inverse, one solve with p right-hand sides, and
+        central differences (step PRIOR_DIFF_STEP) of the terms that hold x* fixed:
         the prior quantities and the likelihood at eta* as functions of its
         hyperparameter psi.  For each theta_j, with dQ = dQ/dtheta_j:
 
@@ -625,8 +602,7 @@ class Engine:
         * with constraints, +tr((M W)^-1 W' dQ* W) / 2, W = Q*^-1 M'.
 
         (Kristensen et al. 2016 differentiate the Laplace approximation
-        through the same sparse inverse subset.)  The selected inverse is left
-        on `approx.selinv`.
+        through the same sparse inverse subset.)
         """
         self._count("gradients")
         model = self.model
@@ -672,7 +648,8 @@ class Engine:
         dc = lik.curvature_slope(self.y_obs, eta, param)[:, None] * (self.A_obs @ dx) + dc_psi
         dq_star = dq + self._lik_map @ dc
         pos, weight = self._selinv_trace_weights()
-        S = approx.selinv = selected_inverse(approx.factor)
+        if S is None:
+            S = selected_inverse(approx.factor)
         grad -= 0.5 * ((weight * S.lower.data[pos]) @ dq_star)
         if self.n_constraints:
             AW = self.A_obs @ W
@@ -682,30 +659,57 @@ class Engine:
                     scipy.linalg.cho_solve(approx.constraint_cho, WdW)))
         return grad
 
-    def _gradient_at(self, theta):
-        """`log_posterior_gradient` at theta, reading the warm start when it sits there."""
-        approx = self._warm
-        if approx is None or not np.array_equal(approx.theta, theta):
-            _, approx = self.log_posterior(theta, return_approx=True)
-        return self.log_posterior_gradient(approx)
-
     # -- mode and exploration ----------------------------------------
 
     def find_mode(self, theta_init=None):
+        """The mode theta* of log pi(theta | y), the Hessian there, and the center.
+
+        BFGS starts the Newton iteration at each theta from the approximation
+        it evaluated last, accepted by the line search or not, and takes the
+        theta-gradient from the approximation at each accepted point.  The
+        center is (log posterior, node quantities, approximation) at theta*:
+        the Hessian's probes start from its approximation, and `explore`
+        takes it for the node at theta* and as the start of every design
+        point.  With no free hyperparameter there is no center (None).
+        """
         model = self.model
         p = len(model.free_hyperparams())
         if p == 0:
-            return np.zeros(0), np.zeros((0, 0))
+            return np.zeros(0), np.zeros((0, 0)), None
         cfg = self.config
         theta0 = model.theta_initial() if theta_init is None else np.asarray(theta_init, float)
         # built before any factor is alive: building the selected-inverse
         # layout takes more transient memory than any other step of a fit
         self._selinv_trace_weights()
-        theta_star, _, _ = _maximize(self.log_posterior, theta0, self._gradient_at,
-                                     cfg.mode_budget, cfg.mode_grad_tol)
-        # the node at the mode reads the selected inverse of the last gradient
-        # and frees it, so that it is not held through the probes
-        self._center_node(theta_star)
+        last = None       # the approximation evaluated last
+        S = None          # the selected inverse of the last gradient's factor
+        x_accepted = None  # the latent mode at the last accepted point
+
+        def f(theta):
+            nonlocal last, S
+            # a gradient's selected inverse is not held beside the factors
+            # of a new Newton iteration
+            S = None
+            lp, last = self.log_posterior(theta, start=last, return_approx=True)
+            return lp
+
+        def grad(theta):
+            # _maximize asks for the gradient at the point it evaluated last
+            nonlocal S, x_accepted
+            S = selected_inverse(last.factor)
+            x_accepted = last.x_star
+            return self.log_posterior_gradient(last, S)
+
+        theta_star, lp_star, _ = _maximize(f, theta0, grad, cfg.mode_budget,
+                                           cfg.mode_grad_tol)
+        approx = last
+        if not np.array_equal(approx.theta, theta_star):
+            # the line search ended on a rejected trial: restart at the mode
+            approx = self.log_posterior(theta_star, x_init=x_accepted, return_approx=True)[1]
+        # the node at the mode reads the selected inverse of the last gradient,
+        # which is then freed, so that it is not held through the probes
+        center = (lp_star, self._node_quantities(lp_star, approx, S), approx)
+        S = None
         # H is the symmetrized central difference of analytic gradients, each
         # at a probe from the approximation at the mode
         h = cfg.fd_step_hess
@@ -714,7 +718,7 @@ class Engine:
             step = np.zeros(p)
             step[j] = h
             g_up, g_dn = (self.log_posterior_gradient(
-                self.log_posterior(th, return_approx=True, recenter=False)[1])
+                self.log_posterior(th, start=approx, return_approx=True)[1])
                 for th in (theta_star + step, theta_star - step))
             H[:, j] = (g_up - g_dn) / (2.0 * h)
         H = 0.5 * (H + H.T)
@@ -723,39 +727,28 @@ class Engine:
         if np.any(w > floor):
             w = np.minimum(w, floor)
             H = (V * w) @ V.T
-        return theta_star, H
+        return theta_star, H, center
 
-    def _center_node(self, theta_star):
-        """(log posterior, node quantities) at theta_star, made the warm start.
-
-        Computed once per mode: the selected inverse that a theta-gradient
-        left on the warm start is read, then freed.
-        """
-        center = self._center
-        if center is None or not np.array_equal(center[0], theta_star):
-            self._recenter(theta_star)
-            lp = self.log_posterior(theta_star)
-            center = (theta_star.copy(), lp, self._node_quantities(lp, self._warm))
-            self._warm.selinv = None
-            self._center = center
-        return center[1], center[2]
-
-    def explore(self, theta_star, H, strategy=None):
+    def explore(self, theta_star, H, strategy=None, center=None):
         """Integration nodes, each with its log posterior and node quantities.
 
-        Every design point is one Gaussian approximation, started from the
-        one at theta_star; the node reads its quantities from it, and the
-        factor is dropped before the next point.  A design point is dropped
-        when its approximation fails or its log posterior is not finite, and
-        on the grid when it lies more than `log_drop` below the center (the
-        points that end the grid's axes included); counts["nodes_dropped"]
-        counts them.
+        `center` is the one `find_mode` returns; without it theta* is
+        evaluated from a cold start.  Every design point is one Gaussian
+        approximation, started from the center's; the node reads its
+        quantities from it, and the factor is dropped before the next point.
+        A design point is dropped when its approximation fails or its log
+        posterior is not finite, and on the grid when it lies more than
+        `log_drop` below the center (the points that end the grid's axes
+        included); counts["nodes_dropped"] counts them.
         """
         cfg = self.config
         strategy = strategy or cfg.int_strategy
         p = theta_star.size
         self.counts.setdefault("nodes_dropped", 0)
-        lp0, q0 = self._center_node(theta_star)
+        if center is None:
+            lp0, approx0 = self.log_posterior(theta_star, return_approx=True)
+            center = (lp0, self._node_quantities(lp0, approx0), approx0)
+        lp0, q0, approx0 = center
         if p == 0 or strategy == "eb":
             return [ThetaNode(theta_star.copy(), lp0, 1.0, q0)]
 
@@ -779,7 +772,7 @@ class Engine:
             key = th.tobytes()
             if key not in seen:
                 try:
-                    lp, approx = self.log_posterior(th, return_approx=True, recenter=False)
+                    lp, approx = self.log_posterior(th, start=approx0, return_approx=True)
                 except _REJECTABLE:
                     lp, approx = -np.inf, None
                 seen[key] = (lp, self._node_quantities(lp, approx) if keep(lp) else None)
@@ -841,17 +834,17 @@ class Engine:
 
     def node_quantities(self, theta, x_init=None):
         """Latent mean/sd and per-row predictor mean/sd at one theta node."""
-        lp, approx = self.log_posterior(theta, return_approx=True, x_init=x_init,
-                                        recenter=False)
+        lp, approx = self.log_posterior(theta, x_init=x_init, return_approx=True)
         return self._node_quantities(lp, approx)
 
-    def _node_quantities(self, lp, approx):
+    def _node_quantities(self, lp, approx, S=None):
         """`node_quantities` from the log posterior and Gaussian approximation at a node.
 
-        Reads the selected inverse that a theta-gradient left on `approx`, if any.
+        `S` is the selected inverse of `approx.factor`, computed here when not given.
         """
         factor = approx.factor
-        S = approx.selinv if approx.selinv is not None else selected_inverse(factor)
+        if S is None:
+            S = selected_inverse(factor)
         diag = S.diagonal()
         A = self.model.A
         var_rows = self._predictor_variances(S, factor)
@@ -1034,44 +1027,19 @@ def hyper_lincomb_marginal(nodes, v, offset, theta_star, H, points=75, span=6.0)
 
 
 # ------------------------------------------------------------------
-# module-level operations (convenience wrappers over Engine)
-
-def gaussian_approximation(model, theta, x_init=None, config=None):
-    return Engine(model, config).gaussian_approximation(theta, x_init=x_init)
-
-
-def log_posterior_theta(model, theta, config=None):
-    return Engine(model, config).log_posterior(theta)
-
-
-def find_mode_theta(model, theta_init=None, config=None):
-    return Engine(model, config).find_mode(theta_init)
-
-
-def explore_theta(model, theta_star, H, strategy=None, config=None):
-    return Engine(model, config).explore(np.asarray(theta_star, float), H, strategy)
-
-
-def latent_marginals(model, nodes, config=None):
-    """Mixture-of-Gaussians marginal density for every latent index."""
-    eng = Engine(model, config)
-    quants = [eng.node_quantities(nd.theta) for nd in nodes]
-    w = node_weights(nodes)
-    means = np.stack([q["x_star"] for q in quants])
-    sds = np.stack([q["latent_sd"] for q in quants])
-    cfg = eng.config
-    return [mixture_marginal(means[:, i], sds[:, i], w,
-                             cfg.marginal_points, cfg.marginal_span)
-            for i in range(model.n_latent)]
-
+# linear combinations of the latent field
 
 def linear_combination_marginals(model, nodes, B, config=None):
-    """Marginal densities of linear combinations B x of the latent field."""
+    """Marginal densities of linear combinations B x of the latent field.
+
+    Each node's Newton iteration starts from the previous node's approximation.
+    """
     eng = Engine(model, config)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     means, variances = [], []
+    approx = None
     for nd in nodes:
-        _, approx = eng.log_posterior(nd.theta, return_approx=True)
+        _, approx = eng.log_posterior(nd.theta, start=approx, return_approx=True)
         m, v = eng.lincomb_node_moments(approx, B)
         means.append(m)
         variances.append(v)
@@ -1086,14 +1054,7 @@ def linear_combination_marginals(model, nodes, B, config=None):
 
 def marginal_likelihood(nodes, H):
     """Laplace estimate of the log model evidence from mode-centered nodes."""
-    lp = max(nd.log_post for nd in nodes)
-    p = H.shape[0]
-    if p == 0:
-        return float(lp)
-    sign, logdet_negH = np.linalg.slogdet(-H)
-    if sign <= 0:
-        raise ModeSearchFailed("Hessian not negative definite")
-    return float(lp + 0.5 * p * LOG_2PI - 0.5 * logdet_negH)
+    return _laplace_evidence(max(nd.log_post for nd in nodes), H)
 
 
 # ------------------------------------------------------------------
@@ -1217,9 +1178,9 @@ def fit(model, config=None):
     engine._node_plan()
     t1 = time.perf_counter()
 
-    theta_star, H = engine.find_mode()
+    theta_star, H, center = engine.find_mode()
     t2 = time.perf_counter()
-    nodes = engine.explore(theta_star, H)
+    nodes = engine.explore(theta_star, H, center=center)
     t3 = time.perf_counter()
 
     mlik = marginal_likelihood(nodes, H)

@@ -67,8 +67,8 @@ def test_criterion_2_hyper_marginal_oracle():
 
     cfg = EngineConfig(int_strategy="grid", log_drop=5.0)
     engine = eng.Engine(model, cfg)
-    ts, H = engine.find_mode()
-    nodes = engine.explore(ts, H)
+    ts, H, center = engine.find_mode()
+    nodes = engine.explore(ts, H, center=center)
     m = eng.hyper_marginals(nodes, 0, ts, H)
 
     gh_t, gh_w = np.polynomial.hermite.hermgauss(40)

@@ -102,7 +102,7 @@ class TestGaussianApproximation:
         part = lm.StackPart(y, {"mu": np.ones(nobs), "u": lm.index_block(idx, n)}, "obs")
         g = lm.build_stack([part, ],
                            [lm.FixedEffect("mu"), lm.IidComponent("u", n, hy)], lik)
-        ap = eng.gaussian_approximation(g, np.zeros(0))
+        ap = Engine(g).gaussian_approximation(np.zeros(0))
         assert ap.iterations == 1
         assert ap.converged
         A = g.A.toarray()
@@ -112,7 +112,7 @@ class TestGaussianApproximation:
 
     def test_scalar_poisson_root_oracle(self):
         g = poisson_iid_model([2.0], fixed=True)
-        ap = eng.gaussian_approximation(g, np.zeros(0))
+        ap = Engine(g).gaussian_approximation(np.zeros(0))
         root = brentq(lambda x: 2.0 - np.exp(x) - x, -5, 5, xtol=1e-14)
         assert ap.x_star[0] == pytest.approx(root, abs=1e-8)
         assert ap.Q_star.to_dense()[0, 0] == pytest.approx(1.0 + np.exp(root), abs=1e-8)
@@ -124,7 +124,7 @@ class TestGaussianApproximation:
         y = rng.poisson(2.0, 18).astype(float)
         part = lm.StackPart(y, {"f": lm.index_block(rng.integers(0, 6, 18), 6)}, "obs")
         g = lm.build_stack([part], comps, PoissonLik())
-        ap = eng.gaussian_approximation(g, np.zeros(0))
+        ap = Engine(g).gaussian_approximation(np.zeros(0))
         assert abs(ap.x_star.sum()) <= 1e-10
 
     def test_mode_gradient_invariant(self):
@@ -162,8 +162,8 @@ class TestLogPosteriorTheta:
         part = lm.StackPart(np.asarray(y), {"u": lm.index_block(perm, 6)}, "obs")
         g2 = lm.build_stack([part], [lm.IidComponent("u", 6, hy)], PoissonLik())
         th = np.array([0.3])
-        assert eng.log_posterior_theta(g1, th) == pytest.approx(
-            eng.log_posterior_theta(g2, th), abs=1e-10)
+        assert Engine(g1).log_posterior(th) == pytest.approx(
+            Engine(g2).log_posterior(th), abs=1e-10)
 
     def test_poisson_quadrature_oracle(self):
         y = np.array([2.0, 4.0, 3.0])
@@ -194,7 +194,6 @@ class TestLogPosteriorTheta:
         th = np.array([0.1])
         base = engine.log_posterior(th, return_approx=True)[0]
         for s in (0, 1, 2):
-            engine._lp_cache.clear()
             x0 = rng.normal(0, 2.0, g.n_latent) if s else np.zeros(g.n_latent)
             val = engine.log_posterior(th, return_approx=True, x_init=x0)[0]
             assert val == pytest.approx(base, abs=1e-8)
@@ -332,7 +331,7 @@ class TestThetaGradient:
     def test_mode_hessian_against_tight_reference(self, model):
         g = getattr(self, model)()
         engine = Engine(g)
-        theta_star, H = engine.find_mode()
+        theta_star, H, _ = engine.find_mode()
         p = theta_star.size
         # one gradient per accepted BFGS point and 2p for the Hessian
         assert engine.counts["gradients"] >= 2 * p + 1
@@ -346,7 +345,7 @@ class TestFindMode:
     def test_conjugate_mode_matches_golden_section(self):
         g, idx, y, pp = conjugate_model()
         oracle = conjugate_logpost(g, idx, y, pp)
-        theta_star, H = eng.find_mode_theta(g)
+        theta_star, H, _ = Engine(g).find_mode()
         res = minimize_scalar(lambda t: -oracle(t), bounds=(-3, 3), method="bounded",
                               options={"xatol": 1e-10})
         assert theta_star[0] == pytest.approx(res.x, abs=1e-3)
@@ -370,9 +369,10 @@ class TestFindMode:
 
     def test_zero_hyper_degenerates(self):
         g = poisson_iid_model([1.0, 2.0], fixed=True)
-        theta_star, H = eng.find_mode_theta(g)
-        assert theta_star.size == 0
-        nodes = eng.explore_theta(g, theta_star, H, "eb")
+        engine = Engine(g)
+        theta_star, H, center = engine.find_mode()
+        assert theta_star.size == 0 and center is None
+        nodes = engine.explore(theta_star, H, "eb", center)
         assert len(nodes) == 1
 
 
@@ -380,8 +380,8 @@ class TestExplore:
     def test_eb_single_node_at_mode(self):
         g, *_ = conjugate_model()
         engine = Engine(g)
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "eb")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "eb", center)
         assert len(nodes) == 1
         assert np.array_equal(nodes[0].theta, ts)
         assert nodes[0].weight == 1.0
@@ -389,8 +389,8 @@ class TestExplore:
     def test_grid_symmetric_and_contains_mode(self):
         g, *_ = conjugate_model()
         engine = Engine(g)
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "grid")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "grid", center)
         offsets = sorted(round(float(nd.theta[0] - ts[0]), 10) for nd in nodes)
         assert 0.0 in offsets
         assert offsets == sorted(-o for o in offsets)
@@ -406,17 +406,17 @@ class TestExplore:
                                 "v": lm.index_block(rng.integers(0, 10, 20), 10)}, "obs")
         g = lm.build_stack([part], comps, PoissonLik())
         engine = Engine(g)
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "ccd")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "ccd", center)
         assert len(nodes) == 9  # 4 factorial + 4 star + center
         assert nodes[0].weight == pytest.approx(1.0 / 9.0)
 
     def test_weights_equal_and_normalized(self):
         g, *_ = conjugate_model()
         engine = Engine(g)
-        ts, H = engine.find_mode()
+        ts, H, center = engine.find_mode()
         for strategy in ("grid", "ccd", "eb"):
-            nodes = engine.explore(ts, H, strategy)
+            nodes = engine.explore(ts, H, strategy, center)
             w = [nd.weight for nd in nodes]
             assert np.allclose(w, w[0])
             assert sum(w) == pytest.approx(1.0)
@@ -427,8 +427,8 @@ class TestHyperMarginals:
         g, idx, y, pp = conjugate_model()
         cfg = EngineConfig(int_strategy="grid", log_drop=5.0)
         engine = Engine(g, cfg)
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "grid")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "grid", center)
         m = eng.hyper_marginals(nodes, 0, ts, H)
         assert m.integral() == pytest.approx(1.0, abs=1e-6)
 
@@ -445,8 +445,8 @@ class TestHyperMarginals:
     def test_mode_within_one_grid_step(self):
         g, *_ = conjugate_model()
         engine = Engine(g, EngineConfig(int_strategy="grid"))
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "grid")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "grid", center)
         m = eng.hyper_marginals(nodes, 0, ts, H)
         step = np.sqrt(np.linalg.inv(-H)[0, 0])
         assert abs(mg.marginal_mode(m) - ts[0]) <= step
@@ -479,8 +479,8 @@ class TestLatentMarginals:
         y = rng.normal(0.3, 1.0, nobs)
         part = lm.StackPart(y, {"u": lm.index_block(idx, n)}, "obs")
         g = lm.build_stack([part], [lm.IidComponent("u", n, hy)], lik)
-        nodes = eng.explore_theta(g, np.zeros(0), np.zeros((0, 0)), "eb")
-        marginals = eng.latent_marginals(g, nodes)
+        fit = eng.fit(g, EngineConfig(int_strategy="eb"))
+        marginals = [fit.latent_marginal(i) for i in range(n)]
         A = g.A.toarray()
         Qpost = 0.8 * np.eye(n) + tau_obs * A.T @ A
         mean = np.linalg.solve(Qpost, tau_obs * A.T @ y)
@@ -502,8 +502,8 @@ class TestLatentMarginals:
         y = rng.poisson(2.0, 10).astype(float)
         g = poisson_iid_model(y)
         engine = Engine(g, EngineConfig(int_strategy="grid"))
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "grid")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "grid", center)
         quants = [engine.node_quantities(nd.theta) for nd in nodes]
         w = eng.node_weights(nodes)
         means = np.stack([q["x_star"] for q in quants])
@@ -519,11 +519,16 @@ class TestLinearCombinations:
         rng = np.random.default_rng(3)
         y = rng.poisson(2.0, 8).astype(float)
         g = poisson_iid_model(y)
-        nodes = eng.explore_theta(g, *eng.find_mode_theta(g), "eb")
+        fit = eng.fit(g, EngineConfig(int_strategy="eb"))
         B = np.zeros((1, g.n_latent))
         B[0, 3] = 1.0
-        lc = eng.linear_combination_marginals(g, nodes, B)[0]
-        lat = eng.latent_marginals(g, nodes)[3]
+        lc = eng.linear_combination_marginals(g, fit.nodes, B)[0]
+        # the latent marginal from the node's moments at a cold start, where
+        # linear_combination_marginals starts its first node
+        q = Engine(g).node_quantities(fit.nodes[0].theta)
+        cfg = fit.engine.config
+        lat = mg.mixture_marginal(q["x_star"][3:4], q["latent_sd"][3:4], fit.weights,
+                                  cfg.marginal_points, cfg.marginal_span)
         assert np.abs(lc.grid - lat.grid).max() <= 1e-10
         assert np.abs(lc.density - lat.density).max() <= 1e-10
 
@@ -538,7 +543,7 @@ class TestLinearCombinations:
         part = lm.StackPart(y, {"u": lm.index_block(rng.integers(0, 4, 16), 4),
                                 "v": lm.index_block(rng.integers(0, 4, 16), 4)}, "obs")
         g = lm.build_stack([part], comps, lik)
-        nodes = eng.explore_theta(g, np.zeros(0), np.zeros((0, 0)), "eb")
+        nodes = Engine(g).explore(np.zeros(0), np.zeros((0, 0)), "eb")
         B = np.zeros((3, 8))
         B[0, 1] = 1.0
         B[1, 5] = 1.0
@@ -566,8 +571,9 @@ class TestLinearCombinations:
         part = lm.StackPart(y, {"intercept": np.ones(y.size),
                                 "f": lm.index_block(times, T)}, "obs")
         g = lm.build_stack([part], comps, PoissonLik())
-        ts, H = eng.find_mode_theta(g)
-        nodes = eng.explore_theta(g, ts, H, "eb")
+        engine = Engine(g)
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "eb", center)
         B = np.zeros((T, g.n_latent))
         B[:, 0] = 1.0
         B[np.arange(T), 1 + np.arange(T)] = 1.0
@@ -582,8 +588,8 @@ class TestMarginalLikelihood:
         g, idx, y, pp = conjugate_model()
         oracle = conjugate_logpost(g, idx, y, pp)
         engine = Engine(g)
-        ts, H = engine.find_mode()
-        nodes = engine.explore(ts, H, "grid")
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, "grid", center)
         mlik = eng.marginal_likelihood(nodes, H)
         from scipy.integrate import quad
         total, _ = quad(lambda t: np.exp(oracle(t)), -5, 5)
@@ -592,9 +598,9 @@ class TestMarginalLikelihood:
     def test_grid_vs_eb_agree(self):
         g, *_ = conjugate_model()
         engine = Engine(g)
-        ts, H = engine.find_mode()
-        m_grid = eng.marginal_likelihood(engine.explore(ts, H, "grid"), H)
-        m_eb = eng.marginal_likelihood(engine.explore(ts, H, "eb"), H)
+        ts, H, center = engine.find_mode()
+        m_grid = eng.marginal_likelihood(engine.explore(ts, H, "grid", center), H)
+        m_eb = eng.marginal_likelihood(engine.explore(ts, H, "eb", center), H)
         assert abs(m_grid - m_eb) <= 0.1
 
     def test_p_zero_equals_log_post(self):
@@ -602,6 +608,14 @@ class TestMarginalLikelihood:
         engine = Engine(g)
         nodes = engine.explore(np.zeros(0), np.zeros((0, 0)), "eb")
         assert eng.marginal_likelihood(nodes, np.zeros((0, 0))) == nodes[0].log_post
+
+    def test_indefinite_hessian_raises(self):
+        # two negative eigenvalues give slogdet(-H) a positive sign: only a
+        # Cholesky factor of -H tells H is not negative definite
+        from laplgm.errors import ModeSearchFailed
+        nodes = [eng.ThetaNode(np.zeros(3), -1.0, 1.0)]
+        with pytest.raises(ModeSearchFailed):
+            eng.marginal_likelihood(nodes, np.diag([1.0, 2.0, -3.0]))
 
 
 class TestFit:
@@ -790,16 +804,17 @@ class TestFactorReuse:
         g = poisson_iid_model(rng.poisson(2.0, 10).astype(float))
         engine = Engine(g)
         th = np.array([0.4])
-        lp = engine.log_posterior(th)
-        engine.log_posterior(np.array([-0.3]))   # moves the warm start
+        lp, first = engine.log_posterior(th, return_approx=True)
+        engine.log_posterior(np.array([-0.3]), start=first)
+        # restarted at its mode with no factor: one factorization, no step
         del count_factorizations[:]
-        lp2, ap = engine.log_posterior(th, return_approx=True)
+        lp2, ap = engine.log_posterior(th, x_init=first.x_star, return_approx=True)
         assert len(count_factorizations) == 1
         assert ap.iterations == 0
         assert lp2 == pytest.approx(lp, abs=1e-9)
-        # the warm start now sits at th: a second visit factorizes nothing
+        # started from that approximation, a second visit factorizes nothing
         del count_factorizations[:]
-        lp3, ap3 = engine.log_posterior(th, return_approx=True)
+        lp3, ap3 = engine.log_posterior(th, start=ap, return_approx=True)
         assert not count_factorizations and ap3.factor is ap.factor
         assert lp3 == lp2
 
@@ -812,13 +827,11 @@ class TestFactorReuse:
             g = poisson_iid_model(np.random.default_rng(9).poisson(2.0, 10).astype(float))
         engine = Engine(g)
         center = np.array([0.4])
-        engine.log_posterior(center)
+        _, start = engine.log_posterior(center, return_approx=True)
         for h in (1e-4, -1e-4, 1e-3):
             del count_factorizations[:]
-            engine.log_posterior(center + h, recenter=False)
+            engine.log_posterior(center + h, start=start)
             assert len(count_factorizations) == 1
-            # a probe leaves the warm start at its center
-            assert np.array_equal(engine._warm.theta, center)
 
     def test_far_jump_refactorizes_after_failed_stale_step(self, count_factorizations):
         rng = np.random.default_rng(9)
@@ -867,10 +880,9 @@ class TestFactorReuse:
         g = self.rw1_model(PoissonLik(), fixed=False)
         engine = Engine(g)
         center = np.array([0.2])
-        engine.log_posterior(center)
+        _, start = engine.log_posterior(center, return_approx=True)
         th = center + step
-        warm = engine.log_posterior(th, recenter=False)
-        engine._lp_cache.clear()
+        warm = engine.log_posterior(th, start=start)
         cold = engine.log_posterior(th, x_init=np.zeros(g.n_latent))
         assert warm == pytest.approx(cold, abs=1e-8)
 
@@ -919,8 +931,8 @@ class TestOnePass:
     @pytest.mark.parametrize("strategy", ["ccd", "grid", "eb"])
     @pytest.mark.parametrize("constrained", [False, True])
     def test_nodes_match_node_quantities(self, strategy, constrained):
-        # node_quantities(theta) makes the approximation at a node anew, from
-        # the mode cached there: the same factor, so the same moments
+        # node_quantities(theta, x_init) makes the approximation at a node
+        # anew, from the node's mode: the same factor, so the same moments
         if constrained:
             g = TestFactorReuse.rw1_model(PoissonLik(), fixed=False)
         else:
@@ -928,7 +940,7 @@ class TestOnePass:
         fit = eng.fit(g, EngineConfig(int_strategy=strategy))
         assert len(fit.nodes) >= (1 if strategy == "eb" else 3)
         for k, nd in enumerate(fit.nodes):
-            q = fit.engine.node_quantities(nd.theta)
+            q = fit.engine.node_quantities(nd.theta, x_init=nd.quantities["x_star"])
             for key, rows in (("x_star", fit.latent_mean), ("latent_sd", fit.latent_sd),
                               ("pred_mean", fit.pred_mean), ("pred_sd", fit.pred_sd)):
                 assert np.max(np.abs(q[key] - rows[k])) <= 1e-12
@@ -974,7 +986,7 @@ class TestOnePass:
     def test_dropped_design_point_counted(self, monkeypatch):
         from laplgm.errors import NonConvergence
         engine = Engine(self.two_hyper_model())
-        ts, H = engine.find_mode()
+        ts, H, center = engine.find_mode()
         real = Engine.log_posterior
         failed = []
 
@@ -985,11 +997,58 @@ class TestOnePass:
             return real(self, theta, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "log_posterior", flaky)
-        nodes = engine.explore(ts, H, "ccd")
+        nodes = engine.explore(ts, H, "ccd", center)
         assert engine.counts["nodes_dropped"] == 1
         assert len(nodes) == 8
         assert not any(np.array_equal(nd.theta, failed[0]) for nd in nodes)
         assert all(nd.weight == pytest.approx(1.0 / 8.0) for nd in nodes)
+
+
+class TestStateless:
+    """A theta evaluation depends on theta and its Newton start, not on the engine's history."""
+
+    def test_log_posterior_independent_of_history(self):
+        g = TestOnePass.two_hyper_model()
+        th = np.array([0.3, -0.2])
+        fresh = Engine(g).log_posterior(th)
+        engine = Engine(g)
+        engine.log_posterior(np.array([2.0, 2.0]))
+        engine.find_mode()
+        assert engine.log_posterior(th) == fresh
+
+    def test_second_find_mode_repeats_the_first(self):
+        engine = Engine(TestOnePass.two_hyper_model())
+        runs = []
+        for _ in range(2):
+            before = dict(engine.counts)
+            ts, H, (lp, q, _) = engine.find_mode()
+            runs.append((ts, H, lp, q["x_star"],
+                         {k: engine.counts[k] - before[k] for k in before}))
+        (ts1, H1, lp1, x1, c1), (ts2, H2, lp2, x2, c2) = runs
+        assert np.array_equal(ts1, ts2) and np.array_equal(H1, H2)
+        assert lp1 == lp2 and np.array_equal(x1, x2)
+        assert c1 == c2 and c1["newton_iterations"] > 0
+
+    def test_mode_search_ending_on_rejected_trial_restarts_at_mode(self, monkeypatch):
+        # when the last point BFGS evaluated is not its mode, the center is
+        # made anew from the mode's latent x* with no factor: one
+        # factorization, no Newton step, and the same center and Hessian
+        g = TestOnePass.two_hyper_model()
+        ts, H, (lp, q, approx) = Engine(g).find_mode()
+        real = eng._maximize
+
+        def ending_on_rejected_trial(f, x0, grad, *args, **kwargs):
+            x, fval, count = real(f, x0, grad, *args, **kwargs)
+            f(x + 0.5)
+            return x, fval, count + 1
+
+        monkeypatch.setattr(eng, "_maximize", ending_on_rejected_trial)
+        ts2, H2, (lp2, q2, approx2) = Engine(g).find_mode()
+        assert approx2 is not approx and np.array_equal(approx2.theta, ts)
+        assert approx2.iterations == 0 and approx2.factorizations == 1
+        assert np.array_equal(ts2, ts) and np.array_equal(H2, H) and lp2 == lp
+        for key in q:
+            assert np.array_equal(q2[key], q[key])
 
 
 class TestStructuralPattern:
