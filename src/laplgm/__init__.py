@@ -66,6 +66,7 @@ from .simulation import CovariateSpec, SimulatedData, SimulationSpec, random_sit
 from .sparse import (
     CholeskyFactor,
     Permutation,
+    SelectedInverse,
     SparseSymmetric,
     analyze,
     constrain,

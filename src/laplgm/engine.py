@@ -10,7 +10,6 @@ combinations.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -33,6 +32,7 @@ _REJECTABLE = (NotPositiveDefinite, NonConvergence, InvalidCorrelation)
 from .latent import FixedEffect, log_prior_theta
 from .marginals import (
     MarginalDensity,
+    _cubic_spline,
     mixture_marginal,
     transform_marginal,
     zmarginal,
@@ -303,7 +303,6 @@ class Engine:
         self._trace_plan = None
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0}
-        self._counts_lock = threading.Lock()
 
     # -- ordering ---------------------------------------------------
 
@@ -403,13 +402,9 @@ class Engine:
                                self._pattern.indptr), shape=self._pattern.shape)
         return SparseSymmetric(self.n, lower, validate=False)
 
-    def _count(self, name, k=1):
-        with self._counts_lock:
-            self.counts[name] += k
-
     def _factor_at(self, theta, q_prior, c, x):
         """Factor of Q*(theta, c), with the constraint solves, as an approximation at x."""
-        self._count("factorizations")
+        self.counts["factorizations"] += 1
         Q_star = self._conditional_precision(q_prior, c)
         factor = factorize(Q_star, self._symbolic)
         W = cho = None
@@ -450,7 +445,7 @@ class Engine:
         cfg = self.config
         model = self.model
         theta = np.asarray(theta, dtype=float)
-        self._count("theta_evals")
+        self.counts["theta_evals"] += 1
         if Qp is None:
             Qp = model.prior_quantities(theta)[0]
         param = self._lik_param(theta)
@@ -530,7 +525,7 @@ class Engine:
             x, fx = x_new, f_new
             g_last = g_norm
             iterations += 1
-            self._count("newton_iterations")
+            self.counts["newton_iterations"] += 1
             if converged:   # the line search shrank the step below tolerance
                 c = curvature(x)[1]
                 break
@@ -570,9 +565,9 @@ class Engine:
         """Where the selected inverse holds each entry of the pattern of Q*, and its weight.
 
         tr(Q*^-1 D) for a symmetric D with lower-triangle data d on the pattern
-        of Q* is sum(weight * S.lower.data[pos] * d): off-diagonal entries
-        count twice.  The pattern of L covers that of Q*, so every entry is
-        found.  Built on first use.
+        of Q* is sum(weight * S.data[pos] * d): off-diagonal entries count
+        twice.  The pattern of L covers that of Q*, so every entry is found.
+        Built on first use.
         """
         if self._trace_plan is None:
             P = self._pattern
@@ -604,7 +599,7 @@ class Engine:
         (Kristensen et al. 2016 differentiate the Laplace approximation
         through the same sparse inverse subset.)
         """
-        self._count("gradients")
+        self.counts["gradients"] += 1
         model = self.model
         lik = model.likelihood
         theta = approx.theta
@@ -650,7 +645,7 @@ class Engine:
         pos, weight = self._selinv_trace_weights()
         if S is None:
             S = selected_inverse(approx.factor)
-        grad -= 0.5 * ((weight * S.lower.data[pos]) @ dq_star)
+        grad -= 0.5 * ((weight * S.data[pos]) @ dq_star)
         if self.n_constraints:
             AW = self.A_obs @ W
             for j in range(p):
@@ -678,9 +673,6 @@ class Engine:
             return np.zeros(0), np.zeros((0, 0)), None
         cfg = self.config
         theta0 = model.theta_initial() if theta_init is None else np.asarray(theta_init, float)
-        # built before any factor is alive: building the selected-inverse
-        # layout takes more transient memory than any other step of a fit
-        self._selinv_trace_weights()
         last = None       # the approximation evaluated last
         S = None          # the selected inverse of the last gradient's factor
         x_accepted = None  # the latent mode at the last accepted point
@@ -778,7 +770,7 @@ class Engine:
                 seen[key] = (lp, self._node_quantities(lp, approx) if keep(lp) else None)
             lp, q = seen[key]
             if q is None:
-                self._count("nodes_dropped")
+                self.counts["nodes_dropped"] += 1
                 return None
             return ThetaNode(th, lp, 1.0, q)
 
@@ -867,11 +859,7 @@ class Engine:
         }
 
     def _node_plan(self):
-        """The predictor pair plan, built on first use.
-
-        `fit` builds it before any factor is alive: it reads the
-        selected-inverse layout, whose build takes the most transient memory.
-        """
+        """The predictor pair plan, built on first use (`fit` builds it in preprocessing)."""
         if self._pair_plan is None:
             self._pair_plan = self._build_pair_plan()
         return self._pair_plan
@@ -879,11 +867,12 @@ class Engine:
     def _build_pair_plan(self):
         """Where the variance a' Sigma a of every predictor row reads Sigma.
 
-        Covariance pairs inside the selected-inverse pattern (fixed by the
-        symbolic factor) read its data.  The pairs outside it are covered by
-        a small set J of latent columns, chosen greedily by how many missing
-        pairs each covers; one solve per node with |J| right-hand sides gives
-        Sigma[:, J], from which each missing pair is read.
+        Covariance pairs inside the band, border strip or corner of the
+        selected inverse read its data in place.  The pairs outside are
+        covered by a small set J of latent columns, chosen greedily by how
+        many missing pairs each covers; one solve per node with |J|
+        right-hand sides gives Sigma[:, J], from which each missing pair is
+        read.
         """
         n = self.n
         keys, rows, weights = _row_pairs(self.model.A)
@@ -914,22 +903,19 @@ class Engine:
         }
 
     def _selinv_positions(self, keys):
-        """Where the selected inverse's lower data holds each entry key j * n + i (i >= j).
+        """Where the selected inverse's data holds each entry key j * n + i (i >= j).
 
         Returns (positions, hit): `hit` is False for the keys outside the
-        pattern, whose positions are meaningless.
+        stored band, border strip and corner, whose positions are -1.
         """
-        n = self.n
-        indptr, indices, _ = self._symbolic.selected_inverse_layout()
-        skeys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-        pos = np.minimum(np.searchsorted(skeys, keys), skeys.size - 1)
-        return pos, skeys[pos] == keys
+        cols, rows = np.divmod(keys, self.n)
+        return self._symbolic.selected_inverse_slots(rows, cols)
 
     def _predictor_variances(self, S, factor):
         """a' Sigma a for every row a of A, Sigma the unconstrained Q*^-1."""
         plan = self._node_plan()
         nrows = self.model.A.shape[0]
-        var = np.bincount(plan["rows"], weights=plan["coef"] * S.lower.data[plan["pos"]],
+        var = np.bincount(plan["rows"], weights=plan["coef"] * S.data[plan["pos"]],
                           minlength=nrows)
         J = plan["cols"]
         if J.size:
@@ -978,15 +964,13 @@ def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
         raise ValueError("need at least one node")
     p = nodes[0].theta.size
     if p == 1 and len(nodes) >= 4:
-        import scipy.interpolate   # imported on use: slow to import, and only p = 1 needs it
-
         sd_lap = float(np.sqrt(np.linalg.inv(-H)[j, j]))
         center = float(theta_star[j])
         pts = sorted({(float(nd.theta[j]), float(nd.log_post)) for nd in nodes})
         xs = np.array([a for a, _ in pts])
         ys = np.array([b for _, b in pts])
         ys = ys - ys.max()
-        spline = scipy.interpolate.CubicSpline(xs, ys)
+        spline = _cubic_spline(xs, ys)
         grid = center + sd_lap * np.linspace(-span, span, points)
         logf = np.empty_like(grid)
         inside = (grid >= xs[0]) & (grid <= xs[-1])

@@ -71,6 +71,50 @@ def emarginal(fun, m):
     return float(np.trapezoid(fun(m.grid) * m.density, m.grid))
 
 
+def _cubic_spline(x, y):
+    """Not-a-knot cubic spline through three or more points (x, y), as a function.
+
+    The knot slopes solve the system of ``scipy.interpolate.CubicSpline(x, y)``:
+    with three points the spline is the parabola through them, and beyond
+    that each interior knot matches second derivatives while the first and
+    last two pieces share one cubic.  x is strictly increasing; points
+    outside [x[0], x[-1]] extend the end pieces.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((n, n))
+    b = np.empty(n)
+    if n == 3:
+        A[0, :2] = A[2, 1:] = 1.0
+        A[1] = dx[1], 2.0 * (dx[0] + dx[1]), dx[0]
+        b[0], b[2] = 2.0 * slope[0], 2.0 * slope[1]
+        b[1] = 3.0 * (dx[0] * slope[1] + dx[1] * slope[0])
+    else:
+        i = np.arange(1, n - 1)
+        A[i, i] = 2.0 * (dx[:-1] + dx[1:])
+        A[i, i + 1] = dx[:-1]
+        A[i, i - 1] = dx[1:]
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        A[0, :2] = dx[1], d
+        b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[-1, -2:] = d, dx[-2]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = np.linalg.solve(A, b)
+    # piece k is c3 + c2 h + c1 h^2 + c0 h^3 in h = u - x[k]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def spline(u):
+        k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, n - 2)
+        h = u - x[k]
+        return c3[k] + c2[k] * h + c1[k] * h * h + c0[k] * h * h * h
+
+    return spline
+
+
 def _simpson_cells(y, dx):
     # integral over the first cell of each triple from the quadratic through
     # its three points (Cartwright's unequal-interval Simpson formula)

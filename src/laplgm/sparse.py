@@ -390,12 +390,12 @@ class SymbolicFactor:
     border rows, and every stored entry gets its destination in the numeric
     storage: the LAPACK band array, the border rows or the border corner.
     `numeric` then factorizes any matrix on the pattern with one scatter and
-    one band factorization, and every factor it returns shares one
-    selected-inverse layout (`selected_inverse_layout`).  A band that would
+    one band factorization, and `selected_inverse_slots` says where the
+    selected inverse of any such factor holds each entry.  A band that would
     take more than `_BAND_ENTRY_CAP` entries raises ProblemTooLarge.
     """
 
-    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps", "_selinv")
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps")
 
     def __init__(self, Q, perm):
         n = Q.n
@@ -421,7 +421,6 @@ class SymbolicFactor:
                 (core, (r - c + c * (w + 1))[core]),
                 (border, (c * nb + r - cut)[border]),
                 (corner, ((r - cut) * nb + c - cut)[corner])))
-        self._selinv = None
 
     def layout(self):
         """Shape of the factor: {"n", "w", "nb"}, the band width and border rows."""
@@ -447,46 +446,27 @@ class SymbolicFactor:
                                  parts[2].reshape(nb, nb), pivot_tol)
         return CholeskyFactor(self, backend)
 
-    def selected_inverse_layout(self):
-        """Output pattern of `selected_inverse` for factors of this analysis.
+    def selected_inverse_slots(self, rows, cols):
+        """Where `selected_inverse` stores Sigma[i, j] for the original pairs (rows, cols).
 
-        Returns (indptr, indices, gather): the lower-triangle CSC pattern of
-        the selected inverse in original indexing, and the position in the
-        recursion's flat output of each of its entries.  Built on the first
-        call and kept, so a factor that is never inverted costs nothing and
-        later calls do no sorting.
-
-        Each slot of the flat output (see `_takahashi_bordered`) gets the key
-        col * n + row of its entry in original indexing, filled one band
-        diagonal or border row at a time, and n^2 where the slot holds no
-        entry; the sort order of the keys, cut at n^2, is the gather map.
+        Returns (slots, inside): the index of each pair in the flat output of
+        the recursion (see `_takahashi_bordered`), for either order of i and
+        j, and whether the pair lies in the stored band, border strip or
+        corner.  Pairs outside get slot -1.  Computed by arithmetic through
+        the permutation, w and nb, with no array the size of the output.
         """
-        if self._selinv is None:
-            n, order = self.n, self.perm.order
-            cut, w, nb = n - self.nb, self.w, self.nb
-            size = (w + 1) * cut
-            keys = np.full(size + nb * cut + nb * nb, n * n, dtype=np.int64)
-
-            def pair_keys(prow, pcol):
-                a, b = order[prow], order[pcol]
-                return np.minimum(a, b) * n + np.maximum(a, b)
-
-            j = np.arange(cut)
-            # band in LAPACK layout: flat d + j (w + 1) holds (j + d, j)
-            for d in range(w + 1):
-                keys[d:size:w + 1][:cut - d] = pair_keys(j[d:], j[:cut - d])
-            for r in range(nb):
-                keys[size + r * cut:size + (r + 1) * cut] = pair_keys(cut + r, j)
-            br, bc = np.tril_indices(nb)
-            keys[size + nb * cut + br * nb + bc] = pair_keys(cut + br, cut + bc)
-            live = int(np.count_nonzero(keys < n * n))
-            gather = np.argsort(keys)[:live]
-            keys = keys[gather]
-            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-            pattern = sp.csc_matrix((np.ones(live), np.remainder(keys, n, out=keys), indptr),
-                                    shape=(n, n))
-            self._selinv = (pattern.indptr, pattern.indices, gather)
-        return self._selinv
+        n, cut, w, nb = self.n, self.n - self.nb, self.w, self.nb
+        inv = np.empty(n, dtype=np.int64)
+        inv[self.perm.order] = np.arange(n)
+        a, b = inv[rows], inv[cols]
+        r, c = np.maximum(a, b), np.minimum(a, b)
+        size = (w + 1) * cut
+        slots = np.where(r < cut, r - c + c * (w + 1),
+                         np.where(c < cut, size + (r - cut) * cut + c,
+                                  size + nb * cut + (r - cut) * nb + c - cut))
+        inside = (r >= cut) | (r - c <= w)
+        slots[~inside] = -1
+        return slots, inside
 
 
 def analyze(Q, perm=None):
@@ -657,19 +637,66 @@ def _takahashi_bordered(backend):
     return out
 
 
+class SelectedInverse:
+    """Q^-1 on the band, border strip and corner of a factor, in the recursion's layout.
+
+    `data` is the flat output of `_takahashi_bordered` and `symbolic` the
+    analysis of the factor; `symbolic.selected_inverse_slots` locates any
+    original pair (i, j) in `data`.  `lower` gives the same values as a
+    lower-triangle CSC matrix in original indexing, built on first use.
+    """
+
+    __slots__ = ("symbolic", "data", "_lower")
+
+    def __init__(self, symbolic, data):
+        self.symbolic = symbolic
+        self.data = data
+        self._lower = None
+
+    def diagonal(self):
+        """Sigma[i, i] in original indexing: the marginal variances."""
+        sym = self.symbolic
+        cut, w, nb = sym.n - sym.nb, sym.w, sym.nb
+        size = (w + 1) * cut
+        out = np.empty(sym.n)
+        out[sym.perm.order[:cut]] = self.data[:size:w + 1]
+        out[sym.perm.order[cut:]] = self.data[size + nb * cut::nb + 1]
+        return out
+
+    @property
+    def lower(self):
+        """Every stored entry as a lower-triangle CSC matrix in original indexing."""
+        if self._lower is None:
+            sym = self.symbolic
+            n, cut, w, nb = sym.n, sym.n - sym.nb, sym.w, sym.nb
+            size = (w + 1) * cut
+            j, d = np.divmod(np.arange(size), w + 1)
+            band = np.flatnonzero(j + d < cut)
+            br, bc = np.tril_indices(nb)
+            slots = np.concatenate([band, size + np.arange(nb * cut),
+                                    size + nb * cut + br * nb + bc])
+            # the permuted (row, col) of each slot, then original indexing
+            prow = np.concatenate([(j + d)[band], np.repeat(np.arange(cut, n), cut), cut + br])
+            pcol = np.concatenate([j[band], np.tile(np.arange(cut), nb), cut + bc])
+            a, b = sym.perm.order[prow], sym.perm.order[pcol]
+            lower = sp.csc_matrix((self.data[slots], (np.maximum(a, b), np.minimum(a, b))),
+                                  shape=(n, n))
+            lower.sort_indices()
+            self._lower = lower
+        return self._lower
+
+
 def selected_inverse(factor):
     """Values of Q^-1 on (at least) the sparsity pattern of L + L'.
 
     Diagonal entries are the exact marginal variances of the GMRF with
-    precision Q.  Entries come back in original (unpermuted) indexing as a
-    SparseSymmetric whose pattern is fixed by the factor's symbolic
-    analysis: every factor from one `analyze` returns the same pattern.
+    precision Q.  The blocked recursion's output is kept as it is written:
+    the band of the permuted inverse in LAPACK layout, then the border strip
+    and corner.  The returned SelectedInverse reads it in place, at the
+    positions `SymbolicFactor.selected_inverse_slots` gives, and builds no
+    sparse matrix unless its `lower` is asked for.
     """
-    indptr, indices, gather = factor.symbolic.selected_inverse_layout()
-    values = _takahashi_bordered(factor._backend)
-    n = factor.n
-    lower = sp.csc_matrix((values[gather], indices, indptr), shape=(n, n))
-    return SparseSymmetric(n, lower, validate=False)
+    return SelectedInverse(factor.symbolic, _takahashi_bordered(factor._backend))
 
 
 def sample(factor, count, seed):

@@ -173,6 +173,26 @@ def test_spde_summary_transform_consistency():
     assert summ["variance"].integral() == pytest.approx(1.0, abs=1e-6)
 
 
+def test_fit_reads_selected_inverse_in_place(monkeypatch):
+    # no step of a fit builds the CSC form of a selected inverse
+    def refuse(self):
+        raise AssertionError("SelectedInverse.lower was built during a fit")
+
+    monkeypatch.setattr(sps.SelectedInverse, "lower", property(refuse))
+    rng = np.random.default_rng(8)
+    mesh = mm.structured_mesh(0, 1, 0, 1, 6, 6)
+    spde = lm.spde_matern_component("s", mm.assemble(mesh), mesh, alpha=2, initial_range=0.4)
+    sites = rng.random((30, 2))
+    y = rng.poisson(2.0, 30).astype(float)
+    part = lm.StackPart(y, {"mu": np.ones(30), "s": mm.projector(mesh, sites)}, "obs")
+    model = lm.build_stack([part], [lm.FixedEffect("mu"), spde], PoissonLik())
+    fit = eng.fit(model, EngineConfig(int_strategy="ccd"))
+    assert fit.counts["gradients"] >= 1 and len(fit.nodes) >= 3
+    assert np.all(np.isfinite(fit.latent_sd)) and np.all(np.isfinite(fit.pred_sd))
+    with pytest.raises(AssertionError, match="was built"):
+        lg.selected_inverse(lg.factorize(lg.SparseSymmetric.from_full(np.eye(2)))).lower
+
+
 @pytest.mark.parametrize("backend", ["band"])
 def test_plan_assembled_conditional_precision(backend):
     # Q* laid on the engine's fixed pattern vs prior_quantities + A' diag(c) A

@@ -591,3 +591,30 @@ class TestImportFootprint:
         with open(out / "runlog.json") as fh:
             assert len(json.load(fh)["theta_mode"]) >= 2
         assert loaded == []
+
+    def test_one_hyper_fit_loads_no_interpolate(self):
+        # the spline of a one-hyperparameter marginal is numpy's, not SciPy's
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "import laplgm as lg\n"
+            "y = np.random.default_rng(4).poisson(2.0, 30).astype(float)\n"
+            "hy = lg.log_precision_hyper('u.prec', 1.0)\n"
+            "part = lg.StackPart(y, {'u': lg.index_block(range(30), 30)}, 'obs')\n"
+            "model = lg.build_stack([part], [lg.IidComponent('u', 30, hy)], lg.PoissonLik())\n"
+            "fit = lg.fit(model, lg.EngineConfig(int_strategy='ccd'))\n"
+            "summary = fit.hyper_summary()\n"
+            "print(json.dumps([len(fit.theta_mode), len(fit.nodes), len(summary),\n"
+            "                  sorted(m for m in sys.modules\n"
+            "                         if m.startswith('scipy.interpolate'))]))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        p, nodes, rows, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert (p, rows) == (1, 1)
+        assert nodes >= 4   # the spline path of hyper_marginals
+        assert loaded == []

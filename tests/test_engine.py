@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -885,26 +882,6 @@ class TestFactorReuse:
         warm = engine.log_posterior(th, start=start)
         cold = engine.log_posterior(th, x_init=np.zeros(g.n_latent))
         assert warm == pytest.approx(cold, abs=1e-8)
-
-    def test_counts_under_threads(self):
-        # Gaussian approximations run on several threads at once: the
-        # engine's counts must lose no update
-        g = self.rw1_model(PoissonLik(), fixed=False)
-        engine = Engine(g)
-        thetas = [np.array([t]) for t in np.linspace(-0.5, 0.5, 40)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as ex:
-                approxs = list(ex.map(engine.gaussian_approximation, thetas, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        assert engine.counts == {
-            "theta_evals": len(thetas),
-            "newton_iterations": sum(a.iterations for a in approxs),
-            "factorizations": sum(a.factorizations for a in approxs),
-            "gradients": 0,
-        }
 
     def test_fit_counts(self, count_factorizations):
         g = self.rw1_model(PoissonLik(), fixed=False)

@@ -148,3 +148,19 @@ class TestCumulativeSimpson:
         monkeypatch.setattr(mg, "_cdf_knots", scipy_knots)
         assert np.array_equal(got_q, mg.qmarginal(np.array([0.01, 0.3, 0.5, 0.9]), m))
         assert got_z == mg.zmarginal(m)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cubic_spline_matches_scipy(n):
+    # the not-a-knot spline of a one-hyperparameter marginal, against SciPy,
+    # inside the knots, on them and in the extended end pieces
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = np.sort(rng.uniform(-3.0, 3.0, n)) + 0.5 * np.arange(n)
+        y = -0.5 * x**2 + 0.2 * x**3 + rng.normal(size=n)
+        u = np.concatenate([np.linspace(x[0] - 1.0, x[-1] + 1.0, 201), x])
+        got = mg._cubic_spline(x, y)(u)
+        want = CubicSpline(x, y)(u)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert float(mg._cubic_spline(x, y)(x[-1])) == pytest.approx(y[-1], rel=1e-12, abs=1e-12)

@@ -302,7 +302,45 @@ class TestBlockedSelectedInverse:
             assert np.abs(coo.data - dense[coo.row, coo.col]).max() <= 1e-10 * np.abs(dense).max()
         assert np.array_equal(outs[0].indptr, outs[1].indptr)
         assert np.array_equal(outs[0].indices, outs[1].indices)
-        assert sym.selected_inverse_layout() is sym.selected_inverse_layout()
+        # the one analysis locates every entry of the output in the flat data
+        S = lg.selected_inverse(f)
+        coo = outs[1].tocoo()
+        slots, inside = sym.selected_inverse_slots(coo.row, coo.col)
+        assert S.symbolic is sym and inside.all()
+        assert np.array_equal(S.data[slots], coo.data)
+
+    def test_peak_memory_near_the_flat_output(self):
+        # the inverse is read where the recursion writes it: no gather map,
+        # no CSC copy of the values, no n (w + 1) index array
+        import tracemalloc
+        rng = np.random.default_rng(5)
+        n, w, nb = 2000, 60, 3
+        cut = n - nb
+        d = np.concatenate([np.full(cut - k, k) for k in range(1, w + 1)])
+        cols = np.concatenate([np.arange(cut - k) for k in range(1, w + 1)])
+        br, bc = np.tril_indices(n, -1)
+        keep = br >= cut
+        rows = np.concatenate([cols + d, br[keep]])
+        cols = np.concatenate([cols, bc[keep]])
+        vals = rng.uniform(-0.5, 0.5, rows.size)
+        diag = 1.0 + np.bincount(rows, np.abs(vals), n) + np.bincount(cols, np.abs(vals), n)
+        Q = lg.SparseSymmetric.from_triplets(
+            n, np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)]),
+            np.concatenate([vals, diag]))
+        f = lg.factorize(Q)
+        assert (f.symbolic.w, f.symbolic.nb) == (w, nb)
+        flat_bytes = 8 * ((w + 1) * cut + nb * cut + nb * nb)
+        tracemalloc.start()
+        try:
+            S = lg.selected_inverse(f)
+            var = S.diagonal()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.data.nbytes == flat_bytes
+        assert peak < 1.5 * flat_bytes
+        dense = np.linalg.inv(Q.to_dense())
+        assert np.abs(var - np.diag(dense)).max() <= 1e-10 * np.abs(dense).max()
 
 
 class TestSample:
@@ -378,8 +416,9 @@ class TestConstrain:
 
 
 def coordinate_sort_layout(sym):
-    """The selected-inverse layout built by sorting coordinate arrays over
-    every slot of the recursion's flat output."""
+    """Where the recursion's flat output holds each stored pair, by sorting
+    coordinate arrays over all of its slots: the lower-triangle CSC pattern
+    (indptr, indices) in original indexing and the slot of each entry."""
     n, order = sym.n, sym.perm.order
     cut, w, nb = n - sym.nb, sym.w, sym.nb
     src = np.arange((w + 1) * cut)
@@ -416,9 +455,20 @@ def test_selected_inverse_layout_matches_coordinate_sort(n, w, nb, shuffle):
         order = relabel[order]
     sym = lg.analyze(Q, lg.Permutation(order))
     assert (sym.w, sym.nb) == (w, nb)
-    for got, want in zip(sym.selected_inverse_layout(), coordinate_sort_layout(sym)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    indptr, indices, src = coordinate_sort_layout(sym)
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    # every slot of the oracle is found at its flat index, from either order
+    for rows_, cols_ in ((indices, cols), (cols, indices)):
+        slots, inside = sym.selected_inverse_slots(rows_, cols_)
+        assert inside.all()
+        assert np.array_equal(slots, src)
+    # and every other lower-triangle pair is reported outside
+    i, j = np.tril_indices(n)
+    slots, inside = sym.selected_inverse_slots(i, j)
+    stored = np.zeros((n, n), dtype=bool)
+    stored[indices, cols] = True
+    assert np.array_equal(inside, stored[i, j])
+    assert np.all(slots[~inside] == -1)
 
 
 def test_sample_on_minimum_degree_order_matches_dense_cholesky():
