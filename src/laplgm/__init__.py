@@ -16,7 +16,6 @@ from .engine import (
     ThetaNode,
     fit,
     hyper_marginals,
-    laplace_integral,
     linear_combination_marginals,
     marginal_likelihood,
 )

@@ -108,58 +108,6 @@ class ThetaNode:
 
 
 # ------------------------------------------------------------------
-# generic Laplace approximation of an integral
-
-def _fd_hessian(f, x, step):
-    p = x.size
-    H = np.zeros((p, p))
-    f0 = f(x)
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = step
-        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / step**2
-        for j in range(i):
-            ej = np.zeros(p)
-            ej[j] = step
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * step**2)
-    return H
-
-
-def laplace_integral(g, x0, hess_step=1e-4):
-    """Laplace approximation of the log-integral of exp(g).
-
-    Returns (log integral, mode, Hessian at the mode); exact whenever g is
-    quadratic.
-    """
-    import scipy.optimize   # imported on use: a fit never needs it, and it is slow to import
-
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    res = scipy.optimize.minimize(lambda x: -g(x), x0, method="BFGS",
-                                  options={"gtol": 1e-10, "maxiter": 500})
-    x_star = res.x
-    H = _fd_hessian(g, x_star, hess_step)
-    return _laplace_evidence(float(g(x_star)), 0.5 * (H + H.T)), x_star, H
-
-
-def _laplace_evidence(log_peak, H):
-    """log of exp(log_peak) (2 pi)^(p/2) |-H|^(-1/2), the Laplace integral at a mode.
-
-    Raises ModeSearchFailed unless H is negative definite, which the
-    Cholesky factor of -H tests.
-    """
-    p = H.shape[0]
-    if p == 0:
-        return float(log_peak)
-    try:
-        c = np.linalg.cholesky(-H)
-    except np.linalg.LinAlgError as exc:
-        raise ModeSearchFailed(f"Hessian not negative definite at the mode: {exc}") from exc
-    return float(log_peak + 0.5 * p * LOG_2PI - np.sum(np.log(np.diag(c))))
-
-
-# ------------------------------------------------------------------
 # quasi-Newton ascent used for the hyperparameter mode
 
 def _maximize(f, x0, grad, budget, grad_tol, step_tol=1e-6, max_iter=100, max_step=3.0):
@@ -285,22 +233,31 @@ class Engine:
         pcols = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
         self._prior_lower = np.flatnonzero(prows >= pcols)
         prior_keys = pcols[self._prior_lower] * n + prows[self._prior_lower]
-        lik_keys, lik_rows, lik_vals = _row_pairs(self.A_obs)
+        # the pattern holds the pairs of every row of A, observed or not (the
+        # linear predictor inside the latent field, Rue et al. 2009, sec. 3),
+        # so the ordering sees them and every predictor variance reads the
+        # selected inverse in place; only observed rows carry curvature
+        pair_keys, pair_rows, pair_weights = _row_pairs(model.A)
+        lik = model.observed[pair_rows]
+        obs_of = np.cumsum(model.observed) - 1   # an observed row's place among them
         keys = np.unique(np.concatenate(
-            [prior_keys, lik_keys, np.arange(n, dtype=np.int64) * (n + 1)]))
+            [prior_keys, pair_keys, np.arange(n, dtype=np.int64) * (n + 1)]))
         self._prior_pos = np.searchsorted(keys, prior_keys)
         # row p of the map gives the entry at keys[p] of A' diag(c) A as a map of c
         self._lik_map = sp.csr_matrix(
-            (lik_vals, (np.searchsorted(keys, lik_keys), lik_rows)),
+            (pair_weights[lik], (np.searchsorted(keys, pair_keys[lik]), obs_of[pair_rows[lik]])),
             shape=(keys.size, self.obs_idx.size))
         lower = sparse._csc_from_keys(keys, n)
         self._pattern = lower
         full = (lower + sp.tril(lower, k=-1).T).tocsc()
         self.perm = self._choose_permutation(full)
         self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
-        # built on first use: with `counts`, the only engine state a fit changes
-        self._pair_plan = None
-        self._trace_plan = None
+        # where the selected inverse holds each entry: the pattern of Q* for
+        # the trace of the theta-gradient, the pairs for predictor variances
+        self._trace_plan = self._selinv_reads(keys)
+        pos, twice = self._selinv_reads(pair_keys)
+        self._pred_plan = (pair_rows, pos, twice * pair_weights)
+        # the only engine state a fit changes
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0}
 
@@ -561,20 +518,18 @@ class Engine:
 
     # -- theta-gradient ------------------------------------------------
 
-    def _selinv_trace_weights(self):
-        """Where the selected inverse holds each entry of the pattern of Q*, and its weight.
+    def _selinv_reads(self, keys):
+        """Where the selected inverse holds each pattern entry key j * n + i (i >= j).
 
-        tr(Q*^-1 D) for a symmetric D with lower-triangle data d on the pattern
-        of Q* is sum(weight * S.data[pos] * d): off-diagonal entries count
-        twice.  The pattern of L covers that of Q*, so every entry is found.
-        Built on first use.
+        Returns (positions in its data, 1 on the diagonal and 2 off it): a
+        symmetric sum over the lower triangle counts off-diagonal entries
+        twice.  The stored band, border strip and corner cover the pattern
+        of Q*, which holds every entry asked for.
         """
-        if self._trace_plan is None:
-            P = self._pattern
-            cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(P.indptr))
-            pos, _ = self._selinv_positions(cols * self.n + P.indices)
-            self._trace_plan = (pos, np.where(P.indices == cols, 1.0, 2.0))
-        return self._trace_plan
+        cols, rows = np.divmod(keys, self.n)
+        pos, inside = self._symbolic.selected_inverse_slots(rows, cols)
+        assert inside.all(), "pattern entry outside the selected inverse"
+        return pos, np.where(rows == cols, 1.0, 2.0)
 
     def log_posterior_gradient(self, approx, S=None):
         """Gradient in theta of `log_posterior`, from the approximation at theta.
@@ -642,7 +597,8 @@ class Engine:
             dx = dx - W @ scipy.linalg.cho_solve(approx.constraint_cho, self.M @ dx)
         dc = lik.curvature_slope(self.y_obs, eta, param)[:, None] * (self.A_obs @ dx) + dc_psi
         dq_star = dq + self._lik_map @ dc
-        pos, weight = self._selinv_trace_weights()
+        # tr(Q*^-1 dQ*) over the lower-triangle data of dQ* on the pattern of Q*
+        pos, weight = self._trace_plan
         if S is None:
             S = selected_inverse(approx.factor)
         grad -= 0.5 * ((weight * S.data[pos]) @ dq_star)
@@ -834,12 +790,11 @@ class Engine:
 
         `S` is the selected inverse of `approx.factor`, computed here when not given.
         """
-        factor = approx.factor
         if S is None:
-            S = selected_inverse(factor)
+            S = selected_inverse(approx.factor)
         diag = S.diagonal()
         A = self.model.A
-        var_rows = self._predictor_variances(S, factor)
+        var_rows = self._predictor_variances(S)
         mean_rows = A @ approx.x_star
 
         if self.n_constraints:
@@ -858,74 +813,10 @@ class Engine:
             "pred_sd": np.sqrt(var_rows),
         }
 
-    def _node_plan(self):
-        """The predictor pair plan, built on first use (`fit` builds it in preprocessing)."""
-        if self._pair_plan is None:
-            self._pair_plan = self._build_pair_plan()
-        return self._pair_plan
-
-    def _build_pair_plan(self):
-        """Where the variance a' Sigma a of every predictor row reads Sigma.
-
-        Covariance pairs inside the band, border strip or corner of the
-        selected inverse read its data in place.  The pairs outside are
-        covered by a small set J of latent columns, chosen greedily by how
-        many missing pairs each covers; one solve per node with |J|
-        right-hand sides gives Sigma[:, J], from which each missing pair is
-        read.
-        """
-        n = self.n
-        keys, rows, weights = _row_pairs(self.model.A)
-        cols, rws = np.divmod(keys, n)
-        coef = np.where(rws == cols, weights, 2.0 * weights)
-        pos, hit = self._selinv_positions(keys)
-        # the diagonal is always in the pattern: every missing pair has i > j
-        miss_keys, miss_of = np.unique(keys[~hit], return_inverse=True)
-        mj, mi = np.divmod(miss_keys, n)
-        J = []
-        uncovered = np.ones(miss_keys.size, dtype=bool)
-        while uncovered.any():
-            counts = np.bincount(np.concatenate([mi[uncovered], mj[uncovered]]), minlength=n)
-            j = int(np.argmax(counts))   # the smallest column among the best
-            J.append(j)
-            uncovered &= (mi != j) & (mj != j)
-        J = np.array(J, dtype=np.int64)
-        slot_of = np.full(n, -1, dtype=np.int64)
-        slot_of[J] = np.arange(J.size)
-        # missing pair (i, j) reads Sigma[j, slot(i)] when i is in J, else Sigma[i, slot(j)]
-        by_i = slot_of[mi] >= 0
-        at = np.where(by_i, mj, mi)[miss_of]
-        slot = np.where(by_i, slot_of[mi], slot_of[mj])[miss_of]
-        return {
-            "rows": rows[hit], "pos": pos[hit], "coef": coef[hit],
-            "cols": J, "miss_rows": rows[~hit], "miss_coef": coef[~hit],
-            "miss_at": at, "miss_slot": slot,
-        }
-
-    def _selinv_positions(self, keys):
-        """Where the selected inverse's data holds each entry key j * n + i (i >= j).
-
-        Returns (positions, hit): `hit` is False for the keys outside the
-        stored band, border strip and corner, whose positions are -1.
-        """
-        cols, rows = np.divmod(keys, self.n)
-        return self._symbolic.selected_inverse_slots(rows, cols)
-
-    def _predictor_variances(self, S, factor):
-        """a' Sigma a for every row a of A, Sigma the unconstrained Q*^-1."""
-        plan = self._node_plan()
-        nrows = self.model.A.shape[0]
-        var = np.bincount(plan["rows"], weights=plan["coef"] * S.data[plan["pos"]],
-                          minlength=nrows)
-        J = plan["cols"]
-        if J.size:
-            E = np.zeros((self.n, J.size))
-            E[J, np.arange(J.size)] = 1.0
-            X = solve(factor, E)
-            var += np.bincount(plan["miss_rows"],
-                               weights=plan["miss_coef"] * X[plan["miss_at"], plan["miss_slot"]],
-                               minlength=nrows)
-        return var
+    def _predictor_variances(self, S):
+        """a' Sigma a for every row a of A, Sigma the unconstrained Q*^-1 in `S`."""
+        rows, pos, coef = self._pred_plan
+        return np.bincount(rows, weights=coef * S.data[pos], minlength=self.model.A.shape[0])
 
     def lincomb_node_moments(self, approx, B):
         """Per-node mean and variance of B x under one Gaussian approximation."""
@@ -1013,32 +904,46 @@ def hyper_lincomb_marginal(nodes, v, offset, theta_star, H, points=75, span=6.0)
 # ------------------------------------------------------------------
 # linear combinations of the latent field
 
-def linear_combination_marginals(model, nodes, B, config=None):
+def linear_combination_marginals(engine, nodes, B):
     """Marginal densities of linear combinations B x of the latent field.
 
-    Each node's Newton iteration starts from the previous node's approximation.
+    `nodes` are the engine's integration nodes (a fit's `engine` and
+    `nodes`).  Each node's Newton iteration starts at that node's latent
+    mode, where it factorizes Q* and, converged, takes no step.
     """
-    eng = Engine(model, config)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     means, variances = [], []
-    approx = None
     for nd in nodes:
-        _, approx = eng.log_posterior(nd.theta, start=approx, return_approx=True)
-        m, v = eng.lincomb_node_moments(approx, B)
+        _, approx = engine.log_posterior(nd.theta, x_init=nd.quantities["x_star"],
+                                         return_approx=True)
+        m, v = engine.lincomb_node_moments(approx, B)
         means.append(m)
         variances.append(v)
     w = node_weights(nodes)
     means = np.stack(means)
     sds = np.sqrt(np.stack(variances))
-    cfg = eng.config
+    cfg = engine.config
     return [mixture_marginal(means[:, r], sds[:, r], w,
                              cfg.marginal_points, cfg.marginal_span)
             for r in range(B.shape[0])]
 
 
 def marginal_likelihood(nodes, H):
-    """Laplace estimate of the log model evidence from mode-centered nodes."""
-    return _laplace_evidence(max(nd.log_post for nd in nodes), H)
+    """Laplace estimate of the log model evidence from mode-centered nodes.
+
+    log of exp(lp*) (2 pi)^(p/2) |-H|^(-1/2), lp* the highest node log
+    posterior.  Raises ModeSearchFailed unless H is negative definite, which
+    the Cholesky factor of -H tests.
+    """
+    log_peak = max(nd.log_post for nd in nodes)
+    p = H.shape[0]
+    if p == 0:
+        return float(log_peak)
+    try:
+        c = np.linalg.cholesky(-H)
+    except np.linalg.LinAlgError as exc:
+        raise ModeSearchFailed(f"Hessian not negative definite at the mode: {exc}") from exc
+    return float(log_peak + 0.5 * p * LOG_2PI - np.sum(np.log(np.diag(c))))
 
 
 # ------------------------------------------------------------------
@@ -1159,7 +1064,6 @@ def fit(model, config=None):
     """Full inference pass: mode search, then exploration, which gives the node moments."""
     t0 = time.perf_counter()
     engine = Engine(model, config)
-    engine._node_plan()
     t1 = time.perf_counter()
 
     theta_star, H, center = engine.find_mode()

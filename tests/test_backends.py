@@ -249,16 +249,19 @@ def _strip_model(rng, m=5, nx=40, nsite=4, npred=40):
 
 
 @pytest.mark.parametrize("backend", ["band"])
-def test_missing_predictor_pairs_one_solve(backend, monkeypatch):
-    # covariance pairs outside the selected-inverse pattern come from one solve
-    # with |J| right-hand sides per node, not from a solve per predictor row
+def test_predictor_pairs_inside_pattern(backend, monkeypatch):
+    # the pattern of Q* holds the pairs of the unobserved prediction rows too:
+    # the last rw1 column, which they pair with field nodes along the whole
+    # strip, is a hub of the border, and every predictor variance reads the
+    # selected inverse with no solve
     model = _strip_model(np.random.default_rng(3))
     engine = eng.Engine(model)
-    plan = engine._node_plan()
-    J = plan["cols"]
+    keys, _, _ = eng._row_pairs(model.A)
+    cols, rows = np.divmod(keys, model.n_latent)
+    _, inside = engine._symbolic.selected_inverse_slots(rows, cols)
+    assert inside.all()
     last_rw1 = model.col_offsets["t"][0] + 4
-    assert last_rw1 in J
-    assert 1 <= J.size < np.unique(plan["miss_rows"]).size
+    assert last_rw1 in engine.perm.order[engine.n - engine._symbolic.nb:]
     theta = np.zeros(0)
     q = engine.node_quantities(theta)
 
@@ -272,8 +275,8 @@ def test_missing_predictor_pairs_one_solve(backend, monkeypatch):
         return real(factor, b)
 
     monkeypatch.setattr(eng, "solve", spy)
-    engine._predictor_variances(S, approx.factor)
-    assert shapes == [(model.n_latent, J.size)]
+    engine._predictor_variances(S)
+    assert shapes == []
 
     # dense conditional with the sum-to-zero constraint
     A = model.A.toarray()
