@@ -37,14 +37,12 @@ from .latent import (
     bin_covariate,
     build_stack,
     correlation_hyper,
-    group_ar1,
     group_block,
     index_block,
     log_precision_hyper,
     log_prior_theta,
     matern_kappa_tau,
     matern_range_variance,
-    prior_precision,
     rw1_structure,
     spde_matern_component,
     spde_precision,

@@ -49,6 +49,10 @@ CHORD_CONTRACTION = 0.1
 # need no Newton solve (prior quantities and the likelihood at a fixed eta)
 PRIOR_DIFF_STEP = 1e-4
 
+# central-difference step in theta of the mode Hessian, taken on analytic
+# theta-gradients
+HESS_DIFF_STEP = 1e-3
+
 
 @dataclass
 class EngineConfig:
@@ -58,7 +62,6 @@ class EngineConfig:
     grid_step: float = 1.0           # step in standardized z coordinates
     log_drop: float = 2.5            # keep grid nodes within this log drop
     max_grid_nodes: int = 256
-    fd_step_hess: float = 1e-3
     newton_tol: float = 1e-8
     max_newton: int = 50
     mode_budget: int = 200
@@ -110,12 +113,19 @@ class ThetaNode:
 # ------------------------------------------------------------------
 # quasi-Newton ascent used for the hyperparameter mode
 
-def _maximize(f, x0, grad, budget, grad_tol, step_tol=1e-6, max_iter=100, max_step=3.0):
+# at most BFGS_MAX_ITER iterations, each step capped at BFGS_MAX_STEP per
+# coordinate, stopping once a step is within BFGS_STEP_TOL
+BFGS_MAX_ITER = 100
+BFGS_MAX_STEP = 3.0
+BFGS_STEP_TOL = 1e-6
+
+
+def _maximize(f, x0, grad, budget, grad_tol):
     """BFGS ascent with backtracking.
 
     `f` may raise for or return -inf at invalid points; the line search
     shrinks past them.  `grad(x)` is the gradient of `f` at a point where `f`
-    was just evaluated and finite.  Steps are capped at `max_step` per
+    was just evaluated and finite.  Steps are capped at BFGS_MAX_STEP per
     coordinate.  Raises ModeSearchFailed once `budget` evaluations of `f` are
     exhausted; returns (x, f(x), evaluations of f).
     """
@@ -139,7 +149,7 @@ def _maximize(f, x0, grad, budget, grad_tol, step_tol=1e-6, max_iter=100, max_st
         raise ModeSearchFailed("log-posterior not finite at the initial point")
     Hinv = np.eye(p)
     g = grad(x)
-    for _ in range(max_iter):
+    for _ in range(BFGS_MAX_ITER):
         if np.max(np.abs(g)) <= grad_tol:
             break
         direction = Hinv @ g
@@ -147,8 +157,8 @@ def _maximize(f, x0, grad, budget, grad_tol, step_tol=1e-6, max_iter=100, max_st
             Hinv = np.eye(p)
             direction = g.copy()
         biggest = np.max(np.abs(direction))
-        if biggest > max_step:
-            direction = direction * (max_step / biggest)
+        if biggest > BFGS_MAX_STEP:
+            direction = direction * (BFGS_MAX_STEP / biggest)
         lam, accepted = 1.0, False
         f_new = -np.inf
         x_new = x
@@ -171,7 +181,7 @@ def _maximize(f, x0, grad, budget, grad_tol, step_tol=1e-6, max_iter=100, max_st
             Hinv = (I - rho * np.outer(s, y)) @ Hinv @ (I - rho * np.outer(y, s)) \
                 + rho * np.outer(s, s)
         x, fval, g = x_new, f_new, g_new
-        if np.max(np.abs(s)) <= step_tol:
+        if np.max(np.abs(s)) <= BFGS_STEP_TOL:
             break
     return x, fval, count
 
@@ -660,7 +670,7 @@ class Engine:
         S = None
         # H is the symmetrized central difference of analytic gradients, each
         # at a probe from the approximation at the mode
-        h = cfg.fd_step_hess
+        h = HESS_DIFF_STEP
         H = np.zeros((p, p))
         for j in range(p):
             step = np.zeros(p)
@@ -995,10 +1005,6 @@ class FitResult:
         return mixture_marginal(self.latent_mean[:, index], self.latent_sd[:, index],
                                 self.weights, cfg.marginal_points, cfg.marginal_span)
 
-    def component_marginal(self, name, local_index):
-        sl = self.model.component_slice(name)
-        return self.latent_marginal(sl.start + local_index)
-
     def predictor_marginal(self, row):
         cfg = self._cfg()
         return mixture_marginal(self.pred_mean[:, row], self.pred_sd[:, row],
@@ -1055,9 +1061,6 @@ class FitResult:
     def hyper_summary(self, scale="natural"):
         return {h.name: zmarginal(self.hyper_marginal(h.name, scale))
                 for h in self.model.free_hyperparams()}
-
-    def tag_rows(self, tag):
-        return self.model.tag_range(tag)
 
 
 def fit(model, config=None):

@@ -201,16 +201,6 @@ def spde_precision(fem, alpha, kappa, tau):
     return SparseSymmetric.from_full((tau**2 * Q).tocsc())
 
 
-def group_ar1(Q_space, T, a):
-    """Kronecker coupling of a spatial precision over T AR(1)-dependent groups."""
-    if abs(a) >= 1.0:
-        raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
-    if T == 1:
-        return Q_space
-    Qt = ar1_precision(T, a).full()
-    return SparseSymmetric.from_full(sp.kron(Qt, Q_space.full(), format="csc"))
-
-
 # ------------------------------------------------------------------
 # fixed terms: a prior precision is sum_k coef_k(theta) * term_k
 
@@ -508,7 +498,6 @@ class SpdeMaternComponent(_Component):
     def __post_init__(self):
         if self.alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
-        self._eigvals = None
 
     @property
     def size(self):
@@ -519,17 +508,6 @@ class SpdeMaternComponent(_Component):
         if self.grouping is not None:
             h += self.grouping.hyperparams()
         return h
-
-    def _whitened_eigvals(self):
-        # eigenvalues of C^{-1/2} G C^{-1/2}; makes logdet(Q) analytic in
-        # (kappa, tau).  Dense eigendecomposition; only for moderate meshes.
-        if self._eigvals is None:
-            c = self.fem.mass_diag
-            G = self.fem.stiffness.to_dense()
-            s = 1.0 / np.sqrt(c)
-            W = G * s[:, None] * s[None, :]
-            self._eigvals = np.clip(np.linalg.eigvalsh(W), 0.0, None)
-        return self._eigvals
 
     def _block_terms(self):
         c = self.fem.mass_diag
@@ -548,20 +526,15 @@ class SpdeMaternComponent(_Component):
             coefs = [tau2 * kappa2, tau2]
         else:
             coefs = [tau2 * kappa2**2, 2.0 * tau2 * kappa2, tau2]
+        # C is diagonal, so log|Q| = 2 ns log tau + alpha log|kappa^2 C + G|
+        # - (alpha - 1) log|C|, and kappa^2 C + G is as sparse as the mesh
         ns = self.size
-        if ns <= 800:
-            lam = self._whitened_eigvals()
-            logdet = (2.0 * ns * log_tau + np.sum(np.log(self.fem.mass_diag))
-                      + self.alpha * np.sum(np.log(kappa2 + lam)))
-        else:
-            # C is diagonal, so log|Q| = 2 ns log tau + alpha log|kappa^2 C + G|
-            # - (alpha - 1) log|C|, and kappa^2 C + G is as sparse as the mesh
-            terms, symbolic = self._operator_analysis
-            P = terms.pattern
-            K = sp.csc_matrix((terms.combine([kappa2, 1.0]), P.indices, P.indptr), shape=P.shape)
-            log_k = factorize(SparseSymmetric(ns, K, validate=False), symbolic).logdet
-            logdet = (2.0 * ns * log_tau + self.alpha * log_k
-                      - (self.alpha - 1) * np.sum(np.log(self.fem.mass_diag)))
+        terms, symbolic = self._operator_analysis
+        P = terms.pattern
+        K = sp.csc_matrix((terms.combine([kappa2, 1.0]), P.indices, P.indptr), shape=P.shape)
+        log_k = factorize(SparseSymmetric(ns, K, validate=False), symbolic).logdet
+        logdet = (2.0 * ns * log_tau + self.alpha * log_k
+                  - (self.alpha - 1) * np.sum(np.log(self.fem.mass_diag)))
         return coefs, float(logdet)
 
     @cached_property
@@ -770,12 +743,6 @@ class ModelGraph:
         if tag not in self.tags:
             raise UnknownTag(tag)
         return self.tags[tag]
-
-
-def prior_precision(model, theta):
-    """Block-diagonal prior precision Q(theta) over all components."""
-    Q, _, _, _ = model.prior_quantities(theta)
-    return SparseSymmetric.from_full(Q)
 
 
 def log_prior_theta(model, theta):

@@ -67,9 +67,6 @@ class GaussianLik:
         tau = param
         return ndtr((np.asarray(y, dtype=float) - eta) * np.sqrt(tau))
 
-    def inverse_link(self, eta):
-        return eta
-
     def sample(self, eta, param, rng):
         return eta + rng.standard_normal(np.shape(eta)) / np.sqrt(param)
 
@@ -103,9 +100,6 @@ class PoissonLik:
     def cdf(self, y, eta, param=None):
         y = _check_counts(y)
         return pdtr(y, np.exp(eta))
-
-    def inverse_link(self, eta):
-        return np.exp(eta)
 
     def sample(self, eta, param, rng):
         return rng.poisson(np.exp(eta)).astype(float)
@@ -159,9 +153,6 @@ class NegBinomialLik:
         mu = np.exp(eta)
         # P(Y <= y) = I_p(r, y + 1), p = r / (r + mu); `nbdtr` would truncate r
         return betainc(r, y + 1.0, r / (r + mu))
-
-    def inverse_link(self, eta):
-        return np.exp(eta)
 
     def sample(self, eta, param, rng):
         mu = np.exp(eta)

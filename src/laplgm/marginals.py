@@ -200,13 +200,6 @@ class MarginalSummary:
     quantiles: dict
     mode: float
 
-    def as_row(self):
-        row = {"mean": self.mean, "sd": self.sd}
-        for q in SUMMARY_QUANTILES:
-            row[f"q{q}"] = self.quantiles[q]
-        row["mode"] = self.mode
-        return row
-
 
 def zmarginal(m):
     """Summary record: mean, sd, standard quantiles and mode."""

@@ -15,6 +15,7 @@ import numpy as np
 from .latent import matern_kappa_tau, spde_precision
 from .mesh import assemble, projector
 from .errors import ProblemTooLarge
+from .likelihoods import FAMILIES
 from .sparse import Permutation, factorize, rcm, reorder, sample
 
 # substream offsets from the master seed (column streams of the spatial
@@ -22,6 +23,10 @@ from .sparse import Permutation, factorize, rcm, reorder, sample
 _STREAM_COVARIATE = 1_000_003
 _STREAM_SITES = 1_000_004
 _STREAM_RESPONSE = 1_000_005
+
+# observation precision (gaussian) and dispersion (nbinomial) when the spec
+# gives none
+_DEFAULT_FAMILY_PARAM = {"gaussian": 1.0, "nbinomial": 10.0}
 
 
 def _stream(seed, offset):
@@ -142,18 +147,12 @@ def simulate(spec, seed):
         row_site[block] = np.arange(n_sites)
         row_time[block] = t + 1
 
-    gen = _stream(seed, _STREAM_RESPONSE)
-    if spec.family == "poisson":
-        y = gen.poisson(np.exp(eta)).astype(float)
-    elif spec.family == "gaussian":
-        tau_obs = spec.family_param if spec.family_param is not None else 1.0
-        y = eta + gen.standard_normal(eta.size) / np.sqrt(tau_obs)
-    elif spec.family == "nbinomial":
-        r = spec.family_param if spec.family_param is not None else 10.0
-        mu = np.exp(eta)
-        y = gen.negative_binomial(r, r / (r + mu)).astype(float)
-    else:
+    if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
+    param = spec.family_param
+    if param is None:
+        param = _DEFAULT_FAMILY_PARAM.get(spec.family)
+    y = FAMILIES[spec.family]().sample(eta, param, _stream(seed, _STREAM_RESPONSE))
 
     return SimulatedData(spec.sites, T, cov_values, trend, field,
                          row_site, row_time, eta, y)

@@ -102,9 +102,6 @@ class SparseSymmetric:
     def diagonal(self):
         return self.lower.diagonal()
 
-    def matvec(self, x):
-        return self.full() @ x
-
     def quad(self, x):
         """x' Q x."""
         return float(x @ (self.full() @ x))

@@ -6,7 +6,7 @@ import laplgm.latent as lm
 import laplgm.mesh as mm
 from laplgm.errors import DimensionMismatch, InvalidCorrelation, UnknownTag
 from laplgm.likelihoods import PoissonLik
-from laplgm.sparse import SparseSymmetric
+from laplgm.sparse import factorize
 
 
 class TestAr1Precision:
@@ -92,25 +92,34 @@ class TestSpdePrecision:
         assert var[0] > var[1] > var[2]
 
 
+def grouped_ar1(Qs_d, T, a):
+    """kron(ar1_precision(T, a), Qs) as Ar1Grouping lays it on the Kronecker pattern."""
+    grouping = lm.Ar1Grouping(T, lm.HyperParam("a", transform="correlation", fixed=True))
+    block = lm._Terms([Qs_d])
+    kron = lm._KronMap(grouping.terms.pattern, block.pattern)
+    data_t, _ = grouping.coupling({"a": lm._corr_to_internal(a)})
+    P = kron.pattern
+    return sp.csc_matrix((kron.combine(data_t, block.values[0]), P.indices, P.indptr),
+                         shape=P.shape).toarray()
+
+
 class TestGroupAr1:
     def test_zero_correlation_block_diagonal(self):
         rng = np.random.default_rng(0)
         B = rng.standard_normal((3, 3))
-        Qs = SparseSymmetric.from_full(B @ B.T + 3 * np.eye(3))
-        Qg = lm.group_ar1(Qs, 4, 0.0)
-        assert np.allclose(Qg.to_dense(), np.kron(np.eye(4), Qs.to_dense()))
+        Qs_d = B @ B.T + 3 * np.eye(3)
+        assert np.allclose(grouped_ar1(Qs_d, 4, 0.0), np.kron(np.eye(4), Qs_d))
 
     def test_single_group_unchanged(self):
-        Qs = SparseSymmetric.from_full(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        assert np.allclose(lm.group_ar1(Qs, 1, 0.7).to_dense(), Qs.to_dense())
+        Qs_d = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        assert np.allclose(grouped_ar1(Qs_d, 1, 0.7), Qs_d)
 
     def test_kron_oracle(self):
         rng = np.random.default_rng(1)
         B = rng.standard_normal((2, 2))
         Qs_d = B @ B.T + 2 * np.eye(2)
-        Qg = lm.group_ar1(SparseSymmetric.from_full(Qs_d), 2, 0.5)
         oracle = np.kron(lm.ar1_precision(2, 0.5).to_dense(), Qs_d)
-        assert np.abs(Qg.to_dense() - oracle).max() <= 1e-12
+        assert np.abs(grouped_ar1(Qs_d, 2, 0.5) - oracle).max() <= 1e-12
 
     def test_kron_oracle_sweep(self):
         rng = np.random.default_rng(2)
@@ -118,14 +127,14 @@ class TestGroupAr1:
             B = rng.standard_normal((n, n))
             Qs_d = B @ B.T + n * np.eye(n)
             for a in (-0.4, 0.6):
-                Qg = lm.group_ar1(SparseSymmetric.from_full(Qs_d), T, a)
                 oracle = np.kron(lm.ar1_precision(T, a).to_dense(), Qs_d)
-                assert np.abs(Qg.to_dense() - oracle).max() <= 1e-10
+                assert np.abs(grouped_ar1(Qs_d, T, a) - oracle).max() <= 1e-10
 
     def test_invalid(self):
-        Qs = SparseSymmetric.from_full(np.eye(2))
+        # internal 40 rounds the correlation to exactly 1
+        grouping = lm.Ar1Grouping(3, lm.HyperParam("a", transform="correlation", fixed=True))
         with pytest.raises(InvalidCorrelation):
-            lm.group_ar1(Qs, 3, 1.0)
+            grouping.coupling({"a": 40.0})
 
 
 class TestTransforms:
@@ -175,8 +184,8 @@ class TestModelGraph:
 
     def test_prior_precision_assembly(self):
         g = toy_graph()
-        Q = lm.prior_precision(g, np.array([np.log(4.0)]))
-        assert np.allclose(Q.to_dense(), np.diag([1e-4, 4.0, 4.0]))
+        Q = g.prior_quantities(np.array([np.log(4.0)]))[0]
+        assert np.allclose(Q.toarray(), np.diag([1e-4, 4.0, 4.0]))
 
     def test_iid_transform(self):
         hy = lm.log_precision_hyper("u.prec", 1.0)
@@ -184,8 +193,8 @@ class TestModelGraph:
             [lm.StackPart(np.array([1.0, 0.0, 2.0]),
                           {"u": lm.index_block([0, 1, 2], 3)}, "obs")],
             [lm.IidComponent("u", 3, hy)], PoissonLik())
-        Q = lm.prior_precision(g, np.array([np.log(4.0)]))
-        assert np.allclose(Q.to_dense(), 4.0 * np.eye(3))
+        Q = g.prior_quantities(np.array([np.log(4.0)]))[0]
+        assert np.allclose(Q.toarray(), 4.0 * np.eye(3))
 
     def test_spde_delegation(self):
         mesh = mm.structured_mesh(0, 1, 0, 1, 3, 3)
@@ -195,9 +204,9 @@ class TestModelGraph:
         part = lm.StackPart(np.ones(rows), {"s": sp.identity(rows, format="csr")}, "obs")
         g = lm.build_stack([part], [comp], PoissonLik())
         theta = g.theta_initial()
-        Q = lm.prior_precision(g, theta)
+        Q = g.prior_quantities(theta)[0]
         direct = lm.spde_precision(fem, 2, np.exp(theta[1]), np.exp(theta[0]))
-        assert np.abs(Q.to_dense() - direct.to_dense()).max() <= 1e-12
+        assert np.abs(Q.toarray() - direct.to_dense()).max() <= 1e-12
 
     def test_stack_join_paper_scale_shapes(self):
         # 3000 observation rows plus a 51x51 prediction grid of missing rows
@@ -332,15 +341,27 @@ class TestComponentStructure:
         assert np.allclose(iid.precision(values).toarray(), 2.0 * np.eye(3))
 
     @pytest.mark.parametrize("alpha", [1, 2])
-    def test_spde_logdet_above_eigenvalue_cutoff(self, alpha):
-        # 841 nodes: log|Q| from the band factor of kappa^2 C + G
-        mesh = mm.structured_mesh(0, 1, 0, 1, 28, 28)
+    @pytest.mark.parametrize("nodes", [36, 841])
+    def test_spde_logdet_matches_dense(self, nodes, alpha, monkeypatch):
+        # log|Q| from one band factorization of kappa^2 C + G per call, at
+        # every mesh size
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(lm, "factorize", counted)
+        side = int(np.sqrt(nodes)) - 1
+        mesh = mm.structured_mesh(0, 1, 0, 1, side, side)
         fem = mm.assemble(mesh)
         comp = lm.spde_matern_component("s", fem, mesh, alpha=alpha)
-        assert comp.size == 841
+        assert comp.size == nodes
         for log_tau, log_kappa in ((0.3, 1.2), (-1.1, 2.5)):
             values = {"s.log_tau": log_tau, "s.log_kappa": log_kappa}
+            before = len(calls)
             _, logdet = comp._block(values)
+            assert len(calls) == before + 1
             Q = lm.spde_precision(fem, alpha, np.exp(log_kappa), np.exp(log_tau))
             assert logdet == pytest.approx(np.linalg.slogdet(Q.to_dense())[1],
                                            rel=1e-10, abs=1e-8)

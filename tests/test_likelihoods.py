@@ -174,3 +174,32 @@ class TestNormalization:
         var = (ks**2 * p).sum() - mean**2
         assert mean == pytest.approx(mu, rel=1e-8)
         assert var == pytest.approx(mu + mu**2 / r, rel=1e-8)
+
+
+class TestSample:
+    # moments of 2e5 draws at one eta, each within five standard errors
+    N = 200_000
+
+    def test_poisson_mean(self):
+        eta = 0.7
+        y = PoissonLik().sample(np.full(self.N, eta), None, np.random.default_rng(3))
+        mu = np.exp(eta)
+        assert np.array_equal(y, np.floor(y))
+        assert abs(y.mean() - mu) <= 5.0 * np.sqrt(mu / self.N)
+
+    def test_gaussian_variance(self):
+        lik, tau = gaussian(2.5)
+        y = lik.sample(np.full(self.N, -0.4), tau, np.random.default_rng(4))
+        assert abs(y.mean() + 0.4) <= 5.0 * np.sqrt(1.0 / (tau * self.N))
+        # a Gaussian sample variance has relative sd sqrt(2 / N)
+        assert abs(y.var() * tau - 1.0) <= 5.0 * np.sqrt(2.0 / self.N)
+
+    def test_nbinomial_variance(self):
+        r, eta = 5.0, 0.8
+        mu = np.exp(eta)
+        nb = NegBinomialLik(HyperParam("d", np.log(r), "log", fixed=True))
+        y = nb.sample(np.full(self.N, eta), r, np.random.default_rng(5))
+        var = mu + mu**2 / r
+        assert np.array_equal(y, np.floor(y))
+        assert abs(y.mean() - mu) <= 5.0 * np.sqrt(var / self.N)
+        assert y.var() == pytest.approx(var, rel=0.025)
