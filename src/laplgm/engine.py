@@ -257,11 +257,10 @@ class Engine:
         self._lik_map = sp.csr_matrix(
             (pair_weights[lik], (np.searchsorted(keys, pair_keys[lik]), obs_of[pair_rows[lik]])),
             shape=(keys.size, self.obs_idx.size))
-        lower = sparse._csc_from_keys(keys, n)
-        self._pattern = lower
-        full = (lower + sp.tril(lower, k=-1).T).tocsc()
-        self.perm = self._choose_permutation(full)
-        self._symbolic = sparse.analyze(SparseSymmetric(n, lower, validate=False), self.perm)
+        self._pattern = sparse._csc_from_keys(keys, n)
+        pattern = SparseSymmetric(n, self._pattern, validate=False)
+        self.perm = self._choose_permutation(pattern.full())
+        self._symbolic = sparse.analyze(pattern, self.perm)
         # where the selected inverse holds each entry: the pattern of Q* for
         # the trace of the theta-gradient, the pairs for predictor variances
         self._trace_plan = self._selinv_reads(keys)

@@ -136,6 +136,11 @@ def matern_range_variance(kappa, tau, nu=1.0, dim=2):
     return float(rng), float(var)
 
 
+def _matern_nu(alpha):
+    """Matern nu of an SPDE field in 2D: alpha - 1, but 0.5 for alpha = 1 (nu = 0)."""
+    return alpha - 1.0 if alpha == 2 else 0.5
+
+
 # ------------------------------------------------------------------
 # structure matrices
 
@@ -143,21 +148,14 @@ def ar1_precision(n, a, marginal_precision=1.0):
     """Tridiagonal precision of a stationary AR(1) with unit-marginal structure.
 
     Inner diagonal (1+a^2)/(1-a^2), ends 1/(1-a^2), off-diagonal -a/(1-a^2),
-    all scaled by `marginal_precision`.  Length 1 is [marginal_precision]
-    itself, so the log-determinant is n log(tau) - (n-1) log(1-a^2) at
-    every length.
+    all scaled by `marginal_precision`: the terms and coefficients of
+    `Ar1Component`.  Length 1 is [marginal_precision] up to rounding, so the
+    log-determinant is n log(tau) - (n-1) log(1-a^2) at every length.
     """
-    if abs(a) >= 1.0:
-        raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
+    coefs, _ = _ar1_coefs(n, a, marginal_precision)
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = marginal_precision / (1.0 - a * a)
-    diag = np.full(n, (1.0 + a * a) * s)
-    diag[[0, -1]] = s if n > 1 else marginal_precision
-    rows = np.concatenate([np.arange(n), np.arange(1, n)])
-    cols = np.concatenate([np.arange(n), np.arange(n - 1)])
-    vals = np.concatenate([diag, np.full(n - 1, -a * s)])
-    return SparseSymmetric.from_triplets(n, rows, cols, vals)
+    return _Terms(_ar1_terms(n)).matrix(coefs)
 
 
 def rw1_structure(n, precision=1.0):
@@ -185,20 +183,14 @@ def spde_precision(fem, alpha, kappa, tau):
     """Gauss-Markov precision of the Matern-like field on a triangulation.
 
     alpha=1: Q = tau^2 (kappa^2 C + G); alpha=2: Q = tau^2 (kappa^4 C +
-    2 kappa^2 G + G C^-1 G) with the lumped diagonal mass matrix C.
+    2 kappa^2 G + G C^-1 G) with the lumped diagonal mass matrix C: the
+    terms and coefficients of `SpdeMaternComponent` at (log tau, log kappa).
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     if kappa <= 0 or tau <= 0:
         raise ValueError("kappa and tau must be positive")
-    c = fem.mass_diag
-    G = fem.stiffness.full()
-    if alpha == 1:
-        Q = kappa**2 * sp.diags(c) + G
-    else:
-        GCG = (G @ sp.diags(1.0 / c) @ G).tocsc()
-        Q = kappa**4 * sp.diags(c) + 2.0 * kappa**2 * G + GCG
-    return SparseSymmetric.from_full((tau**2 * Q).tocsc())
+    return _Terms(_spde_terms(fem, alpha)).matrix(_spde_coefs(alpha, np.log(tau), np.log(kappa)))
 
 
 # ------------------------------------------------------------------
@@ -231,6 +223,12 @@ class _Terms:
     def combine(self, coefs):
         return np.asarray(coefs, dtype=float) @ self.values
 
+    def matrix(self, coefs):
+        """sum_k coefs[k] term_k as a SparseSymmetric."""
+        P = self.pattern
+        full = sp.csc_matrix((self.combine(coefs), P.indices, P.indptr), shape=P.shape)
+        return SparseSymmetric.from_full(full)
+
 
 class _KronMap:
     """Pattern of kron(Qt, Qb) and the pair of factor entries behind each entry."""
@@ -255,7 +253,7 @@ def _ar1_terms(n):
     """I, the inner-diagonal indicator and the off-diagonal adjacency of length n.
 
     ar1_precision(n, a, tau) = tau/(1-a^2) * (I + a^2 D_inner - a Off).  At
-    n = 1 the indicator is [-1], so the single entry is tau.
+    n = 1 the indicator is [-1], so the single entry is tau up to rounding.
     """
     inner = np.ones(n)
     inner[[0, -1]] = 0.0 if n > 1 else -1.0
@@ -263,9 +261,32 @@ def _ar1_terms(n):
     return [sp.identity(n), sp.diags(inner), off]
 
 
-def _ar1_coefs(a, scale=1.0):
+def _ar1_coefs(n, a, scale=1.0):
+    """Coefficients of `_ar1_terms(n)` for scale * the unit AR(1) precision, and
+    that precision's log-determinant -(n-1) log(1-a^2); |a| >= 1 raises."""
+    if abs(a) >= 1.0:
+        raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
     s = scale / (1.0 - a * a)
-    return [s, a * a * s, -a * s]
+    return [s, a * a * s, -a * s], -(n - 1) * np.log(1.0 - a * a)
+
+
+def _spde_terms(fem, alpha):
+    """The fixed terms C, G and, for alpha = 2, G C^-1 G."""
+    c = fem.mass_diag
+    G = fem.stiffness.full()
+    terms = [sp.diags(c), G]
+    if alpha == 2:
+        terms.append(G @ sp.diags(1.0 / c) @ G)
+    return terms
+
+
+def _spde_coefs(alpha, log_tau, log_kappa):
+    """Coefficients of `_spde_terms`: tau^2 (kappa^2, 1) or tau^2 (kappa^4, 2 kappa^2, 1)."""
+    tau2 = np.exp(2.0 * log_tau)
+    kappa2 = np.exp(2.0 * log_kappa)
+    if alpha == 1:
+        return [tau2 * kappa2, tau2]
+    return [tau2 * kappa2**2, 2.0 * tau2 * kappa2, tau2]
 
 
 # ------------------------------------------------------------------
@@ -286,9 +307,8 @@ class Ar1Grouping:
     def coupling(self, values):
         """(coupling data on terms.pattern, its log-determinant)."""
         a = TRANSFORMS["correlation"][0](values[self.correlation.name])
-        if abs(a) >= 1.0:
-            raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
-        return self.terms.combine(_ar1_coefs(a)), -(self.length - 1) * np.log(1.0 - a * a)
+        coefs, logdet = _ar1_coefs(self.length, a)
+        return self.terms.combine(coefs), logdet
 
 
 @dataclass
@@ -438,10 +458,8 @@ class Ar1Component(_Component):
     def _block(self, values):
         log_tau = values[self.log_precision.name]
         a = TRANSFORMS["correlation"][0](values[self.correlation.name])
-        if abs(a) >= 1.0:
-            raise InvalidCorrelation(f"|a| = {abs(a)} >= 1")
-        logdet = self.size * log_tau - (self.size - 1) * np.log(1.0 - a * a)
-        return _ar1_coefs(a, np.exp(log_tau)), logdet
+        coefs, logdet = _ar1_coefs(self.size, a, np.exp(log_tau))
+        return coefs, self.size * log_tau + logdet
 
 
 @dataclass
@@ -484,8 +502,8 @@ class Rw1Component(_Component):
 class SpdeMaternComponent(_Component):
     """Matern-like Gauss-Markov field from the finite-element construction.
 
-    alpha=1: Q = tau^2 (kappa^2 C + G); alpha=2: Q = tau^2 (kappa^4 C +
-    2 kappa^2 G + G C^-1 G), over the fixed terms C, G and G C^-1 G.
+    Its prior precision is `spde_precision`'s, over the fixed terms C, G and
+    G C^-1 G.
     """
 
     name: str
@@ -510,32 +528,24 @@ class SpdeMaternComponent(_Component):
         return h
 
     def _block_terms(self):
-        c = self.fem.mass_diag
-        G = self.fem.stiffness.full()
-        terms = [sp.diags(c), G]
-        if self.alpha == 2:
-            terms.append(G @ sp.diags(1.0 / c) @ G)
-        return terms
+        return _spde_terms(self.fem, self.alpha)
 
     def _block(self, values):
         """Term coefficients and log-determinant of the spatial precision."""
         log_tau = values[self.log_tau.name]
-        tau2 = np.exp(2.0 * log_tau)
-        kappa2 = np.exp(2.0 * values[self.log_kappa.name])
-        if self.alpha == 1:
-            coefs = [tau2 * kappa2, tau2]
-        else:
-            coefs = [tau2 * kappa2**2, 2.0 * tau2 * kappa2, tau2]
+        log_kappa = values[self.log_kappa.name]
         # C is diagonal, so log|Q| = 2 ns log tau + alpha log|kappa^2 C + G|
-        # - (alpha - 1) log|C|, and kappa^2 C + G is as sparse as the mesh
+        # - (alpha - 1) log|C|, and kappa^2 C + G, the alpha = 1 precision at
+        # tau = 1, is as sparse as the mesh
         ns = self.size
         terms, symbolic = self._operator_analysis
         P = terms.pattern
-        K = sp.csc_matrix((terms.combine([kappa2, 1.0]), P.indices, P.indptr), shape=P.shape)
+        K = sp.csc_matrix((terms.combine(_spde_coefs(1, 0.0, log_kappa)), P.indices, P.indptr),
+                          shape=P.shape)
         log_k = factorize(SparseSymmetric(ns, K, validate=False), symbolic).logdet
         logdet = (2.0 * ns * log_tau + self.alpha * log_k
                   - (self.alpha - 1) * np.sum(np.log(self.fem.mass_diag)))
-        return coefs, float(logdet)
+        return _spde_coefs(self.alpha, log_tau, log_kappa), float(logdet)
 
     @cached_property
     def _operator_analysis(self):
@@ -556,8 +566,7 @@ def spde_matern_component(name, fem, mesh, alpha=2, initial_range=None, initial_
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
         initial_range = 0.2 * float(np.hypot(*(hi - lo)))
-    nu = alpha - 1.0 if alpha == 2 else 0.5
-    kappa0, tau0 = matern_kappa_tau(initial_range, initial_sigma, nu=nu)
+    kappa0, tau0 = matern_kappa_tau(initial_range, initial_sigma, nu=_matern_nu(alpha))
     prior = prior or GaussianPrior(0.0, 0.1)
     kappa_prior = (GaussianPrior(prior.mean, prior.precision)
                    if isinstance(prior, GaussianPrior) else GaussianPrior(0.0, 0.1))

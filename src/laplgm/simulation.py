@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latent import matern_kappa_tau, spde_precision
+from .latent import _matern_nu, matern_kappa_tau, spde_precision
 from .mesh import assemble, projector
 from .errors import ProblemTooLarge
 from .likelihoods import FAMILIES
@@ -110,8 +110,7 @@ def simulate(spec, seed):
     """Draw one dataset; deterministic for a fixed (spec, seed)."""
     if not (-1.0 < spec.ar_coef <= 1.0):
         raise ValueError("ar coefficient must lie in (-1, 1]")
-    nu = spec.alpha - 1.0 if spec.alpha == 2 else 0.5
-    kappa, tau = matern_kappa_tau(spec.range0, spec.sigma0, nu=nu)
+    kappa, tau = matern_kappa_tau(spec.range0, spec.sigma0, nu=_matern_nu(spec.alpha))
     fem = assemble(spec.mesh)
     Q = spde_precision(fem, spec.alpha, kappa, tau)
     try:

@@ -26,7 +26,7 @@ PIVOT_TOL = 1e-12
 # is stored in n (w + nb + 1) floats; beyond this many (160 MB) the analysis
 # raises ProblemTooLarge.
 _BAND_ENTRY_CAP = 2 * 10**7
-# widest trailing border the band backend tracks
+# widest trailing border the band factorization tracks
 MAX_BORDER = 24
 # The blocked selected inversion over the band runs on column blocks of this
 # many columns, whatever the bandwidth: a narrow band still makes a few large
@@ -245,18 +245,19 @@ def rcm(full):
     return scipy.sparse.csgraph.reverse_cuthill_mckee(sp.csr_matrix(full), symmetric_mode=True)
 
 
-class _BandedBackend:
-    """LAPACK band Cholesky of the core block plus a dense trailing border.
+class CholeskyFactor:
+    """Permuted sparse Cholesky factorization P Q P' = L L'.
 
     The permuted matrix is [[A11, B'], [B, A22]] with A11 banded of width w
-    and B the nb border rows; L = [[L1, 0], [M, LF]] with L1 the band
-    factor, M = B L1^-T and LF the Cholesky of the border Schur complement.
-    Triangular band sweeps go through LAPACK tbtrs.
+    and B the nb border rows; L = [[L1, 0], [M, LF]] with L1 the LAPACK band
+    factor `lband`, M = B L1^-T and LF the Cholesky of the border Schur
+    complement.  Triangular band sweeps go through LAPACK tbtrs.  `symbolic`
+    is the SymbolicFactor the factor was computed from.
     """
 
-    __slots__ = ("n", "cut", "w", "nb", "lband", "M", "LF")
+    __slots__ = ("n", "perm", "symbolic", "logdet", "cut", "w", "nb", "lband", "M", "LF", "_L")
 
-    def __init__(self, ab, Bt, F, pivot_tol):
+    def __init__(self, symbolic, ab, Bt, F, pivot_tol):
         """Factorize from LAPACK lower band storage `ab` ((w+1) x cut, column
         major), the border rows transposed `Bt` (cut x nb) and the lower
         triangle of the border corner `F` (nb x nb)."""
@@ -267,6 +268,7 @@ class _BandedBackend:
             raise NotPositiveDefinite(f"band factorization failed (info={info})")
         if not np.all(np.isfinite(lband[0])) or np.min(lband[0]) ** 2 <= pivot_tol:
             raise NotPositiveDefinite("pivot at or below tolerance")
+        logdet = 2.0 * float(np.sum(np.log(lband[0])))
         if nb:
             M = self._tbtrs(lband, Bt, b"N").T
             F = F + np.tril(F, -1).T
@@ -277,11 +279,14 @@ class _BandedBackend:
                 raise NotPositiveDefinite(f"border factorization failed: {exc}") from exc
             if np.min(np.diag(LF)) ** 2 <= pivot_tol:
                 raise NotPositiveDefinite("pivot at or below tolerance")
+            logdet += 2.0 * float(np.sum(np.log(np.diag(LF))))
         else:
             M = np.zeros((0, cut))
             LF = np.zeros((0, 0))
-        self.n, self.cut, self.w, self.nb = cut + nb, cut, w, nb
+        self.n, self.perm, self.symbolic, self.logdet = symbolic.n, symbolic.perm, symbolic, logdet
+        self.cut, self.w, self.nb = cut, w, nb
         self.lband, self.M, self.LF = lband, M, LF
+        self._L = None
 
     @staticmethod
     def _tbtrs(lband, b, trans):
@@ -292,46 +297,38 @@ class _BandedBackend:
             raise NotPositiveDefinite(f"triangular band solve failed (info={info})")
         return x.ravel() if one_d else x
 
-    def logdet(self):
-        out = 2.0 * float(np.sum(np.log(self.lband[0])))
+    def _solve_permuted(self, bp):
+        """x with L L' x = bp."""
+        u = self._tbtrs(self.lband, bp[:self.cut], b"N")
         if self.nb:
-            out += 2.0 * float(np.sum(np.log(np.diag(self.LF))))
-        return out
-
-    def solve(self, bp):
-        cut, nb = self.cut, self.nb
-        b1, b2 = bp[:cut], bp[cut:]
-        u1 = self._tbtrs(self.lband, b1, b"N")
-        if nb:
-            u2 = scipy.linalg.solve_triangular(self.LF, b2 - self.M @ u1,
+            u2 = scipy.linalg.solve_triangular(self.LF, bp[self.cut:] - self.M @ u,
                                                lower=True, check_finite=False)
-            x2 = scipy.linalg.solve_triangular(self.LF.T, u2,
-                                               lower=False, check_finite=False)
-            x1 = self._tbtrs(self.lband, u1 - self.M.T @ x2, b"T")
-            return np.concatenate([x1, x2]) if bp.ndim == 1 else np.vstack([x1, x2])
-        return self._tbtrs(self.lband, u1, b"T")
+            u = np.concatenate([u, u2])
+        return self._solve_Lt(u)
 
-    def solve_Lt(self, z):
+    def _solve_Lt(self, z):
+        """x with L' x = z."""
         cut, nb = self.cut, self.nb
         z1, z2 = z[:cut], z[cut:]
         if nb:
             x2 = scipy.linalg.solve_triangular(self.LF.T, z2, lower=False,
                                                check_finite=False)
             x1 = self._tbtrs(self.lband, z1 - self.M.T @ x2, b"T")
-            return np.concatenate([x1, x2]) if z.ndim == 1 else np.vstack([x1, x2])
+            return np.concatenate([x1, x2])
         return self._tbtrs(self.lband, z1, b"T")
 
-    def build_L(self):
-        w, cut, nb = self.w, self.cut, self.nb
-        rows, cols, vals = [], [], []
-        for d in range(w + 1):
-            m = cut - d
-            v = self.lband[d, :m]
-            nz = v != 0.0
-            cols.append(np.flatnonzero(nz))
-            rows.append(cols[-1] + d)
-            vals.append(v[nz])
-        if nb:
+    @property
+    def L(self):
+        """L as a sorted CSC matrix, built on first use."""
+        if self._L is None:
+            w, cut, nb = self.w, self.cut, self.nb
+            rows, cols, vals = [], [], []
+            for d in range(w + 1):
+                v = self.lband[d, :cut - d]
+                nz = v != 0.0
+                cols.append(np.flatnonzero(nz))
+                rows.append(cols[-1] + d)
+                vals.append(v[nz])
             for r in range(nb):
                 v = self.M[r]
                 nz = v != 0.0
@@ -343,33 +340,11 @@ class _BandedBackend:
             rows.append(cut + br[keep])
             cols.append(cut + bc[keep])
             vals.append(self.LF[br, bc][keep])
-        L = sp.csc_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(self.n, self.n))
-        L.sort_indices()
-        return L
-
-
-class CholeskyFactor:
-    """Permuted sparse Cholesky factorization P Q P' = L L'.
-
-    `symbolic` is the SymbolicFactor the factor was computed from.
-    """
-
-    __slots__ = ("n", "perm", "symbolic", "logdet", "_backend", "_L")
-
-    def __init__(self, symbolic, backend):
-        self.n = symbolic.n
-        self.perm = symbolic.perm
-        self.symbolic = symbolic
-        self.logdet = backend.logdet()
-        self._backend = backend
-        self._L = None
-
-    @property
-    def L(self):
-        if self._L is None:
-            self._L = self._backend.build_L()
+            L = sp.csc_matrix((np.concatenate(vals),
+                               (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(self.n, self.n))
+            L.sort_indices()
+            self._L = L
         return self._L
 
 
@@ -438,10 +413,8 @@ class SymbolicFactor:
             buf = np.zeros(size)
             buf[dst] = data[src]
             parts.append(buf)
-        ab = parts[0].reshape((w + 1, cut), order="F")
-        backend = _BandedBackend(ab, parts[1].reshape(cut, nb),
-                                 parts[2].reshape(nb, nb), pivot_tol)
-        return CholeskyFactor(self, backend)
+        return CholeskyFactor(self, parts[0].reshape((w + 1, cut), order="F"),
+                              parts[1].reshape(cut, nb), parts[2].reshape(nb, nb), pivot_tol)
 
     def selected_inverse_slots(self, rows, cols):
         """Where `selected_inverse` stores Sigma[i, j] for the original pairs (rows, cols).
@@ -501,7 +474,7 @@ def solve(factor, b):
     if b.shape[0] != factor.n:
         raise DimensionMismatch(f"right-hand side has length {b.shape[0]}, expected {factor.n}")
     order = factor.perm.order
-    x_perm = factor._backend.solve(b[order])
+    x_perm = factor._solve_permuted(b[order])
     out = np.empty_like(x_perm)
     out[order] = x_perm
     return out
@@ -552,7 +525,7 @@ def _triangular_inverse(L):
     return Linv
 
 
-def _takahashi_bordered(backend):
+def _takahashi_bordered(factor):
     """Blocked selected inverse over a band plus trailing border rows.
 
     The band core is cut into column blocks of b = _SELINV_BLOCK columns.
@@ -578,16 +551,16 @@ def _takahashi_bordered(backend):
     Sigma[cut:, :cut] (nb x cut, row major), then the border corner
     Sigma[cut:, cut:] (nb x nb, row major).
     """
-    cut, w, nb = backend.cut, backend.w, backend.nb
-    lflat = backend.lband.ravel(order="F")
-    M = backend.M
+    cut, w, nb = factor.cut, factor.w, factor.nb
+    lflat = factor.lband.ravel(order="F")
+    M = factor.M
     size = (w + 1) * cut
     out = np.empty(size + nb * cut + nb * nb)
     band = out[:size]
     strip = out[size:size + nb * cut].reshape(nb, cut)
     corner = out[size + nb * cut:].reshape(nb, nb)
     if nb:
-        LFinv = _triangular_inverse(backend.LF)
+        LFinv = _triangular_inverse(factor.LF)
         corner[...] = LFinv.T @ LFinv
     # inverse on the h band rows after the block (H) and on the border
     head, h = corner.copy(), 0
@@ -693,7 +666,7 @@ def selected_inverse(factor):
     positions `SymbolicFactor.selected_inverse_slots` gives, and builds no
     sparse matrix unless its `lower` is asked for.
     """
-    return SelectedInverse(factor.symbolic, _takahashi_bordered(factor._backend))
+    return SelectedInverse(factor.symbolic, _takahashi_bordered(factor))
 
 
 def sample(factor, count, seed):
@@ -710,7 +683,7 @@ def sample(factor, count, seed):
     for j in range(count):
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(j))
         Z[:, j] = gen.standard_normal(n)
-    Y = factor._backend.solve_Lt(Z)
+    Y = factor._solve_Lt(Z)
     out = np.empty_like(Y)
     out[factor.perm.order] = Y
     return out

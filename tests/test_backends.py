@@ -13,7 +13,7 @@ from laplgm.latent import GaussianPrior, HyperParam
 from laplgm.likelihoods import GaussianLik, PoissonLik
 
 
-def test_backends_agree_on_mesh_precision():
+def test_minimum_degree_band_factor_matches_dense():
     # the band factor under a minimum-degree order, a nearly dense band
     mesh = mm.structured_mesh(0, 1, 0, 1, 16, 16)
     fem = mm.assemble(mesh)
@@ -29,7 +29,7 @@ def test_backends_agree_on_mesh_precision():
     assert np.abs(d - np.diag(np.linalg.inv(Qd))).max() <= 1e-10
 
 
-def test_generic_takahashi_on_mesh_scale():
+def test_minimum_degree_selected_inverse_matches_dense():
     # scattered minimum-degree pattern at a few hundred dimensions
     mesh = mm.structured_mesh(0, 1, 0, 1, 15, 15)
     fem = mm.assemble(mesh)
@@ -43,7 +43,7 @@ def test_generic_takahashi_on_mesh_scale():
     assert err <= 1e-8
 
 
-def test_engine_fit_on_splu_backend():
+def test_engine_fit_matches_dense_subspace_oracle():
     # the full engine flow (plan caching, pair plan, constraints) against the
     # dense subspace oracle
     rng = np.random.default_rng(5)
@@ -96,9 +96,8 @@ def test_band_hint_matches_detection():
     assert engine._symbolic.nb == 1
     theta0 = model.theta_initial()
     _, approx = engine.log_posterior(theta0, return_approx=True)
-    backend = approx.factor._backend
-    assert isinstance(backend, sps._BandedBackend)
-    assert (backend.w, backend.nb) == (engine._symbolic.w, engine._symbolic.nb)
+    factor = approx.factor
+    assert (factor.w, factor.nb) == (engine._symbolic.w, engine._symbolic.nb)
     # the hinted layout reproduces the matrix
     Qd = approx.Q_star.to_dense()
     order = engine.perm.order
@@ -193,8 +192,7 @@ def test_fit_reads_selected_inverse_in_place(monkeypatch):
         lg.selected_inverse(lg.factorize(lg.SparseSymmetric.from_full(np.eye(2)))).lower
 
 
-@pytest.mark.parametrize("backend", ["band"])
-def test_plan_assembled_conditional_precision(backend):
+def test_plan_assembled_conditional_precision():
     # Q* laid on the engine's fixed pattern vs prior_quantities + A' diag(c) A
     rng = np.random.default_rng(12)
     mesh = mm.structured_mesh(0, 1, 0, 1, 4, 4)
@@ -248,8 +246,7 @@ def _strip_model(rng, m=5, nx=40, nsite=4, npred=40):
     return lm.build_stack([obs, pred], [lm.FixedEffect("mu"), trend, spde], lik)
 
 
-@pytest.mark.parametrize("backend", ["band"])
-def test_predictor_pairs_inside_pattern(backend, monkeypatch):
+def test_predictor_pairs_inside_pattern(monkeypatch):
     # the pattern of Q* holds the pairs of the unobserved prediction rows too:
     # the last rw1 column, which they pair with field nodes along the whole
     # strip, is a hub of the border, and every predictor variance reads the

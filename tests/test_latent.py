@@ -92,6 +92,32 @@ class TestSpdePrecision:
         assert var[0] > var[1] > var[2]
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_spde_precision_is_component_prior(alpha):
+    # the builder evaluates the component's own terms and coefficients, so
+    # the two agree bit for bit on the lower triangle the fit reads
+    fem = mm.assemble(mm.structured_mesh(-0.25, 1.25, -0.25, 1.25, 24, 24))
+    kappa, tau = lm.matern_kappa_tau(0.25, 1.0, nu=lm._matern_nu(alpha))
+    comp = lm.SpdeMaternComponent("s", fem, alpha, lm.HyperParam("t", fixed=True),
+                                  lm.HyperParam("k", fixed=True))
+    prior = comp.precision({"t": np.log(tau), "k": np.log(kappa)})
+    Q = lm.spde_precision(fem, alpha, kappa, tau)
+    assert np.array_equal(Q.lower.toarray(), sp.tril(prior).toarray())
+
+
+def test_ar1_precision_is_component_prior():
+    # with s = tau/(1 - a^2), the closed forms (1 + a^2) s and, at n = 1, tau
+    # round apart from the terms' sums s + a^2 s and s - a^2 s at these values
+    log_tau, a_int = np.log(0.3), -1.3
+    a = lm.TRANSFORMS["correlation"][0](a_int)
+    corr = lm.HyperParam("a", transform="correlation", fixed=True)
+    for n in (1, 2, 6):
+        comp = lm.Ar1Component("v", n, lm.HyperParam("p", fixed=True), corr)
+        prior = comp.precision({"p": log_tau, "a": a_int})
+        Q = lm.ar1_precision(n, a, np.exp(log_tau))
+        assert np.array_equal(Q.to_dense(), prior.toarray())
+
+
 def grouped_ar1(Qs_d, T, a):
     """kron(ar1_precision(T, a), Qs) as Ar1Grouping lays it on the Kronecker pattern."""
     grouping = lm.Ar1Grouping(T, lm.HyperParam("a", transform="correlation", fixed=True))
@@ -205,8 +231,11 @@ class TestModelGraph:
         g = lm.build_stack([part], [comp], PoissonLik())
         theta = g.theta_initial()
         Q = g.prior_quantities(theta)[0]
-        direct = lm.spde_precision(fem, 2, np.exp(theta[1]), np.exp(theta[0]))
-        assert np.abs(Q.toarray() - direct.to_dense()).max() <= 1e-12
+        tau, kappa = np.exp(theta)
+        C = np.diag(fem.mass_diag)
+        G = fem.stiffness.to_dense()
+        want = tau**2 * (kappa**4 * C + 2.0 * kappa**2 * G + G @ np.linalg.inv(C) @ G)
+        assert np.abs(Q.toarray() - want).max() <= 1e-12
 
     def test_stack_join_paper_scale_shapes(self):
         # 3000 observation rows plus a 51x51 prediction grid of missing rows

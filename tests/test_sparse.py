@@ -258,15 +258,13 @@ class TestBlockedSelectedInverse:
         (140, 128, 3),                  # w >= 2 blocks, cut - w < a block
     ])
     def test_dense_oracle(self, n, w, nb):
-        import laplgm.sparse as sps
         rng = np.random.default_rng(n + 7 * w + nb)
         Qd = bordered_band_spd(n, w, nb, rng)
         Q = lg.SparseSymmetric.from_full(Qd)
         cut = n - nb
         order = np.concatenate([np.arange(cut)[::-1], np.arange(cut, n)])
         f = lg.factorize(Q, lg.Permutation(order))
-        assert isinstance(f._backend, sps._BandedBackend)
-        assert (f._backend.w, f._backend.nb) == (w, nb)
+        assert (f.w, f.nb) == (w, nb)
         S = lg.selected_inverse(f)
         dense = np.linalg.inv(Qd)
         coo = S.lower.tocoo()
