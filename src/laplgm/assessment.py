@@ -19,6 +19,8 @@ from .marginals import zmarginal
 
 GH_POINTS = 21
 FAILURE_SHARE = 0.95
+# (node, observation, quadrature) tensor entries that one block of observations holds
+BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass
@@ -41,24 +43,14 @@ def _gh_rule():
     return t, w / np.sqrt(np.pi)
 
 
-def _node_tensors(fit, model, with_cdf=False):
-    """Log-likelihood (and CDF) on the (node, observation, quadrature) grid."""
-    obs = np.flatnonzero(model.observed)
-    y = model.y[obs]
-    t, w = _gh_rule()
-    L = len(fit.nodes)
-    llik = np.empty((L, obs.size, GH_POINTS))
-    cdf = np.empty_like(llik) if with_cdf else None
-    for ell, node in enumerate(fit.nodes):
-        param = model.likelihood.param(model.values_from_theta(node.theta))
-        m = fit.pred_mean[ell, obs][:, None]
-        s = fit.pred_sd[ell, obs][:, None]
-        eta = m + np.sqrt(2.0) * s * t[None, :]
-        yy = np.broadcast_to(y[:, None], eta.shape)
-        llik[ell] = model.likelihood.log_lik(yy, eta, param)
-        if with_cdf:
-            cdf[ell] = model.likelihood.cdf(yy, eta, param)
-    return obs, y, llik, cdf, w
+def _sum02(a):
+    """Σ over axes (0, 2): each node's quadrature points, then the nodes in order.
+
+    This is numpy's own order for two or more observations.  numpy folds the
+    node and quadrature axes of a one-observation array into one and sums it
+    pairwise, so an observation would get other bits in a block of its own.
+    """
+    return np.add.accumulate(np.sum(a, axis=2), axis=0)[-1]
 
 
 def _logsumexp(a):
@@ -70,16 +62,30 @@ def _logsumexp(a):
     """
     a_max = np.max(a, axis=(0, 2), keepdims=True)
     at_max = a == a_max
-    m = np.sum(at_max, axis=(0, 2), keepdims=True, dtype=float)
+    m = np.sum(at_max, axis=(0, 2), dtype=float)
     with np.errstate(invalid="ignore"):   # -inf - -inf on all -inf slices
         e = np.exp(a - a_max)
     e[at_max] = 0.0
-    s = np.sum(e, axis=(0, 2), keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + a_max)[0, :, 0]
+    s = _sum02(e) / m
+    return np.log1p(s) + np.log(m) + a_max[0, :, 0]
 
 
-def _cpo_pit(fit, llik, cdf, w):
-    logw = np.log(fit.weights)[:, None, None] + np.log(w)[None, None, :]
+def _node_tensors(fit, model, rows, params, t):
+    """Log-likelihood and CDF on the (node, observation, quadrature) grid of `rows`."""
+    y = model.y[rows]
+    llik = np.empty((len(fit.nodes), rows.size, GH_POINTS))
+    cdf = np.empty_like(llik)
+    for ell, param in enumerate(params):
+        m = fit.pred_mean[ell, rows][:, None]
+        s = fit.pred_sd[ell, rows][:, None]
+        eta = m + np.sqrt(2.0) * s * t[None, :]
+        yy = np.broadcast_to(y[:, None], eta.shape)
+        llik[ell] = model.likelihood.log_lik(yy, eta, param)
+        cdf[ell] = model.likelihood.cdf(yy, eta, param)
+    return llik, cdf
+
+
+def _cpo_pit(logw, llik, cdf):
     contrib = logw - llik
     # log E[1/lik]
     log_inv = _logsumexp(contrib)
@@ -98,24 +104,53 @@ def _cpo_pit(fit, llik, cdf, w):
     return cpo, pit, failure
 
 
-def _dic(fit, model, obs, y, llik, w):
-    wmix = fit.weights[:, None, None] * w[None, None, :]
-    dbar = -2.0 * float(np.sum(llik * wmix))
-    param_mode = model.likelihood.param(model.values_from_theta(fit.theta_mode))
-    eta_bar = fit.pred_mean_post[obs]
-    dhat = -2.0 * float(np.sum(model.likelihood.log_lik(y, eta_bar, param_mode)))
-    p_dic = dbar - dhat
-    return dbar + p_dic, p_dic
+def _waic_terms(logw, llik):
+    """log E[lik], E[log lik] and Var[log lik] of each observation.
 
-
-def _waic(fit, llik, w):
-    logw = np.log(fit.weights)[:, None, None] + np.log(w)[None, None, :]
+    E[log lik] is also the observation's share of DIC's mean deviance (times -2).
+    """
     lppd_i = _logsumexp(logw + llik)
     wmix = np.exp(logw)
-    e1 = np.sum(llik * wmix, axis=(0, 2))
-    e2 = np.sum(llik**2 * wmix, axis=(0, 2))
-    p_i = np.clip(e2 - e1**2, 0.0, None)
-    return float(-2.0 * (np.sum(lppd_i) - np.sum(p_i))), float(np.sum(p_i))
+    e1 = _sum02(llik * wmix)
+    e2 = _sum02(llik**2 * wmix)
+    return lppd_i, e1, np.clip(e2 - e1**2, 0.0, None)
+
+
+def _diagnostics(fit, model):
+    """Every diagnostic from one pass over the observed rows.
+
+    The (node, observation, quadrature) tensors are built and reduced one
+    block of rows at a time, BLOCK_ENTRIES entries at most (one row at
+    least), so memory does not grow with the number of observations.  Every
+    reduction runs along the node and quadrature axes of one row, so a row's
+    terms do not depend on the block it falls in.
+    """
+    obs = np.flatnonzero(model.observed)
+    t, w = _gh_rule()
+    logw = np.log(fit.weights)[:, None, None] + np.log(w)[None, None, :]
+    params = [model.likelihood.param(model.values_from_theta(node.theta))
+              for node in fit.nodes]
+    terms = np.empty((6, obs.size))
+    step = max(1, BLOCK_ENTRIES // (len(fit.nodes) * GH_POINTS))
+    for start in range(0, obs.size, step):
+        block = slice(start, start + step)
+        llik, cdf = _node_tensors(fit, model, obs[block], params, t)
+        terms[:3, block] = _cpo_pit(logw, llik, cdf)
+        terms[3:, block] = _waic_terms(logw, llik)
+    cpo, pit, failure, lppd_i, mean_llik, p_i = terms
+
+    dbar = -2.0 * float(np.sum(mean_llik))
+    param_mode = model.likelihood.param(model.values_from_theta(fit.theta_mode))
+    eta_bar = fit.pred_mean_post[obs]
+    dhat = -2.0 * float(np.sum(model.likelihood.log_lik(model.y[obs], eta_bar, param_mode)))
+    p_dic = dbar - dhat
+    return Diagnostics(
+        index=obs,
+        cpo=cpo, pit=pit, failure=failure,
+        dic=dbar + p_dic, p_dic=p_dic,
+        waic=float(-2.0 * (np.sum(lppd_i) - np.sum(p_i))), p_waic=float(np.sum(p_i)),
+        mlik=fit.mlik,
+    )
 
 
 def cpo_pit(fit, model):
@@ -127,36 +162,26 @@ def cpo_pit(fit, model):
     quadrature contribution, or peaks on the outermost quadrature nodes
     (the reciprocal integrand blowing up in the tail).
     """
-    _, _, llik, cdf, w = _node_tensors(fit, model, with_cdf=True)
-    return _cpo_pit(fit, llik, cdf, w)
+    d = _diagnostics(fit, model)
+    return d.cpo, d.pit, d.failure
 
 
 def dic(fit, model):
     """Deviance information criterion and its effective parameter count."""
-    obs, y, llik, _, w = _node_tensors(fit, model)
-    return _dic(fit, model, obs, y, llik, w)
+    d = _diagnostics(fit, model)
+    return d.dic, d.p_dic
 
 
 def waic(fit, model):
     """Widely applicable information criterion with its penalty."""
-    _, _, llik, _, w = _node_tensors(fit, model)
-    return _waic(fit, llik, w)
+    d = _diagnostics(fit, model)
+    return d.waic, d.p_waic
 
 
 def assess(fit, model):
-    """All diagnostics from one likelihood tensor; also attached to the fit."""
-    obs, y, llik, cdf, w = _node_tensors(fit, model, with_cdf=True)
-    cpo, pit, failure = _cpo_pit(fit, llik, cdf, w)
-    dic_val, p_dic = _dic(fit, model, obs, y, llik, w)
-    waic_val, p_waic = _waic(fit, llik, w)
-    diagnostics = Diagnostics(
-        index=obs,
-        cpo=cpo, pit=pit, failure=failure,
-        dic=dic_val, p_dic=p_dic, waic=waic_val, p_waic=p_waic,
-        mlik=fit.mlik,
-    )
-    fit.diagnostics = diagnostics
-    return diagnostics
+    """All diagnostics from one pass over the observations; also attached to the fit."""
+    fit.diagnostics = _diagnostics(fit, model)
+    return fit.diagnostics
 
 
 def spde_field_summary(fit, model, name):

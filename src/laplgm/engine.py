@@ -577,7 +577,7 @@ class Engine:
         rhs = np.zeros((self.n, p))
         dq = np.zeros((self._pattern.nnz, p))   # dQ on the pattern of Q*
         dc_psi = np.zeros((self.y_obs.size, p))
-        dQs = []
+        dQs = []   # read by the constraint term only
         for j in range(p):
             step = np.zeros(p)
             step[j] = h
@@ -588,7 +588,8 @@ class Engine:
                               self._lik_param(th)))
             (q_up, s_up, psi_up), (q_dn, s_dn, psi_dn) = sides
             dQ = sp.csc_matrix(((q_up - q_dn) / (2.0 * h), P.indices, P.indptr), shape=P.shape)
-            dQs.append(dQ)
+            if self.n_constraints:
+                dQs.append(dQ)
             dQx = dQ @ x
             grad[j] = (s_up - s_dn) / (2.0 * h) - 0.5 * float(x @ dQx)
             rhs[:, j] = -dQx

@@ -742,12 +742,6 @@ class ModelGraph:
         Q = sp.csc_matrix((np.concatenate(datas), P.indices, P.indptr), shape=P.shape)
         return Q, rank, logdet, corr
 
-    def component_slice(self, name):
-        if name not in self.col_offsets:
-            raise UnknownTag(name)
-        s, width = self.col_offsets[name]
-        return slice(s, s + width)
-
     def tag_range(self, tag):
         if tag not in self.tags:
             raise UnknownTag(tag)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -301,3 +303,57 @@ class TestAssessOnePass:
         assert (d.dic, d.p_dic) == ass.dic(fit, model)
         assert (d.waic, d.p_waic) == ass.waic(fit, model)
         assert np.array_equal(d.index, np.flatnonzero(model.observed))
+
+
+def many_rows_toy(seed=23, n=503, cells=7, groups=5):
+    """Poisson counts on two crossed effects, on more rows than one default block holds."""
+    rng = np.random.default_rng(seed)
+    cell = rng.integers(0, cells, n)
+    group = rng.integers(0, groups, n)
+    eta = 0.5 + rng.normal(0.0, 0.5, cells)[cell] + rng.normal(0.0, 0.3, groups)[group]
+    y = rng.poisson(np.exp(eta)).astype(float)
+    comps = [lm.FixedEffect("mu"),
+             lm.IidComponent("u", cells, lm.log_precision_hyper(
+                 "u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))),
+             lm.IidComponent("v", groups, lm.log_precision_hyper(
+                 "v.prec", 1.0, prior=GaussianPrior(1.0, 0.5)))]
+    part = lm.StackPart(y, {"mu": np.ones(n), "u": lm.index_block(cell, cells),
+                            "v": lm.index_block(group, groups)}, "obs")
+    return lm.build_stack([part], comps, PoissonLik())
+
+
+class TestObservationBlocks:
+    """assess reduces the (node, observation, quadrature) tensors block by block."""
+
+    def test_results_do_not_depend_on_block_size(self, monkeypatch):
+        model = many_rows_toy()
+        fit = eng.fit(model, EngineConfig(int_strategy="ccd"))
+        per_row = len(fit.nodes) * ass.GH_POINTS
+        assert ass.BLOCK_ENTRIES // per_row < model.y.size     # the default splits the rows
+        runs = []
+        for entries in (1, ass.BLOCK_ENTRIES, per_row * model.y.size):
+            monkeypatch.setattr(ass, "BLOCK_ENTRIES", entries)
+            runs.append(ass.assess(fit, model))
+        one_row, default, one_block = runs
+        for d in (one_row, default):
+            for name in ("cpo", "pit", "failure"):
+                assert np.array_equal(getattr(d, name), getattr(one_block, name))
+            assert (d.waic, d.p_waic) == (one_block.waic, one_block.p_waic)
+            assert d.dic == pytest.approx(one_block.dic, rel=1e-12, abs=0)
+            assert d.p_dic == pytest.approx(one_block.p_dic, rel=1e-12, abs=0)
+
+    def test_peak_memory_set_by_the_block(self):
+        model = many_rows_toy(n=4001)
+        fit = eng.fit(model, EngineConfig(int_strategy="ccd"))
+        n_obs = int(np.count_nonzero(model.observed))
+        tensor_bytes = 8 * len(fit.nodes) * n_obs * ass.GH_POINTS
+        # a dozen block-sized float tensors and 16 floats per row
+        bound = 12 * 8 * ass.BLOCK_ENTRIES + 128 * n_obs
+        assert tensor_bytes > bound          # one whole tensor would not fit
+        tracemalloc.start()
+        try:
+            ass.assess(fit, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound

@@ -275,8 +275,7 @@ class TestBlockedSelectedInverse:
         err = np.abs(coo.data - dense[coo.row, coo.col]).max()
         assert err <= 1e-10 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("backend", ["band"])
-    def test_one_layout_per_analysis(self, backend):
+    def test_one_layout_per_analysis(self):
         rng = np.random.default_rng(31)
         n, w, nb = 150, 12, 3
         Q1 = bordered_band_spd(n, w, nb, rng)
