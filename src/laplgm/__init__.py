@@ -16,7 +16,6 @@ from .engine import (
     ThetaNode,
     fit,
     hyper_marginals,
-    linear_combination_marginals,
     marginal_likelihood,
 )
 from .latent import (
@@ -51,7 +50,6 @@ from .likelihoods import FAMILIES, GaussianLik, NegBinomialLik, PoissonLik
 from .marginals import (
     MarginalDensity,
     emarginal,
-    gaussian_marginal,
     marginal_mode,
     mixture_marginal,
     qmarginal,
@@ -66,7 +64,6 @@ from .sparse import (
     SelectedInverse,
     SparseSymmetric,
     analyze,
-    constrain,
     factorize,
     reorder,
     sample,

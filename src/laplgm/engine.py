@@ -4,8 +4,8 @@ Gaussian approximation of the latent field given hyperparameters, Laplace
 approximation of the hyperparameter posterior, deterministic exploration of
 that posterior (grid, composite design, or its mode alone), and the mixture
 machinery that turns per-node Gaussian approximations into posterior
-marginals of hyperparameters, latent variables, predictors and linear
-combinations.
+marginals of hyperparameters, latent variables and predictors.  A linear
+combination of the latent field is a predictor row with no observation.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .errors import (
 
 # proposals the quasi-Newton search treats as "out of bounds" rather than fatal
 _REJECTABLE = (NotPositiveDefinite, NonConvergence, InvalidCorrelation)
-from .latent import FixedEffect, log_prior_theta
+from .latent import TRANSFORMS, FixedEffect, log_prior_theta
 from .marginals import (
     MarginalDensity,
     _cubic_spline,
@@ -828,20 +828,6 @@ class Engine:
         rows, pos, coef = self._pred_plan
         return np.bincount(rows, weights=coef * S.data[pos], minlength=self.model.A.shape[0])
 
-    def lincomb_node_moments(self, approx, B):
-        """Per-node mean and variance of B x under one Gaussian approximation."""
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        if B.shape[1] != self.n:
-            raise DimensionMismatch(f"B has {B.shape[1]} columns, expected {self.n}")
-        mean = B @ approx.x_star
-        Z = solve(approx.factor, B.T)
-        var = np.einsum("rn,nr->r", B, Z)
-        if self.n_constraints:
-            G = B @ approx.constraint_W
-            var = var - np.einsum("rk,kr->r", G,
-                                  scipy.linalg.cho_solve(approx.constraint_cho, G.T))
-        return mean, np.clip(var, 1e-300, None)
-
 
 def node_weights(nodes):
     """Mixture weights combining design weights with posterior mass."""
@@ -909,33 +895,6 @@ def hyper_lincomb_marginal(nodes, v, offset, theta_star, H, points=75, span=6.0)
     z = (grid[:, None] - means[None, :]) / s
     dens = (np.exp(-0.5 * z**2) / (s * np.sqrt(2 * np.pi))) @ w
     return MarginalDensity(grid, dens)
-
-
-# ------------------------------------------------------------------
-# linear combinations of the latent field
-
-def linear_combination_marginals(engine, nodes, B):
-    """Marginal densities of linear combinations B x of the latent field.
-
-    `nodes` are the engine's integration nodes (a fit's `engine` and
-    `nodes`).  Each node's Newton iteration starts at that node's latent
-    mode, where it factorizes Q* and, converged, takes no step.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    means, variances = [], []
-    for nd in nodes:
-        _, approx = engine.log_posterior(nd.theta, x_init=nd.quantities["x_star"],
-                                         return_approx=True)
-        m, v = engine.lincomb_node_moments(approx, B)
-        means.append(m)
-        variances.append(v)
-    w = node_weights(nodes)
-    means = np.stack(means)
-    sds = np.sqrt(np.stack(variances))
-    cfg = engine.config
-    return [mixture_marginal(means[:, r], sds[:, r], w,
-                             cfg.marginal_points, cfg.marginal_span)
-            for r in range(B.shape[0])]
 
 
 def marginal_likelihood(nodes, H):
@@ -1039,14 +998,10 @@ class FitResult:
                             cfg.marginal_points, cfg.marginal_span)
         if scale == "internal":
             return m
-        h = free[j]
-        if h.transform == "log":
-            return transform_marginal(m, np.exp, np.exp)
-        if h.transform == "correlation":
-            from scipy.special import expit
-            return transform_marginal(m, lambda t: 2 * expit(t) - 1,
-                                      lambda t: 2 * expit(t) * (1 - expit(t)))
-        return m
+        transform = free[j].transform
+        if transform == "identity":
+            return m
+        return transform_marginal(m, *TRANSFORMS[transform])
 
     # -- summaries ------------------------------------------------------
 

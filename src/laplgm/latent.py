@@ -25,16 +25,13 @@ HYPER_SOFT_LIMIT = 10
 
 
 # ------------------------------------------------------------------
-# transforms between internal (unconstrained) and natural scales
-
-def _corr_to_internal(a):
-    return float(np.log((1.0 + a) / (1.0 - a)))
-
+# maps from the internal (unconstrained) to the natural scale, each as
+# (forward, derivative)
 
 TRANSFORMS = {
-    "log": (np.exp, np.log),
-    "correlation": (lambda t: 2.0 * expit(t) - 1.0, _corr_to_internal),
-    "identity": (lambda t: t, lambda v: v),
+    "log": (np.exp, np.exp),
+    "correlation": (lambda t: 2.0 * expit(t) - 1.0, lambda t: 2 * expit(t) * (1 - expit(t))),
+    "identity": (lambda t: t, np.ones_like),
 }
 
 
@@ -90,10 +87,6 @@ class HyperParam:
     def natural(self, internal=None):
         fwd, _ = TRANSFORMS[self.transform]
         return fwd(self.internal_value if internal is None else internal)
-
-    def internal_from_natural(self, natural):
-        _, inv = TRANSFORMS[self.transform]
-        return float(inv(natural))
 
     def log_prior(self, internal):
         return float(self.prior.log_density(internal))
@@ -686,6 +679,7 @@ class ModelGraph:
         self.constraint_matrix = np.array(rows) if rows else np.zeros((0, self.n_latent))
         self.constraint_rhs = np.array(rhs) if rhs else np.zeros(0)
         self.observed = np.isfinite(self.y)
+        likelihood.validate(self.y[self.observed])
         self._prior_pattern = None
 
     # -- hyperparameters ------------------------------------------------

@@ -1,7 +1,8 @@
 """Univariate observation models.
 
-Each family exposes the log-density, its first two derivatives with respect
-to the linear predictor, the slope dc/d eta of its curvature
+Each family checks the observed values once, when the model is built
+(`validate`), and exposes the log-density, its first two derivatives with
+respect to the linear predictor, the slope dc/d eta of its curvature
 c = -d2 log p / d eta2 (the hyperparameter gradient of the Laplace
 approximation reads it), and the CDF used for probability integral
 transforms.  All are vectorized over observations and strictly log-concave
@@ -24,12 +25,10 @@ EXACT_PREDICTOR_LOG_PRECISION = float(np.log(1e8))
 
 
 def _check_counts(y):
-    y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise UnsupportedObservation("negative counts")
     if np.any(y != np.floor(y)):
         raise UnsupportedObservation("non-integer counts")
-    return y
 
 
 @dataclass
@@ -47,6 +46,9 @@ class GaussianLik:
 
     def param(self, values):
         return float(np.exp(values[self.log_precision.name]))
+
+    def validate(self, y):
+        """Any finite y is a Gaussian observation."""
 
     def log_lik(self, y, eta, param=None):
         tau = param
@@ -85,12 +87,13 @@ class PoissonLik:
     def param(self, values):
         return None
 
+    def validate(self, y):
+        _check_counts(y)
+
     def log_lik(self, y, eta, param=None):
-        y = _check_counts(y)
         return y * eta - np.exp(eta) - gammaln(y + 1.0)
 
     def derivs(self, y, eta, param=None):
-        y = _check_counts(y)
         mu = np.exp(eta)
         return y - mu, -mu
 
@@ -98,7 +101,6 @@ class PoissonLik:
         return np.exp(eta)
 
     def cdf(self, y, eta, param=None):
-        y = _check_counts(y)
         return pdtr(y, np.exp(eta))
 
     def sample(self, eta, param, rng):
@@ -125,16 +127,17 @@ class NegBinomialLik:
     def param(self, values):
         return float(np.exp(values[self.log_dispersion.name]))
 
+    def validate(self, y):
+        _check_counts(y)
+
     def log_lik(self, y, eta, param=None):
         r = param
-        y = _check_counts(y)
         mu = np.exp(eta)
         return (gammaln(y + r) - gammaln(r) - gammaln(y + 1.0)
                 + r * np.log(r) + y * eta - (r + y) * np.log(r + mu))
 
     def derivs(self, y, eta, param=None):
         r = param
-        y = _check_counts(y)
         mu = np.exp(eta)
         frac = mu / (r + mu)
         d1 = y - (r + y) * frac
@@ -143,13 +146,11 @@ class NegBinomialLik:
 
     def curvature_slope(self, y, eta, param=None):
         r = param
-        y = _check_counts(y)
         mu = np.exp(eta)
         return (r + y) * r * mu * (r - mu) / (r + mu) ** 3
 
     def cdf(self, y, eta, param=None):
         r = param
-        y = _check_counts(y)
         mu = np.exp(eta)
         # P(Y <= y) = I_p(r, y + 1), p = r / (r + mu); `nbdtr` would truncate r
         return betainc(r, y + 1.0, r / (r + mu))

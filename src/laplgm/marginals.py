@@ -46,12 +46,6 @@ class MarginalDensity:
         return float(np.trapezoid(self.density, self.grid))
 
 
-def gaussian_marginal(mean, sd, points=GRID_POINTS, span=GRID_SPAN):
-    grid = mean + sd * np.linspace(-span, span, points)
-    dens = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
-    return MarginalDensity(grid, dens)
-
-
 def mixture_marginal(means, sds, weights, points=GRID_POINTS, span=GRID_SPAN):
     """Gaussian mixture discretized over its overall mode +- span sds."""
     means = np.asarray(means, dtype=float)

@@ -200,9 +200,6 @@ class FemMatrices:
     def n(self):
         return self.mass_diag.size
 
-    def total_area(self):
-        return float(self.mass_diag.sum())
-
 
 def assemble(mesh):
     """Assemble lumped mass and stiffness matrices from linear elements.

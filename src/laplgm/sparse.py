@@ -2,7 +2,8 @@
 
 Lower-triangle storage, minimum-degree and reverse Cuthill-McKee orderings,
 Cholesky factorization, log-determinants, selected inversion (a blocked
-Takahashi recursion) and seeded GMRF sampling with exact linear constraints.
+Takahashi recursion), seeded GMRF sampling and the factor of a linear
+constraint system.
 The permuted matrix is factorized through LAPACK band storage: its pattern
 is read as a band plus a small dense trailing border, as every model the
 package builds is under a band ordering with its dense columns last (Rue &
@@ -87,10 +88,6 @@ class SparseSymmetric:
                 raise ValueError("matrix is not symmetric")
         return cls(m.shape[0], sp.tril(m, format="csc"), validate=False)
 
-    @property
-    def nnz_lower(self):
-        return self.lower.nnz
-
     def full(self):
         """Full symmetric matrix in CSC format (cached)."""
         if self._full is None:
@@ -108,32 +105,6 @@ class SparseSymmetric:
 
     def to_dense(self):
         return self.full().toarray()
-
-    def save_triplets(self, path):
-        """Plain-text triplet file: header `n nnz`, then `row col value`."""
-        coo = self.lower.tocoo()
-        order = np.lexsort((coo.row, coo.col))
-        with open(path, "w") as fh:
-            fh.write(f"{self.n} {coo.nnz}\n")
-            for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
-
-    @classmethod
-    def load_triplets(cls, path):
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"{path}: expected header 'n nnz'")
-            n, nnz = int(header[0]), int(header[1])
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            vals = np.empty(nnz, dtype=float)
-            for k in range(nnz):
-                parts = fh.readline().split()
-                if len(parts) != 3:
-                    raise ValueError(f"{path}: truncated triplet file")
-                rows[k], cols[k], vals[k] = int(parts[0]), int(parts[1]), float(parts[2])
-        return cls.from_triplets(n, rows, cols, vals)
 
 
 class Permutation:
@@ -704,28 +675,3 @@ def constraint_cholesky(S):
     if np.min(d) <= 1e-12 * max(1.0, np.max(np.abs(S))):
         raise SingularConstraint("M Q^-1 M' is numerically singular")
     return cho, 2.0 * float(np.sum(np.log(d)))
-
-
-def constrain(mean, samples, factor, M, e):
-    """Condition mean and samples on M x = e by kriging correction.
-
-    Every output column x satisfies M x = e; the correction is
-    x - Q^-1 M' (M Q^-1 M')^-1 (M x - e).
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    k, n = M.shape
-    if n != factor.n or e.size != k:
-        raise DimensionMismatch("constraint dimensions do not match the factor")
-    W = solve(factor, M.T)
-    cho, _ = constraint_cholesky(M @ W)
-
-    def correct(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return x - W @ scipy.linalg.cho_solve(cho, M @ x - e)
-        return x - W @ scipy.linalg.cho_solve(cho, M @ x - e[:, None])
-
-    mean_c = correct(mean) if mean is not None else None
-    samples_c = correct(samples) if samples is not None else None
-    return mean_c, samples_c

@@ -491,22 +491,53 @@ class TestLatentMarginals:
                 float(w @ means[:, i]), abs=1e-8)
 
 
+def dense_constrained_conditional(g, theta):
+    """Mode and covariance of the Gaussian approximation to a Poisson model's
+    latent conditional at theta on M x = e: dense Newton steps on the KKT
+    system, then Q*^-1 corrected for the constraint."""
+    Q = g.prior_quantities(theta)[0].toarray()
+    A = g.A[g.observed].toarray()
+    y = g.y[g.observed]
+    M, e = g.constraint_matrix, g.constraint_rhs
+    n, k = Q.shape[0], M.shape[0]
+
+    def curvature(x):
+        mu = np.exp(A @ x)
+        return mu, Q + A.T @ (mu[:, None] * A)
+
+    x = np.zeros(n)
+    for _ in range(50):
+        mu, H = curvature(x)
+        K = np.block([[H, M.T], [M, np.zeros((k, k))]])
+        step = np.linalg.solve(K, np.concatenate([A.T @ (y - mu) - Q @ x, e - M @ x]))[:n]
+        x = x + step
+        if np.abs(step).max() <= 1e-15 * (1.0 + np.abs(x).max()):
+            break
+    cov = np.linalg.inv(curvature(x)[1])
+    return x, cov - cov @ M.T @ np.linalg.solve(M @ cov @ M.T, M @ cov)
+
+
 class TestLinearCombinations:
+    """A linear combination B x is a predictor row with no observation
+    (Martins et al. 2013): a stack part with y = NaN whose blocks are B's
+    columns, read from the nodes like every other row."""
+
     def test_unit_vector_matches_latent(self):
         rng = np.random.default_rng(3)
         y = rng.poisson(2.0, 8).astype(float)
-        g = poisson_iid_model(y)
-        fit = eng.fit(g, EngineConfig(int_strategy="eb"))
-        B = np.zeros((1, g.n_latent))
-        B[0, 3] = 1.0
-        before = dict(fit.engine.counts)
-        lc = eng.linear_combination_marginals(fit.engine, fit.nodes, B)[0]
-        # each node's Newton starts at its mode: one factorization, no step
-        assert fit.engine.counts["newton_iterations"] == before["newton_iterations"]
-        assert fit.engine.counts["factorizations"] == before["factorizations"] + len(fit.nodes)
-        lat = fit.latent_marginal(3)
-        assert np.abs(lc.grid - lat.grid).max() <= 1e-10
-        assert np.abs(lc.density - lat.density).max() <= 1e-10
+        hy = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        obs = lm.StackPart(y, {"u": lm.index_block(range(8), 8)}, "obs")
+        lc = lm.StackPart(np.full(1, np.nan), {"u": lm.index_block([3], 8)}, "lc")
+        g = lm.build_stack([obs, lc], [lm.IidComponent("u", 8, hy)], PoissonLik())
+        row = g.tags["lc"][0]
+        for strategy in ("eb", "ccd", "grid"):
+            fit = eng.fit(g, EngineConfig(int_strategy=strategy))
+            # the unobserved row adds no work to the fit
+            assert fit.counts == eng.fit(poisson_iid_model(y),
+                                         EngineConfig(int_strategy=strategy)).counts
+            got, want = fit.predictor_marginal(row), fit.latent_marginal(3)
+            assert np.abs(got.grid - want.grid).max() <= 1e-12
+            assert np.abs(got.density - want.density).max() <= 1e-12
 
     def test_independent_blocks_variances_add(self):
         rng = np.random.default_rng(8)
@@ -518,27 +549,28 @@ class TestLinearCombinations:
         y = rng.normal(0, 1, 16)
         part = lm.StackPart(y, {"u": lm.index_block(rng.integers(0, 4, 16), 4),
                                 "v": lm.index_block(rng.integers(0, 4, 16), 4)}, "obs")
-        g = lm.build_stack([part], comps, lik)
-        engine = Engine(g)
-        nodes = engine.explore(np.zeros(0), np.zeros((0, 0)), "eb")
         B = np.zeros((3, 8))
         B[0, 1] = 1.0
         B[1, 5] = 1.0
         B[2, 1] = 1.0
         B[2, 5] = 1.0
-        ms = eng.linear_combination_marginals(engine, nodes, B)
-        var = [mg.zmarginal(m).sd ** 2 for m in ms]
-        # independence across blocks requires no shared observation rows;
-        # check against the dense conditional covariance instead
-        A = g.A.toarray()
+        lc = lm.StackPart(np.full(3, np.nan), {"u": B[:, :4], "v": B[:, 4:]}, "lc")
+        g = lm.build_stack([part, lc], comps, lik)
+        fit = eng.fit(g, EngineConfig(int_strategy="eb"))
+        rows = list(g.tags["lc"])
+        # both blocks share observation rows: the dense conditional covariance
+        # holds the cross term of the sum
+        A = g.A[g.observed].toarray()
         Qpost = np.diag([1.0] * 4 + [2.0] * 4) + tau_obs * A.T @ A
         cov = np.linalg.inv(Qpost)
-        want = [cov[1, 1], cov[5, 5], cov[1, 1] + cov[5, 5] + 2 * cov[1, 5]]
-        for got, expect in zip(var, want):
-            assert got == pytest.approx(expect, rel=1e-3)
+        want_sd = np.sqrt([cov[1, 1], cov[5, 5], cov[1, 1] + cov[5, 5] + 2 * cov[1, 5]])
+        assert np.abs(fit.pred_sd_post[rows] - want_sd).max() <= 1e-10
+        want_mean = B @ np.linalg.solve(Qpost, tau_obs * A.T @ y)
+        assert np.abs(fit.pred_mean_post[rows] - want_mean).max() <= 1e-10
 
     def test_trend_extraction_pattern(self):
-        # intercept + rw1 bins: one combination per bin value
+        # intercept + rw1 bins: one combination per bin value, each node's
+        # moments against the dense conditional on the sum-to-zero constraint
         rng = np.random.default_rng(4)
         T = 60
         hy = lm.log_precision_hyper("f.prec", 100.0)
@@ -547,17 +579,24 @@ class TestLinearCombinations:
         y = rng.poisson(np.exp(0.5 + 0.4 * np.sin(times / 8.0))).astype(float)
         part = lm.StackPart(y, {"intercept": np.ones(y.size),
                                 "f": lm.index_block(times, T)}, "obs")
-        g = lm.build_stack([part], comps, PoissonLik())
-        engine = Engine(g)
-        ts, H, center = engine.find_mode()
-        nodes = engine.explore(ts, H, "eb", center)
-        B = np.zeros((T, g.n_latent))
-        B[:, 0] = 1.0
-        B[np.arange(T), 1 + np.arange(T)] = 1.0
-        ms = eng.linear_combination_marginals(engine, nodes, B)
-        assert len(ms) == T
-        for m in ms:
-            assert m.integral() == pytest.approx(1.0, abs=1e-6)
+        trend = lm.StackPart(np.full(T, np.nan), {"intercept": np.ones(T),
+                                                  "f": lm.index_block(np.arange(T), T)},
+                             "trend")
+        g = lm.build_stack([part, trend], comps, PoissonLik())
+        fit = eng.fit(g)
+        rows = np.array(g.tags["trend"])
+        B = g.A[rows].toarray()
+        assert len(fit.nodes) > 1
+        for nd in fit.nodes:
+            x, cov = dense_constrained_conditional(g, nd.theta)
+            q = nd.quantities
+            assert np.abs(q["pred_mean"][rows] - B @ x).max() <= 1e-8
+            want_sd = np.sqrt(np.einsum("rn,nm,rm->r", B, cov, B))
+            assert np.abs(q["pred_sd"][rows] - want_sd).max() <= 1e-8
+            # the trend is blind to the constraint; the field alone is not
+            assert np.abs(q["latent_sd"] - np.sqrt(np.diag(cov))).max() <= 1e-8
+        for r in rows:
+            assert fit.predictor_marginal(r).integral() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMarginalLikelihood:

@@ -123,7 +123,7 @@ def grouped_ar1(Qs_d, T, a):
     grouping = lm.Ar1Grouping(T, lm.HyperParam("a", transform="correlation", fixed=True))
     block = lm._Terms([Qs_d])
     kron = lm._KronMap(grouping.terms.pattern, block.pattern)
-    data_t, _ = grouping.coupling({"a": lm._corr_to_internal(a)})
+    data_t, _ = grouping.coupling({"a": np.log((1.0 + a) / (1.0 - a))})
     P = kron.pattern
     return sp.csc_matrix((kron.combine(data_t, block.values[0]), P.indices, P.indptr),
                          shape=P.shape).toarray()
@@ -165,17 +165,28 @@ class TestGroupAr1:
 
 class TestTransforms:
     def test_round_trips(self):
-        for transform, values in [("log", (0.1, 1.0, 17.3)),
-                                  ("correlation", (-0.95, 0.0, 0.5, 0.99)),
-                                  ("identity", (-3.0, 0.0, 2.5))]:
+        # natural() inverts each transform's closed-form internal map
+        for transform, values, internal in [
+                ("log", (0.1, 1.0, 17.3), np.log),
+                ("correlation", (-0.95, 0.0, 0.5, 0.99), lambda a: np.log((1 + a) / (1 - a))),
+                ("identity", (-3.0, 0.0, 2.5), lambda v: v)]:
             h = lm.HyperParam("h", 0.0, transform, fixed=True)
             for v in values:
-                internal = h.internal_from_natural(v)
-                assert h.natural(internal) == pytest.approx(v, abs=1e-12)
+                assert h.natural(internal(v)) == pytest.approx(v, abs=1e-12)
 
     def test_correlation_internal_formula(self):
+        # 2 expit(t) - 1 = tanh(t / 2)
         h = lm.correlation_hyper("a")
-        assert h.internal_from_natural(0.5) == pytest.approx(np.log(1.5 / 0.5))
+        t = np.linspace(-8.0, 8.0, 33)
+        assert np.abs(h.natural(t) - np.tanh(t / 2)).max() <= 1e-15
+        assert h.natural(np.log(1.5 / 0.5)) == pytest.approx(0.5, abs=1e-15)
+
+    def test_derivatives_match_central_differences(self):
+        t = np.linspace(-3.0, 3.0, 25)
+        step = 1e-5
+        for forward, derivative in lm.TRANSFORMS.values():
+            fd = (forward(t + step) - forward(t - step)) / (2 * step)
+            assert np.abs(derivative(t) - fd).max() <= 1e-8 * (1 + np.abs(fd).max())
 
 
 class TestPriors:

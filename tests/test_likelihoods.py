@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import laplgm.latent as lm
 from laplgm.latent import HyperParam
 from laplgm.likelihoods import GaussianLik, NegBinomialLik, PoissonLik
 from laplgm.errors import UnsupportedObservation
@@ -34,11 +35,16 @@ class TestLogLik:
         assert gap.max() <= 1e-3
 
     def test_count_validation(self):
+        # counts are checked once, when the model is built; an unobserved
+        # row (NaN) holds no count
+        comps = [lm.FixedEffect("mu")]
         for lik in (PoissonLik(), NegBinomialLik(HyperParam("d", 0.0, fixed=True))):
-            with pytest.raises(UnsupportedObservation):
-                lik.log_lik(-1.0, 0.0, 1.0)
-            with pytest.raises(UnsupportedObservation):
-                lik.log_lik(1.5, 0.0, 1.0)
+            for bad in (-1.0, 1.5):
+                part = lm.StackPart(np.array([2.0, bad]), {"mu": np.ones(2)}, "obs")
+                with pytest.raises(UnsupportedObservation):
+                    lm.build_stack([part], comps, lik)
+            part = lm.StackPart(np.array([2.0, np.nan]), {"mu": np.ones(2)}, "obs")
+            assert lm.build_stack([part], comps, lik).observed.tolist() == [True, False]
 
 
 class TestDerivs:

@@ -6,7 +6,9 @@ from laplgm.errors import InvalidProbability
 
 
 def standard_normal_grid(mean=0.0, sd=1.0, points=75):
-    return mg.gaussian_marginal(mean, sd, points=points)
+    grid = mean + sd * np.linspace(-6.0, 6.0, points)
+    dens = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
+    return mg.MarginalDensity(grid, dens)
 
 
 class TestMarginalDensity:

@@ -9,7 +9,6 @@ from laplgm.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     ProblemTooLarge,
-    SingularConstraint,
 )
 
 
@@ -65,17 +64,6 @@ class TestSparseSymmetric:
     def test_full_symmetry(self):
         Q = lg.SparseSymmetric.from_triplets(2, [0, 1, 1], [0, 0, 1], [2.0, -1.0, 2.0])
         assert np.allclose(Q.to_dense(), [[2, -1], [-1, 2]])
-
-    def test_triplet_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        Q = lg.SparseSymmetric.from_full(random_spd(9, rng))
-        path = tmp_path / "q.txt"
-        Q.save_triplets(path)
-        back = lg.SparseSymmetric.load_triplets(path)
-        assert back.n == Q.n
-        assert np.allclose(back.to_dense(), Q.to_dense())
-        header = path.read_text().splitlines()[0].split()
-        assert int(header[0]) == 9 and int(header[1]) == Q.nnz_lower
 
 
 class TestReorder:
@@ -367,49 +355,6 @@ class TestSample:
         f = lg.factorize(lg.SparseSymmetric.from_full(np.eye(2)))
         with pytest.raises(ValueError):
             lg.sample(f, 0, seed=1)
-
-
-class TestConstrain:
-    def test_identity_mean_removal(self):
-        n = 6
-        f = lg.factorize(lg.SparseSymmetric.from_full(np.eye(n)))
-        X = lg.sample(f, 4, seed=3)
-        M = np.ones((1, n))
-        mean_c, X_c = lg.constrain(np.zeros(n), X, f, M, np.zeros(1))
-        assert np.allclose(X_c, X - X.mean(axis=0, keepdims=True))
-        assert np.allclose(mean_c, 0.0)
-
-    def test_constraint_satisfied_exactly(self):
-        rng = np.random.default_rng(6)
-        n = 12
-        Qd = random_spd(n, rng)
-        f = lg.factorize(lg.SparseSymmetric.from_full(Qd))
-        M = rng.standard_normal((2, n))
-        e = rng.standard_normal(2)
-        X = lg.sample(f, 9, seed=8)
-        mean_c, X_c = lg.constrain(rng.standard_normal(n), X, f, M, e)
-        assert np.abs(M @ X_c - e[:, None]).max() <= 1e-10
-        assert np.abs(M @ mean_c - e).max() <= 1e-10
-
-    def test_conditional_covariance(self):
-        rng = np.random.default_rng(10)
-        n = 5
-        Qd = random_spd(n, rng, density=0.5)
-        f = lg.factorize(lg.SparseSymmetric.from_full(Qd))
-        M = rng.standard_normal((1, n))
-        e = np.zeros(1)
-        X = lg.sample(f, 100_000, seed=5)
-        _, X_c = lg.constrain(np.zeros(n), X, f, M, e)
-        cov = np.linalg.inv(Qd)
-        corr = cov @ M.T @ np.linalg.inv(M @ cov @ M.T) @ M @ cov
-        cond = cov - corr
-        assert np.abs(np.cov(X_c) - cond).max() <= 0.02
-
-    def test_singular_constraint(self):
-        f = lg.factorize(lg.SparseSymmetric.from_full(np.eye(4)))
-        M = np.vstack([np.ones(4), np.ones(4)])  # rank deficient
-        with pytest.raises(SingularConstraint):
-            lg.constrain(np.zeros(4), None, f, M, np.zeros(2))
 
 
 def coordinate_sort_layout(sym):
