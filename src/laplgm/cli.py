@@ -213,7 +213,7 @@ def build_model(cfg, config_path):
     cols = read_csv(data_path)
     y = _float_column(cols, "y", data_path, missing_ok=True)
     n = y.size
-    if not np.any(np.isfinite(y)):
+    if np.isnan(y).all():
         raise ParseError(f"{data_path}: no observed rows (column 'y' is all missing)")
     sites_xy = np.column_stack([_float_column(cols, "site_x", data_path),
                                 _float_column(cols, "site_y", data_path)])
@@ -256,8 +256,7 @@ def build_model(cfg, config_path):
                 comp = Ar1Component(name, size, prec, corr)
             else:
                 comp = Rw1Component(name, size, prec,
-                                    sum_to_zero=bool(sec.get("sum_to_zero", True)),
-                                    bin_values=centers)
+                                    sum_to_zero=bool(sec.get("sum_to_zero", True)))
             components.append(comp)
             blocks[name] = ("index", idx, size)
         elif kind == "spde_matern":

@@ -41,8 +41,8 @@ from .sparse import SparseSymmetric, factorize, selected_inverse, solve
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# a Newton step taken with a factor of Q* from an earlier point must shrink
-# the projected gradient at least this much, else Q* is factorized anew
+# a Newton increment taken with a factor of Q* from an earlier point must be
+# at most this fraction of the previous increment, else Q* is factorized anew
 CHORD_CONTRACTION = 0.1
 
 # central-difference step in theta for the terms of the theta-gradient that
@@ -87,7 +87,6 @@ class GaussianApprox:
     Q_star: SparseSymmetric
     factor: sparse.CholeskyFactor
     iterations: int
-    converged: bool
     constraint_W: np.ndarray = None        # Q*^-1 M' for the constraint rows
     constraint_cho: object = None
     constraint_logdet: float = 0.0
@@ -232,10 +231,6 @@ class Engine:
              if isinstance(c, FixedEffect)],
             dtype=np.int64,
         )
-        # orthonormal basis of the constraint rows: Newton's gradient test
-        # reads the gradient projected onto the null space of M
-        self._constraint_basis = scipy.linalg.orth(self.M.T) if self.n_constraints else None
-
         # symbolic stage: Q* = Q(theta) + A' diag(c) A on one fixed pattern
         n = self.n
         P = model.prior_pattern()
@@ -378,7 +373,7 @@ class Engine:
         if self.n_constraints:
             W = solve(factor, self.M.T)
             cho, logdet_S = sparse.constraint_cholesky(self.M @ W)
-        return GaussianApprox(x, Q_star, factor, 0, False, constraint_W=W,
+        return GaussianApprox(x, Q_star, factor, 0, constraint_W=W,
                               constraint_cho=cho, constraint_logdet=logdet_S,
                               theta=theta, curvature=c)
 
@@ -393,17 +388,18 @@ class Engine:
     def gaussian_approximation(self, theta, x_init=None, Qp=None, start=None):
         """Newton iteration for the mode and curvature of the latent conditional.
 
-        Steps are taken in increment form, x <- x + F^-1 g(x), with the most
-        recent factor F of Q*: that of `start` (a GaussianApprox, possibly at
-        another theta) or one made here.  Q* is factorized at the current
-        point only when there is no factor yet, when a step with a factor
-        from an earlier point fails its first line-search trial, or when the
-        projected gradient shrank by less than CHORD_CONTRACTION over the last
-        step (the simplified, or chord, Newton iteration).  A likelihood
-        whose curvature does not depend on eta factorizes at theta first, so
-        one exact step follows.  The returned factor is that of
-        Q*(theta, c(x*)) at the returned mode x*: the mode is factorized once
-        more unless F already sits there.
+        Steps x <- x + dx, dx = F^-1 g(x) projected onto M x = e, use the
+        most recent factor F of Q*: that of `start` (a GaussianApprox,
+        possibly at another theta) or one made here.  The increment is the
+        one measure of progress: Newton stops when a factor at x gives
+        max|dx| <= `newton_tol` (1 + max|x + dx|), which no infeasible x
+        passes.  Q* is factorized at the current point when there is no
+        factor yet, and when an older factor's increment is within that
+        tolerance, exceeds CHORD_CONTRACTION times the previous increment or
+        fails the first line-search trial (the simplified, or chord, Newton
+        iteration).  A likelihood whose curvature does not depend on eta
+        factorizes at theta first, so one exact step follows.  The returned
+        factor is that of Q*(theta, c(x*)) at the returned mode x*.
 
         `x_init` defaults to the mode of `start`, else zeros.  `Qp`, when
         given, is `model.prior_quantities(theta)[0]`.
@@ -424,7 +420,8 @@ class Engine:
         fixed_curvature = model.likelihood.fixed_curvature
         F = start
         factorizations = iterations = 0
-        g_last = fx = None
+        fx = None
+        step_last = np.inf
 
         def curvature(x):
             eta_obs = self.A_obs @ x
@@ -444,52 +441,42 @@ class Engine:
         def accepted(f):
             return np.isfinite(f) and f >= fx - 1e-9 * (1.0 + abs(fx))
 
-        def below_tol(x_new, x):
-            return np.max(np.abs(x_new - x)) / (1.0 + np.max(np.abs(x_new))) <= cfg.newton_tol
+        def increment(x_new, x):
+            return np.max(np.abs(x_new - x)) / (1.0 + np.max(np.abs(x_new)))
 
         while True:
             d1, c = curvature(x)
             grad = self.A_obs.T @ d1 - Qp @ x
-            tol = cfg.newton_tol * (1.0 + np.max(np.abs(x)))
-            g_proj = grad
-            feasible = True
-            if self.n_constraints:
-                B = self._constraint_basis
-                g_proj = grad - B @ (B.T @ grad)
-                feasible = np.max(np.abs(self.M @ x - self.e)) <= tol
-            g_norm = np.max(np.abs(g_proj))
-            if feasible and g_norm <= tol:
-                break
-            if iterations >= cfg.max_newton:
-                raise NonConvergence(iterations)
             fresh = sits_at(F, c)
-            if not fresh and (F is None or fixed_curvature
-                              or (g_last is not None and g_norm > CHORD_CONTRACTION * g_last)):
+            if not fresh and (F is None or fixed_curvature):
                 F, fresh = factor_here(), True
             x_prop = self._newton_point(F, x, grad)
-            if not fresh and below_tol(x_prop, x):
-                # only a factor at x certifies a small increment: a stale one
-                # can be far stiffer than Q* here
-                F, fresh = factor_here(), True
-                x_prop = self._newton_point(F, x, grad)
-            if below_tol(x_prop, x):
+            step = increment(x_prop, x)
+            # only a factor at x certifies a small increment (a stale one can
+            # be far stiffer than Q* here), and a chord step that contracts
+            # too little is retaken with one
+            if not fresh and (step <= cfg.newton_tol or step > CHORD_CONTRACTION * step_last):
+                F = factor_here()
+                continue
+            if step <= cfg.newton_tol:
                 break   # x is the mode, and F sits there
+            if iterations >= cfg.max_newton:
+                raise NonConvergence(iterations)
             if fx is None:
                 fx = self._penalized_objective(x, Qp, param)
             f_new = self._penalized_objective(x_prop, Qp, param)
             if not fresh and not accepted(f_new):
-                F, fresh = factor_here(), True
-                x_prop = self._newton_point(F, x, grad)
-                f_new = self._penalized_objective(x_prop, Qp, param)
+                F = factor_here()
+                continue
             lam = 1.0
             x_new = x_prop
             while not accepted(f_new) and lam > 1.0 / 64:
                 lam *= 0.5
                 x_new = x + lam * (x_prop - x)
                 f_new = self._penalized_objective(x_new, Qp, param)
-            converged = below_tol(x_new, x)
+            converged = increment(x_new, x) <= cfg.newton_tol
             x, fx = x_new, f_new
-            g_last = g_norm
+            step_last = step
             iterations += 1
             self.counts["newton_iterations"] += 1
             if converged:   # the line search shrank the step below tolerance
@@ -497,7 +484,7 @@ class Engine:
                 break
         if not sits_at(F, c):
             F = factor_here()
-        return dataclasses.replace(F, x_star=x, iterations=iterations, converged=True,
+        return dataclasses.replace(F, x_star=x, iterations=iterations,
                                    factorizations=factorizations)
 
     def log_posterior(self, theta, start=None, x_init=None, return_approx=False):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit, gammaln, gamma as gamma_fn
 
-from .errors import DimensionMismatch, InvalidCorrelation, UnknownTag
+from .errors import DimensionMismatch, InvalidCorrelation, UnknownTag, UnsupportedObservation
 from .sparse import Permutation, SparseSymmetric, _csc_from_keys, analyze, factorize, rcm
 from .sparse import reorder  # noqa: F401  (bench/tracing.py wraps laplgm.latent.reorder)
 
@@ -468,7 +468,6 @@ class Rw1Component(_Component):
     size: int
     log_precision: HyperParam
     sum_to_zero: bool = True
-    bin_values: object = None
 
     def hyperparams(self):
         return [self.log_precision]
@@ -678,7 +677,10 @@ class ModelGraph:
                 rhs.append(e_val)
         self.constraint_matrix = np.array(rows) if rows else np.zeros((0, self.n_latent))
         self.constraint_rhs = np.array(rhs) if rhs else np.zeros(0)
-        self.observed = np.isfinite(self.y)
+        # only NaN marks a row with no observation
+        if np.isinf(self.y).any():
+            raise UnsupportedObservation("infinite observations")
+        self.observed = ~np.isnan(self.y)
         likelihood.validate(self.y[self.observed])
         self._prior_pattern = None
 

@@ -46,6 +46,17 @@ class TestLogLik:
             part = lm.StackPart(np.array([2.0, np.nan]), {"mu": np.ones(2)}, "obs")
             assert lm.build_stack([part], comps, lik).observed.tolist() == [True, False]
 
+    def test_infinite_observation_rejected(self):
+        # only NaN marks a row unobserved: +inf or -inf is no missing value
+        comps = [lm.FixedEffect("mu")]
+        for lik in (PoissonLik(), gaussian(2.0)[0]):
+            for bad in (np.inf, -np.inf):
+                part = lm.StackPart(np.array([2.0, bad, np.nan]), {"mu": np.ones(3)}, "obs")
+                with pytest.raises(UnsupportedObservation):
+                    lm.build_stack([part], comps, lik)
+            part = lm.StackPart(np.array([2.0, 3.0, np.nan]), {"mu": np.ones(3)}, "obs")
+            assert lm.build_stack([part], comps, lik).observed.tolist() == [True, True, False]
+
 
 class TestDerivs:
     def test_poisson_values(self):
