@@ -42,6 +42,7 @@ from .latent import (
     build_stack,
     correlation_hyper,
     group_block,
+    index_block,
     spde_matern_component,
 )
 from .likelihoods import EXACT_PREDICTOR_LOG_PRECISION, FAMILIES
@@ -69,6 +70,10 @@ def atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -228,10 +233,10 @@ def build_model(cfg, config_path):
 
     comp_sections = require(cfg, "components", config_path)
     components = []
+    # name -> function of (data rows, locations, time levels) giving the A-block
     blocks = {}
     spde_name = None
     fem_cache = None
-    proj_cache = None
     for sec in comp_sections:
         ctx = f"component {sec.get('name', '?')!r}"
         kind = require(sec, "kind", ctx)
@@ -239,7 +244,8 @@ def build_model(cfg, config_path):
         if kind == "fixed_effect":
             check_keys(sec, {"name", "kind", "covariate", "prior_precision"}, ctx)
             components.append(FixedEffect(name, float(sec.get("prior_precision", 1e-4))))
-            blocks[name] = _covariate_values(cols, require(sec, "covariate", ctx), data_path, n)
+            values = _covariate_values(cols, require(sec, "covariate", ctx), data_path, n)
+            blocks[name] = lambda rows, points, times, values=values: values[rows]
         elif kind in ("iid", "ar1", "rw1"):
             check_keys(sec, {"name", "kind", "covariate", "n_bins", "precision",
                              "correlation_prior", "sum_to_zero"}, ctx)
@@ -258,7 +264,8 @@ def build_model(cfg, config_path):
                 comp = Rw1Component(name, size, prec,
                                     sum_to_zero=bool(sec.get("sum_to_zero", True)))
             components.append(comp)
-            blocks[name] = ("index", idx, size)
+            blocks[name] = lambda rows, points, times, idx=idx, size=size: index_block(
+                idx[rows], size)
         elif kind == "spde_matern":
             check_keys(sec, {"name", "kind", "alpha", "group", "initial_range",
                              "initial_sigma", "prior"}, ctx)
@@ -266,7 +273,6 @@ def build_model(cfg, config_path):
                 raise ParseError(f"{ctx}: spde_matern requires a top-level mesh section")
             if fem_cache is None:
                 fem_cache = assemble(mesh)
-                proj_cache = projector(mesh, sites_xy)
             alpha = int(sec.get("alpha", 2))
             grouping = None
             gsec = sec.get("group")
@@ -293,25 +299,18 @@ def build_model(cfg, config_path):
             components.append(comp)
             spde_name = name
             if grouping is not None:
-                blocks[name] = ("group", proj_cache, time_index, T)
+                blocks[name] = lambda rows, points, times: group_block(
+                    projector(mesh, points), times, T)
             else:
-                blocks[name] = ("plain", proj_cache)
+                blocks[name] = lambda rows, points, times: projector(mesh, points)
         else:
             raise ParseError(f"{ctx}: unknown component kind {kind!r}")
 
-    def realize(blockspec):
-        if isinstance(blockspec, np.ndarray):
-            return blockspec
-        tag = blockspec[0]
-        if tag == "index":
-            from .latent import index_block
-            return index_block(blockspec[1], blockspec[2])
-        if tag == "group":
-            return group_block(blockspec[1], blockspec[2], blockspec[3])
-        return blockspec[1]
+    def stack_part(y, rows, points, times, tag):
+        return StackPart(y=y, blocks={k: f(rows, points, times) for k, f in blocks.items()},
+                         tag=tag)
 
-    obs_blocks = {k: realize(v) for k, v in blocks.items()}
-    parts = [StackPart(y=y, blocks=obs_blocks, tag="obs")]
+    parts = [stack_part(y, np.arange(n), sites_xy, time_index, "obs")]
 
     pred_info = None
     psec = cfg.get("predict")
@@ -329,27 +328,10 @@ def build_model(cfg, config_path):
         GX, GY = np.meshgrid(gx, gy)
         grid_pts = np.column_stack([GX.ravel(), GY.ravel()])
         m = grid_pts.shape[0]
-        at_time = np.flatnonzero(time_index == t_idx)
-        pred_blocks = {}
-        for sec in comp_sections:
-            name = sec["name"]
-            kind = sec["kind"]
-            if kind == "fixed_effect":
-                cov = sec["covariate"]
-                val = 1.0 if cov == "const" else float(
-                    _float_column(cols, cov, data_path)[at_time[0]])
-                pred_blocks[name] = np.full(m, val)
-            elif kind in ("iid", "ar1", "rw1"):
-                _, idx, size = blocks[name]
-                from .latent import index_block
-                pred_blocks[name] = index_block(np.full(m, idx[at_time[0]]), size)
-            else:
-                proj_pred = projector(mesh, grid_pts)
-                if blocks[name][0] == "group":
-                    pred_blocks[name] = group_block(proj_pred, np.full(m, t_idx), T)
-                else:
-                    pred_blocks[name] = proj_pred
-        parts.append(StackPart(y=np.full(m, np.nan), blocks=pred_blocks, tag="pred"))
+        # covariates and indexed effects are read off the first data row at that time
+        first_row = np.flatnonzero(time_index == t_idx)[0]
+        parts.append(stack_part(np.full(m, np.nan), np.full(m, first_row), grid_pts,
+                                np.full(m, t_idx), "pred"))
         pred_info = {"grid": grid_pts, "n_grid": n_grid, "time": t_value}
 
     likelihood = build_likelihood(require(cfg, "likelihood", config_path))

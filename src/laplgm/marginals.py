@@ -47,7 +47,7 @@ class MarginalDensity:
 
 
 def mixture_marginal(means, sds, weights, points=GRID_POINTS, span=GRID_SPAN):
-    """Gaussian mixture discretized over its overall mode +- span sds."""
+    """Gaussian mixture discretized over its mean +- span of its standard deviations."""
     means = np.asarray(means, dtype=float)
     sds = np.asarray(sds, dtype=float)
     weights = np.asarray(weights, dtype=float)

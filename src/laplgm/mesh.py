@@ -3,6 +3,12 @@
 Structured rectangle meshes, CSV import/export, lumped mass and stiffness
 assembly, and barycentric point-to-mesh projection.  These are the substrate
 for the Matern-like random fields built in `latent`.
+
+A point lies in a triangle when all three of its barycentric weights are at
+least -INSIDE_TOL.  Point location runs in two array passes: the triangles
+around each point's nearest vertex, then, for the points that pass misses, a
+scan of every triangle in increasing index order, in chunks of at most
+SCAN_CHUNK points.
 """
 from __future__ import annotations
 
@@ -24,12 +30,13 @@ from .sparse import SparseSymmetric
 AREA_TOL = 1e-14
 DUPLICATE_TOL = 1e-12
 INSIDE_TOL = 1e-10
+SCAN_CHUNK = 256
 
 
 class TriMesh:
     """Conforming 2D triangulation with counter-clockwise triangles."""
 
-    __slots__ = ("vertices", "triangles", "_edge_map", "_vertex_tri", "_tree")
+    __slots__ = ("vertices", "triangles", "_tree")
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=float)
@@ -64,19 +71,15 @@ class TriMesh:
         else:
             self._tree = None
 
-        edge_map = {}
-        for t, (i, j, k) in enumerate(triangles):
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (min(a, b), max(a, b))
-                holders = edge_map.setdefault(key, [])
-                holders.append(t)
-                if len(holders) > 2:
-                    raise NonConformingMesh(f"edge {key} shared by more than two triangles")
+        edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edges, holders = np.unique(edges, axis=0, return_counts=True)
+        shared = np.flatnonzero(holders > 2)
+        if shared.size:
+            a, b = edges[shared[0]]
+            raise NonConformingMesh(f"edge {(int(a), int(b))} shared by more than two triangles")
 
         self.vertices = vertices
         self.triangles = triangles
-        self._edge_map = edge_map
-        self._vertex_tri = None
 
     @property
     def n_vertices(self):
@@ -92,22 +95,6 @@ class TriMesh:
         p2 = self.vertices[self.triangles[:, 2]]
         return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                       - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
-
-    def neighbor(self, tri, a, b):
-        """Triangle across edge (a, b), or -1 at the boundary."""
-        holders = self._edge_map.get((min(a, b), max(a, b)), [])
-        for t in holders:
-            if t != tri:
-                return t
-        return -1
-
-    def _first_triangle_of(self, vertex):
-        if self._vertex_tri is None:
-            vt = np.full(self.n_vertices, -1, dtype=np.int64)
-            for t in range(self.n_triangles - 1, -1, -1):
-                vt[self.triangles[t]] = t
-            self._vertex_tri = vt
-        return int(self._vertex_tri[vertex])
 
 
 def structured_mesh(x_min, x_max, y_min, y_max, nx, ny):
@@ -126,19 +113,12 @@ def structured_mesh(x_min, x_max, y_min, y_max, nx, ny):
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            ll = vid(ix, iy)
-            lr = vid(ix + 1, iy)
-            ul = vid(ix, iy + 1)
-            ur = vid(ix + 1, iy + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    return TriMesh(vertices, np.array(tris))
+    # lower-left vertex of each cell, row by row; cell triangles
+    # (ll, lr, ur) then (ll, ur, ul)
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    ur = ll + nx + 2
+    tris = np.column_stack([ll, ll + 1, ur, ll, ur, ur - 1]).reshape(-1, 3)
+    return TriMesh(vertices, tris)
 
 
 def save_mesh(mesh, vertex_file, triangle_file):
@@ -238,76 +218,71 @@ def assemble(mesh):
     return FemMatrices(c, SparseSymmetric(nv, lower, validate=False))
 
 
-def _barycentric(mesh, tri, point):
-    i, j, k = mesh.triangles[tri]
-    p0, p1, p2 = mesh.vertices[i], mesh.vertices[j], mesh.vertices[k]
-    T = np.array([[p0[0] - p2[0], p1[0] - p2[0]],
-                  [p0[1] - p2[1], p1[1] - p2[1]]])
-    rhs = np.array([point[0] - p2[0], point[1] - p2[1]])
-    l01 = np.linalg.solve(T, rhs)
-    return np.array([l01[0], l01[1], 1.0 - l01[0] - l01[1]])
+def _barycentric(mesh, tri, points):
+    """Barycentric weights (k, 3) of points[k] in triangle tri[k]."""
+    p = mesh.vertices[mesh.triangles[tri]]                  # (k, 3, 2)
+    T = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
+    l01 = np.linalg.solve(T, (points - p[:, 2])[:, :, None])[:, :, 0]
+    return np.column_stack([l01, 1.0 - l01[:, 0] - l01[:, 1]])
 
 
-def _locate(mesh, point, max_steps):
-    """Walk toward `point` from the nearest vertex; exhaustive fallback."""
-    tri = mesh._first_triangle_of(int(mesh._tree.query(point)[1])) if mesh._tree is not None else 0
-    visited = set()
-    for _ in range(max_steps):
-        if tri < 0 or tri in visited:
-            break
-        visited.add(tri)
-        lam = _barycentric(mesh, tri, point)
-        worst = int(np.argmin(lam))
-        if lam[worst] >= -INSIDE_TOL:
-            return tri, lam
-        i, j, k = mesh.triangles[tri]
-        opposite_edge = {0: (j, k), 1: (k, i), 2: (i, j)}[worst]
-        tri = mesh.neighbor(tri, *opposite_edge)
-    # exhaustive scan
-    best_tri, best_lam, best_min = -1, None, -np.inf
-    for t in range(mesh.n_triangles):
-        lam = _barycentric(mesh, t, point)
-        m = lam.min()
-        if m > best_min:
-            best_tri, best_lam, best_min = t, lam, m
-        if m >= -INSIDE_TOL:
-            return t, lam
-    if best_min >= -INSIDE_TOL:
-        return best_tri, best_lam
-    raise PointOutsideMesh(f"point {tuple(point)} lies outside the mesh (gap {-best_min:.2e})")
+def _keep_first_inside(mesh, points, row, cand, tri_of, lam_of):
+    """Record, for each row, the first candidate triangle that contains it.
+
+    `row` and `cand` pair rows of `points` with candidate triangles, each
+    row's candidates in increasing triangle order.
+    """
+    lam = _barycentric(mesh, cand, points[row])
+    inside = np.flatnonzero(lam.min(axis=1) >= -INSIDE_TOL)
+    found, first = np.unique(row[inside], return_index=True)
+    tri_of[found] = cand[inside[first]]
+    lam_of[found] = lam[inside[first]]
 
 
-def _locate_near(mesh, points):
-    """Containing triangle and barycentric weights of each point, found among
-    the triangles incident to its nearest vertex.
+def _locate(mesh, points):
+    """Containing triangle and barycentric weights of each point.
 
-    Candidates are tried in increasing triangle order, the order in which the
-    walk of `_locate` starts.  Returns (triangle, weights); triangle is -1
-    for a point no incident triangle contains.
+    Candidates are first the triangles incident to the point's nearest
+    vertex, then every triangle whose bounding box, padded by the factor
+    1 + 3*INSIDE_TOL about its centroid, holds the point: a point whose
+    weights are all >= -INSIDE_TOL lies in the triangle scaled by that
+    factor.  Either way the lowest-index containing candidate wins.
     """
     npts = points.shape[0]
     tri_of = np.full(npts, -1, dtype=np.int64)
     lam_of = np.zeros((npts, 3))
-    if mesh._tree is None or npts == 0:
-        return tri_of, lam_of
-    nearest = mesh._tree.query(points)[1]
-    # triangles incident to each vertex, in increasing order (CSR)
-    order = np.argsort(mesh.triangles.ravel(), kind="stable")
-    inc_tri = order // 3
-    inc_ptr = np.concatenate([[0], np.cumsum(np.bincount(mesh.triangles.ravel(),
-                                                         minlength=mesh.n_vertices))])
-    counts = inc_ptr[nearest + 1] - inc_ptr[nearest]
-    point = np.repeat(np.arange(npts), counts)
-    offset = np.arange(point.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cand = inc_tri[inc_ptr[nearest][point] + offset]
-    p = mesh.vertices[mesh.triangles[cand]]                  # (k, 3, 2)
-    T = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
-    l01 = np.linalg.solve(T, (points[point] - p[:, 2])[:, :, None])[:, :, 0]
-    lam = np.column_stack([l01, 1.0 - l01[:, 0] - l01[:, 1]])
-    inside = np.flatnonzero(lam.min(axis=1) >= -INSIDE_TOL)
-    found, first = np.unique(point[inside], return_index=True)
-    tri_of[found] = cand[inside[first]]
-    lam_of[found] = lam[inside[first]]
+    if mesh._tree is not None:
+        nearest = mesh._tree.query(points)[1]
+        # triangles incident to each vertex, in increasing order (CSR)
+        order = np.argsort(mesh.triangles.ravel(), kind="stable")
+        inc_tri = order // 3
+        inc_ptr = np.concatenate([[0], np.cumsum(np.bincount(mesh.triangles.ravel(),
+                                                             minlength=mesh.n_vertices))])
+        counts = inc_ptr[nearest + 1] - inc_ptr[nearest]
+        row = np.repeat(np.arange(npts), counts)
+        offset = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cand = inc_tri[inc_ptr[nearest][row] + offset]
+        _keep_first_inside(mesh, points, row, cand, tri_of, lam_of)
+
+    missed = np.flatnonzero(tri_of < 0)
+    if missed.size:
+        p = mesh.vertices[mesh.triangles]                   # (m, 3, 2)
+        centroid = p.mean(axis=1)
+        pad = 1.0 + 3.0 * INSIDE_TOL
+        lo = centroid + pad * (p.min(axis=1) - centroid)
+        hi = centroid + pad * (p.max(axis=1) - centroid)
+        for start in range(0, missed.size, SCAN_CHUNK):
+            rows = missed[start:start + SCAN_CHUNK]
+            q = points[rows][:, None, :]
+            row, cand = np.nonzero(((q >= lo) & (q <= hi)).all(axis=2))
+            _keep_first_inside(mesh, points, rows[row], cand, tri_of, lam_of)
+        lost = np.flatnonzero(tri_of < 0)
+        if lost.size:
+            point = points[lost[0]]
+            lam = _barycentric(mesh, np.arange(mesh.n_triangles),
+                               np.broadcast_to(point, (mesh.n_triangles, 2)))
+            gap = -np.max(lam.min(axis=1), initial=-np.inf)
+            raise PointOutsideMesh(f"point {tuple(point)} lies outside the mesh (gap {gap:.2e})")
     return tri_of, lam_of
 
 
@@ -315,15 +290,15 @@ def projector(mesh, points):
     """Sparse barycentric interpolation matrix of shape (len(points), n_vertices).
 
     Each row carries the weights of the containing triangle; weights are
-    clipped at zero and renormalized so they sum to one.  Points are looked
-    up among the triangles around their nearest vertex all at once; the walk
-    of `_locate` handles the few that none of those contains.
+    clipped at zero and renormalized so they sum to one.  A point counts as
+    inside a triangle when none of its weights is below -INSIDE_TOL.  The
+    containing triangle is the lowest-index one around the point's nearest
+    vertex; for the few points none of those contains, all triangles are
+    scanned and the lowest-index containing one is used.  A point that no
+    triangle contains raises PointOutsideMesh.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    tri_of, lam_of = _locate_near(mesh, points)
-    max_steps = max(mesh.n_triangles, 8)
-    for r in np.flatnonzero(tri_of < 0):
-        tri_of[r], lam_of[r] = _locate(mesh, points[r], max_steps)
+    tri_of, lam_of = _locate(mesh, points)
     lam = np.clip(lam_of, 0.0, None)
     lam = lam / lam.sum(axis=1, keepdims=True)
     rows, local = np.nonzero(lam > 0.0)

@@ -139,6 +139,18 @@ def read_rows(path):
     return lines[0].strip().split(","), [ln.strip().split(",") for ln in lines[1:] if ln.strip()]
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_csv_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            cli.write_csv(str(path), "test", ["a"], [[1.0]])
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
 class TestSimulateCommand:
     def test_row_count_product(self, tmp_path):
         out = simulate_fixture(tmp_path, n_sites=10, n_times=5)

@@ -147,23 +147,61 @@ class TestProjector:
             mm.projector(unit_square(2, 2), [[1.5, 0.5]])
 
 
-def walk_projector(mesh, points):
-    """Reference projector: one `_locate` walk per point."""
+def weights_in_every_triangle(mesh, point):
+    """Barycentric weights (n_triangles, 3) of one point, by a 2x2 solve per triangle."""
+    p = mesh.vertices[mesh.triangles]
+    T = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
+    l01 = np.linalg.solve(T, (point - p[:, 2])[:, :, None])[:, :, 0]
+    return np.column_stack([l01, 1.0 - l01[:, 0] - l01[:, 1]])
+
+
+def nearest_vertices(mesh, points):
+    return np.argmin(((points[:, None, :] - mesh.vertices) ** 2).sum(axis=2), axis=1)
+
+
+def oracle_projector(mesh, points):
+    """Reference projector by brute force.
+
+    Each point's weights are solved in every triangle.  Among the triangles
+    whose weights are all >= -INSIDE_TOL, the lowest-index one around the
+    point's nearest vertex carries the point, or else the lowest-index one
+    overall.  The preference matters for points on an edge: the two triangles
+    that share it give the point different weights (one of them a third
+    weight of about 1e-16), and `projector` has always taken the one around
+    the nearest vertex.
+    """
     rows, cols, vals = [], [], []
-    for r, pt in enumerate(points):
-        tri, lam = mm._locate(mesh, pt, max(mesh.n_triangles, 8))
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-        for local, w in enumerate(lam):
+    for r, (pt, v) in enumerate(zip(points, nearest_vertices(mesh, points))):
+        lam = weights_in_every_triangle(mesh, pt)
+        inside = lam.min(axis=1) >= -mm.INSIDE_TOL
+        around = inside & (mesh.triangles == v).any(axis=1)
+        tri = np.flatnonzero(around if around.any() else inside)[0]
+        w = np.clip(lam[tri], 0.0, None)
+        w = w / w.sum()
+        for local in np.flatnonzero(w > 0.0):
             rows.append(r)
-            cols.append(int(mesh.triangles[tri][local]))
-            vals.append(float(w))
+            cols.append(mesh.triangles[tri, local])
+            vals.append(w[local])
     return sp.csr_matrix((vals, (rows, cols)), shape=(len(points), mesh.n_vertices))
+
+
+def nearest_vertex_misses(mesh, points):
+    """Number of points that no triangle incident to their nearest vertex contains."""
+    missed = 0
+    for pt, v in zip(points, nearest_vertices(mesh, points)):
+        inside = weights_in_every_triangle(mesh, pt).min(axis=1) >= -mm.INSIDE_TOL
+        missed += not np.any(inside & (mesh.triangles == v).any(axis=1))
+    return missed
+
+
+def assert_same_csr(P, Q):
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(P, field), getattr(Q, field))
 
 
 def perturbed_mesh(seed=0, n=12):
     # jittered interior vertices: some points lie in no triangle around their
-    # nearest vertex, so the walk fallback runs too
+    # nearest vertex, so the scan of all triangles runs too
     m = mm.structured_mesh(0.0, 1.0, 0.0, 1.0, n, n)
     v = m.vertices.copy()
     inner = (v > 1e-9).all(axis=1) & (v < 1.0 - 1e-9).all(axis=1)
@@ -172,9 +210,10 @@ def perturbed_mesh(seed=0, n=12):
 
 
 class TestVectorizedProjector:
-    @pytest.mark.parametrize("mesh", [unit_square(9, 7), perturbed_mesh()],
-                             ids=["structured", "perturbed"])
-    def test_matches_walk(self, mesh):
+    @pytest.mark.parametrize("mesh", [unit_square(9, 7), perturbed_mesh(),
+                                      perturbed_mesh(seed=3, n=16)],
+                             ids=["structured", "perturbed", "perturbed16"])
+    def test_matches_oracle(self, mesh):
         rng = np.random.default_rng(4)
         random_pts = rng.random((500, 2))
         tri = mesh.triangles[rng.integers(0, mesh.n_triangles, 100)]
@@ -182,18 +221,56 @@ class TestVectorizedProjector:
         edge_pts = a * mesh.vertices[tri[:, 0]] + (1.0 - a) * mesh.vertices[tri[:, 1]]
         vertex_pts = mesh.vertices[rng.integers(0, mesh.n_vertices, 50)]
         for pts in (random_pts, edge_pts, vertex_pts):
-            P = mm.projector(mesh, pts)
-            assert abs(P - walk_projector(mesh, pts)).max() <= 1e-14
+            assert_same_csr(mm.projector(mesh, pts), oracle_projector(mesh, pts))
+
+    def test_scan_lowest_index_and_padding(self):
+        # triangles 0 and 1 overlap; the small triangles 2 and 3 hold the
+        # nearest vertex of each point but not the point, so only the scan of
+        # every triangle finds it.  The second point lies 1e-12 below the
+        # bounding box of the triangle that contains it.
+        v = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0],
+                      [0.1, 0.1], [1.5, 0.1], [0.1, 1.5],
+                      [0.32, 0.3], [0.34, 0.3], [0.33, 0.32],
+                      [0.9, -0.5], [1.1, -0.5], [1.0, -0.3]])
+        pts = np.array([[0.3, 0.3], [1.0, -1e-12]])
+        for order in ([0, 1, 2, 3], [1, 0, 2, 3]):
+            mesh = mm.TriMesh(v, np.arange(12).reshape(4, 3)[order])
+            assert nearest_vertex_misses(mesh, pts) == 2
+            assert_same_csr(mm.projector(mesh, pts), oracle_projector(mesh, pts))
 
     def test_fallback_reached(self):
-        mesh = perturbed_mesh()
         pts = np.random.default_rng(4).random((500, 2))
-        tri_of, _ = mm._locate_near(mesh, pts)
-        assert 0 < np.sum(tri_of < 0) < pts.shape[0]
+        assert 0 < nearest_vertex_misses(perturbed_mesh(), pts) < pts.shape[0]
 
     def test_outside_points_raise(self):
         mesh = perturbed_mesh()
         inside = np.random.default_rng(2).random((20, 2))
         for outside in ([1.0 + 1e-6, 0.5], [-0.2, -0.2], [0.5, 3.0]):
-            with pytest.raises(PointOutsideMesh):
+            with pytest.raises(PointOutsideMesh, match="gap"):
                 mm.projector(mesh, np.vstack([inside, outside]))
+
+    def test_boundary_tolerance(self):
+        mesh = perturbed_mesh()
+        P = mm.projector(mesh, [[1.0 + 1e-12, 0.5], [0.5, -1e-12]])
+        assert np.allclose(P.sum(axis=1), 1.0)
+        with pytest.raises(PointOutsideMesh):
+            mm.projector(mesh, [[0.5, -1e-6]])
+
+    def test_no_triangles(self):
+        mesh = mm.TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                          np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(PointOutsideMesh):
+            mm.projector(mesh, [[0.2, 0.2]])
+
+
+class TestTopology:
+    def test_structured_split_order(self):
+        # cells row by row, each split lower-left -> upper-right into
+        # (ll, lr, ur) and (ll, ur, ul)
+        m = mm.structured_mesh(0, 2, 0, 1, 2, 1)
+        assert m.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
+
+    def test_edge_shared_by_three_triangles(self):
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        with pytest.raises(NonConformingMesh):
+            mm.TriMesh(v, np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]]))
