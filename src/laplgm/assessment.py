@@ -220,6 +220,15 @@ def spde_field_summary(fit, model, name):
     }
 
 
+def spde_summary(fit, model):
+    """zmarginal summaries {"range", "variance"} of the first alpha = 2 SPDE field, or None."""
+    comp = next((c for c in model.components
+                 if isinstance(c, SpdeMaternComponent) and c.alpha == 2), None)
+    if comp is None:
+        return None
+    return {key: zmarginal(m) for key, m in spde_field_summary(fit, model, comp.name).items()}
+
+
 def compare(entries):
     """Comparison rows over fitted models sharing the same data.
 
@@ -244,15 +253,10 @@ def compare(entries):
             "waic": d.waic,
             "mlik": d.mlik,
         }
-        spde_names = [c.name for c in model.components if isinstance(c, SpdeMaternComponent)]
-        if spde_names and getattr(
-                next(c for c in model.components if c.name == spde_names[0]), "alpha") == 2:
-            summ = spde_field_summary(fit_res, model, spde_names[0])
-            for key in ("range", "variance"):
-                z = zmarginal(summ[key])
-                row[f"{key}_mean"] = z.mean
-                row[f"{key}_lo"] = z.quantiles[0.025]
-                row[f"{key}_hi"] = z.quantiles[0.975]
+        for key, z in (spde_summary(fit_res, model) or {}).items():
+            row[f"{key}_mean"] = z.mean
+            row[f"{key}_lo"] = z.quantiles[0.025]
+            row[f"{key}_hi"] = z.quantiles[0.975]
         corr_hypers = [h for h in model.free_hyperparams() if h.transform == "correlation"]
         if corr_hypers:
             z = zmarginal(fit_res.hyper_marginal(corr_hypers[0].name, scale="natural"))

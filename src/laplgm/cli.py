@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,16 +190,11 @@ def build_likelihood(section, context="likelihood"):
     return FAMILIES[family](hyper)
 
 
-class ModelBundle:
-    """Model plus the bookkeeping the commands need afterwards."""
+class ModelBundle(NamedTuple):
+    """Model plus the prediction grid (None without `predict:`)."""
 
-    def __init__(self, model, mesh, spde_name, time_levels, time_index, pred_info):
-        self.model = model
-        self.mesh = mesh
-        self.spde_name = spde_name
-        self.time_levels = time_levels
-        self.time_index = time_index
-        self.pred_info = pred_info
+    model: object
+    pred_grid: np.ndarray | None
 
 
 def _covariate_values(cols, name, path, n):
@@ -207,8 +203,8 @@ def _covariate_values(cols, name, path, n):
     return _float_column(cols, name, path)
 
 
-FIT_TOP_KEYS = {"name", "seed", "threads", "data", "likelihood", "mesh",
-                "components", "predict", "engine"}
+FIT_TOP_KEYS = {"name", "seed", "data", "likelihood", "mesh", "components", "predict",
+                "engine"}
 
 
 def build_model(cfg, config_path):
@@ -227,15 +223,12 @@ def build_model(cfg, config_path):
     time_index = np.searchsorted(time_levels, time_col)
     T = time_levels.size
 
-    mesh = None
-    if cfg.get("mesh") is not None:
-        mesh = build_mesh(cfg["mesh"])
+    mesh = None if cfg.get("mesh") is None else build_mesh(cfg["mesh"])
 
     comp_sections = require(cfg, "components", config_path)
     components = []
     # name -> function of (data rows, locations, time levels) giving the A-block
     blocks = {}
-    spde_name = None
     fem_cache = None
     for sec in comp_sections:
         ctx = f"component {sec.get('name', '?')!r}"
@@ -297,7 +290,6 @@ def build_model(cfg, config_path):
                 initial_sigma=float(sec.get("initial_sigma", 1.0)),
                 prior=_parse_prior(sec.get("prior"), ctx), grouping=grouping)
             components.append(comp)
-            spde_name = name
             if grouping is not None:
                 blocks[name] = lambda rows, points, times: group_block(
                     projector(mesh, points), times, T)
@@ -312,7 +304,7 @@ def build_model(cfg, config_path):
 
     parts = [stack_part(y, np.arange(n), sites_xy, time_index, "obs")]
 
-    pred_info = None
+    grid_pts = None
     psec = cfg.get("predict")
     if psec is not None:
         ctx = "predict"
@@ -332,32 +324,50 @@ def build_model(cfg, config_path):
         first_row = np.flatnonzero(time_index == t_idx)[0]
         parts.append(stack_part(np.full(m, np.nan), np.full(m, first_row), grid_pts,
                                 np.full(m, t_idx), "pred"))
-        pred_info = {"grid": grid_pts, "n_grid": n_grid, "time": t_value}
 
     likelihood = build_likelihood(require(cfg, "likelihood", config_path))
     model = build_stack(parts, components, likelihood)
-    return ModelBundle(model, mesh, spde_name, time_levels, time_index, pred_info)
+    return ModelBundle(model, grid_pts)
+
+
+INT_STRATEGIES = ("grid", "ccd", "eb")
 
 
 def engine_config(cfg, args):
+    """EngineConfig from the `engine:` section, --int-strategy taking precedence."""
     sec = cfg.get("engine") or {}
-    check_keys(sec, {"int_strategy", "grid_step", "log_drop", "max_grid_nodes",
-                     "newton_tol", "max_newton", "mode_budget", "mode_grad_tol",
-                     "marginal_points", "marginal_span", "threads"}, "engine")
-    # `threads` (top level, engine section or --threads) is accepted and
-    # ignored: inference runs on the calling thread
+    check_keys(sec, {"int_strategy", "log_drop", "newton_tol"}, "engine")
     ec = EngineConfig()
-    if sec.get("int_strategy") is not None:
-        ec.int_strategy = str(sec["int_strategy"])
-    for key in ("grid_step", "log_drop", "newton_tol", "mode_grad_tol", "marginal_span"):
-        if sec.get(key) is not None:
-            setattr(ec, key, float(sec[key]))
-    for key in ("max_grid_nodes", "max_newton", "mode_budget", "marginal_points"):
-        if sec.get(key) is not None:
-            setattr(ec, key, int(sec[key]))
-    if getattr(args, "int_strategy", None):
-        ec.int_strategy = args.int_strategy
+    strategy = sec.get("int_strategy")
+    if strategy is not None and strategy not in INT_STRATEGIES:
+        raise ParseError(f"engine: int_strategy {strategy!r} is not one of {INT_STRATEGIES}")
+    ec.int_strategy = args.int_strategy or strategy or ec.int_strategy
+    for key in ("log_drop", "newton_tol"):
+        value = sec.get(key)
+        if value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParseError(f"engine: {key} must be a number, got {value!r}")
+            setattr(ec, key, float(value))
     return ec
+
+
+def _seed_of(cfg, args, path):
+    """The --seed flag, else the config's integer `seed`, else None."""
+    if args.seed is not None:
+        return args.seed
+    seed = cfg.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ParseError(f"{path}: seed must be an integer, got {seed!r}")
+    return seed
+
+
+class FitJob(NamedTuple):
+    """A fit config with its seed and engine settings, read and checked."""
+
+    cfg: dict
+    path: str
+    seed: int | None
+    engine: EngineConfig
 
 
 # ------------------------------------------------------------------
@@ -371,8 +381,8 @@ def _summary_rows(named_summaries):
     return header, rows
 
 
-def cmd_simulate(cfg, args, out_dir):
-    check_keys(cfg, {"name", "seed", "threads", "simulate"}, "config")
+def cmd_simulate(cfg, out_dir, seed):
+    check_keys(cfg, {"name", "seed", "simulate"}, "config")
     sec = require(cfg, "simulate", "config")
     check_keys(sec, {"n_sites", "n_times", "mesh", "truth", "covariates", "family",
                      "family_param", "site_bounds"}, "simulate")
@@ -383,7 +393,6 @@ def cmd_simulate(cfg, args, out_dir):
     for c in sec.get("covariates") or []:
         check_keys(c, {"name", "kind", "coef"}, "simulate covariate")
         covs.append(SimCovariate(c["name"], c["kind"], float(c["coef"])))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     n_sites = int(require(sec, "n_sites", "simulate"))
     bounds = sec.get("site_bounds") or [0.0, 1.0, 0.0, 1.0]
     sites = random_sites(n_sites, seed, tuple(float(b) for b in bounds))
@@ -419,25 +428,17 @@ def cmd_simulate(cfg, args, out_dir):
     return 0
 
 
-def _seed_of(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return None if cfg.get("seed") is None else int(cfg["seed"])
+def _run_fit(job):
+    bundle = build_model(job.cfg, job.path)
+    return bundle, engine_fit(bundle.model, job.engine)
 
 
-def _run_fit(cfg, args, config_path):
-    bundle = build_model(cfg, config_path)
-    ec = engine_config(cfg, args)
-    result = engine_fit(bundle.model, ec)
-    return bundle, result
-
-
-def _write_fit_outputs(bundle, result, out_dir, seed=None):
+def _write_fit_outputs(bundle, result, out_dir, seed):
     model = bundle.model
     fixed = result.fixed_summary()
     header, rows = _summary_rows(fixed)
     write_csv(os.path.join(out_dir, "summary_fixed.csv"), "summary_fixed", header, rows)
-    header, rows = _summary_rows(result.hyper_summary(scale="natural"))
+    header, rows = _summary_rows(result.hyper_summary())
     write_csv(os.path.join(out_dir, "summary_hyper.csv"), "summary_hyper", header, rows)
     atomic_write(os.path.join(out_dir, "mlik.txt"), f"{result.mlik!r}\n")
 
@@ -468,19 +469,19 @@ def _write_fit_outputs(bundle, result, out_dir, seed=None):
                  json.dumps(log, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_fit(cfg, args, out_dir, config_path):
-    bundle, result = _run_fit(cfg, args, config_path)
-    _write_fit_outputs(bundle, result, out_dir, seed=_seed_of(cfg, args))
+def cmd_fit(job, out_dir):
+    bundle, result = _run_fit(job)
+    _write_fit_outputs(bundle, result, out_dir, seed=job.seed)
     print(f"fit: mlik={result.mlik:.4f}, wrote outputs to {out_dir}")
     return 0
 
 
-def cmd_predict(cfg, args, out_dir, config_path):
-    if cfg.get("predict") is None:
-        raise ParseError(f"{config_path}: predict command needs a `predict:` section")
-    bundle, result = _run_fit(cfg, args, config_path)
+def cmd_predict(job, out_dir):
+    if job.cfg.get("predict") is None:
+        raise ParseError(f"{job.path}: predict command needs a `predict:` section")
+    bundle, result = _run_fit(job)
     rng = bundle.model.tag_range("pred")
-    grid = bundle.pred_info["grid"]
+    grid = bundle.pred_grid
     rows_idx = np.arange(rng.start, rng.stop)
     eta_mean = result.pred_mean_post[rows_idx]
     eta_sd = result.pred_sd_post[rows_idx]
@@ -492,37 +493,32 @@ def cmd_predict(cfg, args, out_dir, config_path):
     write_csv(os.path.join(out_dir, "pred_sd.csv"), "pred_sd",
               ["x", "y", "eta_sd", "mu_sd"],
               [[grid[i, 0], grid[i, 1], eta_sd[i], mu_sd[i]] for i in range(len(rows_idx))])
-    _write_fit_outputs(bundle, result, out_dir, seed=_seed_of(cfg, args))
+    _write_fit_outputs(bundle, result, out_dir, seed=job.seed)
     print(f"predict: wrote {len(rows_idx)} prediction rows to {out_dir}")
     return 0
 
 
-def _write_assessment(bundle, result, out_dir):
-    d = assessment.assess(result, bundle.model)
+def _write_assessment(result, model, out_dir):
+    d = assessment.assess(result, model)
     write_csv(os.path.join(out_dir, "diagnostics.csv"), "diagnostics",
               ["index", "cpo", "pit", "failure"],
               [[int(i), c, p, f] for i, c, p, f in zip(d.index, d.cpo, d.pit, d.failure)])
     write_csv(os.path.join(out_dir, "criteria.csv"), "criteria",
               ["dic", "p_dic", "waic", "p_waic", "mlik"],
               [[d.dic, d.p_dic, d.waic, d.p_waic, d.mlik]])
-    if bundle.spde_name is not None:
-        comp = next(c for c in bundle.model.components if c.name == bundle.spde_name)
-        if comp.alpha == 2:
-            summ = assessment.spde_field_summary(result, bundle.model, bundle.spde_name)
-            from .marginals import zmarginal
-            rows = []
-            for key in ("range", "variance"):
-                z = zmarginal(summ[key])
-                rows.append([key, z.mean, z.sd, z.quantiles[0.025], z.quantiles[0.975]])
-            write_csv(os.path.join(out_dir, "spde_summary.csv"), "spde_summary",
-                      ["quantity", "mean", "sd", "q0.025", "q0.975"], rows)
+    spde = assessment.spde_summary(result, model)
+    if spde is not None:
+        write_csv(os.path.join(out_dir, "spde_summary.csv"), "spde_summary",
+                  ["quantity", "mean", "sd", "q0.025", "q0.975"],
+                  [[key, z.mean, z.sd, z.quantiles[0.025], z.quantiles[0.975]]
+                   for key, z in spde.items()])
     return d
 
 
-def cmd_assess(cfg, args, out_dir, config_path):
-    bundle, result = _run_fit(cfg, args, config_path)
-    _write_fit_outputs(bundle, result, out_dir, seed=_seed_of(cfg, args))
-    d = _write_assessment(bundle, result, out_dir)
+def cmd_assess(job, out_dir):
+    bundle, result = _run_fit(job)
+    _write_fit_outputs(bundle, result, out_dir, seed=job.seed)
+    d = _write_assessment(result, bundle.model, out_dir)
     print(f"assess: dic={d.dic:.2f} waic={d.waic:.2f} mlik={d.mlik:.2f}; wrote {out_dir}")
     return 0
 
@@ -533,12 +529,11 @@ COMPARISON_COLUMNS = ["model", "dic", "waic", "mlik",
                       "a_mean", "a_lo", "a_hi"]
 
 
-def cmd_compare(cfgs, args, out_dir, config_paths):
+def cmd_compare(jobs, out_dir):
     entries = []
-    for cfg, path in zip(cfgs, config_paths):
-        name = cfg.get("name") or os.path.splitext(os.path.basename(path))[0]
-        bundle, result = _run_fit(cfg, args, path)
-        assessment.assess(result, bundle.model)
+    for job in jobs:
+        name = job.cfg.get("name") or os.path.splitext(os.path.basename(job.path))[0]
+        bundle, result = _run_fit(job)
         entries.append((name, result, bundle.model))
     rows = assessment.compare(entries)
     out_rows = [[row.get(c) for c in COMPARISON_COLUMNS] for row in rows]
@@ -564,7 +559,7 @@ def make_parser():
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility; inference runs on one thread")
         p.add_argument("--int-strategy", dest="int_strategy",
-                       choices=["grid", "ccd", "eb"], default=None)
+                       choices=INT_STRATEGIES, default=None)
     return parser
 
 
@@ -574,16 +569,19 @@ def main(argv=None):
         cfgs = [load_config(p) for p in args.config]
         if args.command != "compare" and len(cfgs) != 1:
             raise ParseError(f"{args.command} takes exactly one --config")
+        if len(cfgs) < 2 and args.command == "compare":
+            raise ParseError("compare takes at least two --config")
         os.makedirs(args.out, exist_ok=True)
+        # every setting is read here, so that a bad value stops the run before any work
+        seeds = [_seed_of(cfg, args, path) for cfg, path in zip(cfgs, args.config)]
         if args.command == "simulate":
-            return cmd_simulate(cfgs[0], args, args.out)
-        if args.command == "fit":
-            return cmd_fit(cfgs[0], args, args.out, args.config[0])
-        if args.command == "predict":
-            return cmd_predict(cfgs[0], args, args.out, args.config[0])
-        if args.command == "assess":
-            return cmd_assess(cfgs[0], args, args.out, args.config[0])
-        return cmd_compare(cfgs, args, args.out, args.config)
+            return cmd_simulate(cfgs[0], args.out, 0 if seeds[0] is None else seeds[0])
+        jobs = [FitJob(cfg, path, seed, engine_config(cfg, args))
+                for cfg, path, seed in zip(cfgs, args.config, seeds)]
+        if args.command == "compare":
+            return cmd_compare(jobs, args.out)
+        command = {"fit": cmd_fit, "predict": cmd_predict, "assess": cmd_assess}[args.command]
+        return command(jobs[0], args.out)
     except LaplgmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,8 @@ from .errors import (
 _REJECTABLE = (NotPositiveDefinite, NonConvergence, InvalidCorrelation)
 from .latent import TRANSFORMS, FixedEffect, log_prior_theta
 from .marginals import (
+    GRID_POINTS,
+    GRID_SPAN,
     MarginalDensity,
     _cubic_spline,
     mixture_marginal,
@@ -54,20 +56,19 @@ PRIOR_DIFF_STEP = 1e-4
 HESS_DIFF_STEP = 1e-3
 
 
+# a Gaussian approximation raises NonConvergence after MAX_NEWTON Newton
+# iterations; the grid strategy keeps at most MAX_GRID_NODES nodes
+MAX_NEWTON = 50
+MAX_GRID_NODES = 256
+
+
 @dataclass
 class EngineConfig:
-    """Tunable constants of the approximation engine."""
+    """Settings of the approximation engine."""
 
     int_strategy: str = "ccd"        # grid | ccd | eb
-    grid_step: float = 1.0           # step in standardized z coordinates
     log_drop: float = 2.5            # keep grid nodes within this log drop
-    max_grid_nodes: int = 256
     newton_tol: float = 1e-8
-    max_newton: int = 50
-    mode_budget: int = 200
-    mode_grad_tol: float = 1e-2
-    marginal_points: int = 75
-    marginal_span: float = 6.0
     # accepted and unused: inference runs on the calling thread
     # (bench/workloads.py passes it)
     threads: int = 1
@@ -113,10 +114,14 @@ class ThetaNode:
 # quasi-Newton ascent used for the hyperparameter mode
 
 # at most BFGS_MAX_ITER iterations, each step capped at BFGS_MAX_STEP per
-# coordinate, stopping once a step is within BFGS_STEP_TOL
+# coordinate, stopping once a step is within BFGS_STEP_TOL; the mode search
+# evaluates log pi(theta | y) at most MODE_BUDGET times and stops once every
+# gradient entry is within MODE_GRAD_TOL
 BFGS_MAX_ITER = 100
 BFGS_MAX_STEP = 3.0
 BFGS_STEP_TOL = 1e-6
+MODE_BUDGET = 200
+MODE_GRAD_TOL = 1e-2
 
 
 def _maximize(f, x0, grad, budget, grad_tol):
@@ -460,7 +465,7 @@ class Engine:
                 continue
             if step <= cfg.newton_tol:
                 break   # x is the mode, and F sits there
-            if iterations >= cfg.max_newton:
+            if iterations >= MAX_NEWTON:
                 raise NonConvergence(iterations)
             if fx is None:
                 fx = self._penalized_objective(x, Qp, param)
@@ -609,7 +614,7 @@ class Engine:
 
     # -- mode and exploration ----------------------------------------
 
-    def find_mode(self, theta_init=None):
+    def find_mode(self):
         """The mode theta* of log pi(theta | y), the Hessian there, and the center.
 
         BFGS starts the Newton iteration at each theta from the approximation
@@ -624,8 +629,6 @@ class Engine:
         p = len(model.free_hyperparams())
         if p == 0:
             return np.zeros(0), np.zeros((0, 0)), None
-        cfg = self.config
-        theta0 = model.theta_initial() if theta_init is None else np.asarray(theta_init, float)
         last = None       # the approximation evaluated last
         S = None          # the selected inverse of the last gradient's factor
         x_accepted = None  # the latent mode at the last accepted point
@@ -645,8 +648,8 @@ class Engine:
             x_accepted = last.x_star
             return self.log_posterior_gradient(last, S)
 
-        theta_star, lp_star, _ = _maximize(f, theta0, grad, cfg.mode_budget,
-                                           cfg.mode_grad_tol)
+        theta_star, lp_star, _ = _maximize(f, model.theta_initial(), grad, MODE_BUDGET,
+                                           MODE_GRAD_TOL)
         approx = last
         if not np.array_equal(approx.theta, theta_star):
             # the line search ended on a rejected trial: restart at the mode
@@ -706,7 +709,7 @@ class Engine:
             z = np.asarray(z, dtype=float)
             if not z.any():
                 return theta_star.copy()
-            return theta_star + scale @ (cfg.grid_step * z)
+            return theta_star + scale @ z
 
         # theta bytes -> (log posterior, node quantities or None when dropped)
         seen = {theta_star.tobytes(): (lp0, q0)}
@@ -763,7 +766,7 @@ class Engine:
                                 key=lambda z: (sum(abs(c) for c in z), z))
             nodes = []
             for z in candidates:
-                if len(nodes) >= cfg.max_grid_nodes:
+                if len(nodes) >= MAX_GRID_NODES:
                     break
                 nd = node_at(z, near)
                 if nd is not None:
@@ -827,7 +830,7 @@ def node_weights(nodes):
 # ------------------------------------------------------------------
 # hyperparameter marginals
 
-def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
+def hyper_marginals(nodes, j, theta_star, H):
     """Posterior marginal of internal hyperparameter j from integration nodes.
 
     One free hyperparameter: normalized interpolation of exp(log_post)
@@ -845,7 +848,7 @@ def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
         ys = np.array([b for _, b in pts])
         ys = ys - ys.max()
         spline = _cubic_spline(xs, ys)
-        grid = center + sd_lap * np.linspace(-span, span, points)
+        grid = center + sd_lap * np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
         logf = np.empty_like(grid)
         inside = (grid >= xs[0]) & (grid <= xs[-1])
         logf[inside] = spline(grid[inside])
@@ -857,10 +860,10 @@ def hyper_marginals(nodes, j, theta_star, H, points=75, span=6.0):
         return MarginalDensity(grid, np.exp(logf - logf.max()))
     v = np.zeros(p)
     v[j] = 1.0
-    return hyper_lincomb_marginal(nodes, v, 0.0, theta_star, H, points, span)
+    return hyper_lincomb_marginal(nodes, v, 0.0, theta_star, H)
 
 
-def hyper_lincomb_marginal(nodes, v, offset, theta_star, H, points=75, span=6.0):
+def hyper_lincomb_marginal(nodes, v, offset, theta_star, H):
     """Marginal of a linear functional v'theta + offset of the hyperparameters.
 
     The nodes are projected onto the functional and smoothed with a Gaussian
@@ -878,7 +881,7 @@ def hyper_lincomb_marginal(nodes, v, offset, theta_star, H, points=75, span=6.0)
     var_kernel = np.clip(var_lap - vhat, 0.05 * var_lap, var_lap)
     s = np.sqrt(var_kernel)
     sd_lap = np.sqrt(var_lap)
-    grid = center + sd_lap * np.linspace(-span, span, points)
+    grid = center + sd_lap * np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
     z = (grid[:, None] - means[None, :]) / s
     dens = (np.exp(-0.5 * z**2) / (s * np.sqrt(2 * np.pi))) @ w
     return MarginalDensity(grid, dens)
@@ -943,18 +946,12 @@ class FitResult:
 
     # -- marginal accessors -------------------------------------------
 
-    def _cfg(self):
-        return self.engine.config
-
     def latent_marginal(self, index):
-        cfg = self._cfg()
         return mixture_marginal(self.latent_mean[:, index], self.latent_sd[:, index],
-                                self.weights, cfg.marginal_points, cfg.marginal_span)
+                                self.weights)
 
     def predictor_marginal(self, row):
-        cfg = self._cfg()
-        return mixture_marginal(self.pred_mean[:, row], self.pred_sd[:, row],
-                                self.weights, cfg.marginal_points, cfg.marginal_span)
+        return mixture_marginal(self.pred_mean[:, row], self.pred_sd[:, row], self.weights)
 
     def response_marginal(self, row):
         """Predictor marginal mapped through the inverse link."""
@@ -980,9 +977,7 @@ class FitResult:
         if name not in names:
             raise KeyError(name)
         j = names.index(name)
-        cfg = self._cfg()
-        m = hyper_marginals(self.nodes, j, self.theta_mode, self.theta_hessian,
-                            cfg.marginal_points, cfg.marginal_span)
+        m = hyper_marginals(self.nodes, j, self.theta_mode, self.theta_hessian)
         if scale == "internal":
             return m
         transform = free[j].transform
@@ -1000,8 +995,9 @@ class FitResult:
                 rows[comp.name] = zmarginal(self.latent_marginal(idx))
         return rows
 
-    def hyper_summary(self, scale="natural"):
-        return {h.name: zmarginal(self.hyper_marginal(h.name, scale))
+    def hyper_summary(self):
+        """Summaries of the hyperparameter marginals on their natural scale."""
+        return {h.name: zmarginal(self.hyper_marginal(h.name, "natural"))
                 for h in self.model.free_hyperparams()}
 
 

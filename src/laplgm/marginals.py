@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import InvalidProbability
 
+# marginal densities are tabulated at GRID_POINTS over centre +- GRID_SPAN sd
 GRID_POINTS = 75
 GRID_SPAN = 6.0
 
@@ -23,7 +24,7 @@ class MarginalDensity:
 
     __slots__ = ("grid", "density")
 
-    def __init__(self, grid, density, normalize=True):
+    def __init__(self, grid, density):
         grid = np.asarray(grid, dtype=float)
         density = np.asarray(density, dtype=float)
         if grid.ndim != 1 or grid.shape != density.shape:
@@ -31,11 +32,10 @@ class MarginalDensity:
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         density = np.clip(density, 0.0, None)
-        if normalize:
-            total = np.trapezoid(density, grid)
-            if not np.isfinite(total) or total <= 0:
-                raise ValueError("density does not integrate to a positive value")
-            density = density / total
+        total = np.trapezoid(density, grid)
+        if not np.isfinite(total) or total <= 0:
+            raise ValueError("density does not integrate to a positive value")
+        density = density / total
         self.grid = grid
         self.density = density
 

@@ -228,7 +228,7 @@ class CholeskyFactor:
 
     __slots__ = ("n", "perm", "symbolic", "logdet", "cut", "w", "nb", "lband", "M", "LF", "_L")
 
-    def __init__(self, symbolic, ab, Bt, F, pivot_tol):
+    def __init__(self, symbolic, ab, Bt, F):
         """Factorize from LAPACK lower band storage `ab` ((w+1) x cut, column
         major), the border rows transposed `Bt` (cut x nb) and the lower
         triangle of the border corner `F` (nb x nb)."""
@@ -237,7 +237,7 @@ class CholeskyFactor:
         lband, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"band factorization failed (info={info})")
-        if not np.all(np.isfinite(lband[0])) or np.min(lband[0]) ** 2 <= pivot_tol:
+        if not np.all(np.isfinite(lband[0])) or np.min(lband[0]) ** 2 <= PIVOT_TOL:
             raise NotPositiveDefinite("pivot at or below tolerance")
         logdet = 2.0 * float(np.sum(np.log(lband[0])))
         if nb:
@@ -248,7 +248,7 @@ class CholeskyFactor:
                 LF = np.linalg.cholesky(0.5 * (S + S.T))
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite(f"border factorization failed: {exc}") from exc
-            if np.min(np.diag(LF)) ** 2 <= pivot_tol:
+            if np.min(np.diag(LF)) ** 2 <= PIVOT_TOL:
                 raise NotPositiveDefinite("pivot at or below tolerance")
             logdet += 2.0 * float(np.sum(np.log(np.diag(LF))))
         else:
@@ -369,7 +369,7 @@ class SymbolicFactor:
         """Shape of the factor: {"n", "w", "nb"}, the band width and border rows."""
         return {"n": int(self.n), "w": self.w, "nb": self.nb}
 
-    def numeric(self, Q, pivot_tol=PIVOT_TOL):
+    def numeric(self, Q):
         """Cholesky factor of Q, whose lower triangle lies on the analyzed pattern."""
         lower = Q.lower
         if Q.n != self.n or not (np.array_equal(lower.indptr, self.indptr)
@@ -385,7 +385,7 @@ class SymbolicFactor:
             buf[dst] = data[src]
             parts.append(buf)
         return CholeskyFactor(self, parts[0].reshape((w + 1, cut), order="F"),
-                              parts[1].reshape(cut, nb), parts[2].reshape(nb, nb), pivot_tol)
+                              parts[1].reshape(cut, nb), parts[2].reshape(nb, nb))
 
     def selected_inverse_slots(self, rows, cols):
         """Where `selected_inverse` stores Sigma[i, j] for the original pairs (rows, cols).
@@ -423,12 +423,12 @@ def analyze(Q, perm=None):
     return SymbolicFactor(Q, perm)
 
 
-def factorize(Q, perm=None, pivot_tol=PIVOT_TOL):
+def factorize(Q, perm=None):
     """Sparse Cholesky factorization of an SPD matrix.
 
     The permuted matrix is factorized by a LAPACK band routine, its
     pattern read as a band plus a small trailing border, so L L' reproduces
-    P Q P' exactly.  A pivot at or below `pivot_tol` raises
+    P Q P' exactly.  A pivot whose square is at or below PIVOT_TOL raises
     NotPositiveDefinite, and a band over `_BAND_ENTRY_CAP` entries raises
     ProblemTooLarge: the permutation should be a band ordering (`rcm`) with
     dense columns last.  `perm` is a Permutation (None: identity), or a
@@ -436,7 +436,7 @@ def factorize(Q, perm=None, pivot_tol=PIVOT_TOL):
     then only the numeric stage runs.
     """
     symbolic = perm if isinstance(perm, SymbolicFactor) else analyze(Q, perm)
-    return symbolic.numeric(Q, pivot_tol)
+    return symbolic.numeric(Q)
 
 
 def solve(factor, b):
@@ -451,7 +451,7 @@ def solve(factor, b):
     return out
 
 
-def _detect_bordered_band(rows, cols, n, max_border=MAX_BORDER):
+def _detect_bordered_band(rows, cols, n):
     """Core bandwidth and trailing border width minimizing the window cost.
 
     `rows >= cols` index the lower-triangle entries of the permuted matrix.
@@ -459,7 +459,7 @@ def _detect_bordered_band(rows, cols, n, max_border=MAX_BORDER):
     the plain bandwidth; tracking them as a border keeps the window small.
     """
     best = None
-    for nb in range(0, min(max_border, n - 1) + 1):
+    for nb in range(0, min(MAX_BORDER, n - 1) + 1):
         cut = n - nb
         mask = rows < cut
         w = int(np.max(rows[mask] - cols[mask])) if np.any(mask) else 0

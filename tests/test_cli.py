@@ -362,6 +362,42 @@ class TestAssessAndCompareCommands:
         # temporal-only model has no spatial field: empty range columns
         assert rows[1][header.index("range_mean")] == ""
 
+    def test_compare_needs_two_configs(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fit.cfg"
+        path.write_text(SPDE_CONFIG.format(data=_small_data(tmp_path), prior=""))
+
+        def no_fit(*args):
+            raise AssertionError("a single config reached the fit")
+
+        monkeypatch.setattr(cli, "engine_fit", no_fit)
+        rc = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "at least two --config" in capsys.readouterr().err
+
+    def test_assess_and_compare_summarize_the_same_field(self, tmp_path):
+        # the alpha = 2 field comes first, an alpha = 1 field after it
+        config = (SPDE_CONFIG.format(data=_small_data(tmp_path), prior="")
+                  + "  - name: rough\n"
+                    "    kind: spde_matern\n"
+                    "    alpha: 1\n"
+                    "    initial_range: 0.5\n"
+                    "engine:\n"
+                    "  int_strategy: eb\n")
+        paths = []
+        for name in ("first", "second"):
+            paths.append(tmp_path / f"{name}.cfg")
+            paths[-1].write_text(f"name: {name}\n" + config)
+        run(["assess", "--config", str(paths[0]), "--out", str(tmp_path / "assess")])
+        run(["compare", "--config", str(paths[0]), "--config", str(paths[1]),
+             "--out", str(tmp_path / "cmp")])
+        _, summary = read_rows(tmp_path / "assess" / "spde_summary.csv")
+        header, rows = read_rows(tmp_path / "cmp" / "comparison.csv")
+        assert [r[0] for r in summary] == ["range", "variance"]
+        for quantity, mean, _, lo, hi in summary:
+            for row in rows:
+                got = [row[header.index(f"{quantity}_{s}")] for s in ("mean", "lo", "hi")]
+                assert got == [mean, lo, hi]
+
 
 class TestDeterminismAcrossThreads:
     def test_fit_outputs_byte_identical(self, tmp_path):
@@ -538,15 +574,37 @@ class TestModelBuilding:
                 (want.name, want.internal_value, want.transform, want.prior, want.fixed)
         assert comp.log_kappa.prior == lm.GaussianPrior(*kappa_prior)
 
-    def test_strategy_key_rejected(self, tmp_path, capsys):
+    def test_strategy_key_rejected(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "fit.cfg"
         config = SPDE_CONFIG.format(data=_small_data(tmp_path), prior="")
         path.write_text(config + "engine:\n  int_strategy: eb\n")
         run(["fit", "--config", str(path), "--out", str(tmp_path / "ok")])
-        path.write_text(config + "engine:\n  strategy: gaussian\n")
-        rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "strategy" in capsys.readouterr().err
+
+        def no_fit(*args):
+            raise AssertionError("a bad config reached the fit")
+
+        monkeypatch.setattr(cli, "engine_fit", no_fit)
+        for extra, key in [("engine:\n  strategy: gaussian\n", "strategy"),
+                           ("engine:\n  mode_budget: 10\n", "mode_budget"),
+                           ("engine:\n  marginal_points: 41\n", "marginal_points"),
+                           ("threads: 2\n", "threads"),
+                           ("engine:\n  threads: 2\n", "threads"),
+                           ("engine:\n  int_strategy: foo\n", "int_strategy"),
+                           ("engine:\n  newton_tol: tight\n", "newton_tol"),
+                           ("seed: abc\n", "seed")]:
+            path.write_text(config + extra)
+            for command in ("fit", "assess"):
+                rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "x")])
+                assert rc == 2, (extra, command)
+                err = capsys.readouterr().err.replace(str(tmp_path), "")
+                assert key in err, (extra, command)
+
+    def test_bad_seed_stops_simulate(self, tmp_path, capsys):
+        path = tmp_path / "sim.cfg"
+        path.write_text(SIM_TEMPLATE.format(seed="abc", n_sites=4, n_times=2, sim_nx=4))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "seed" in capsys.readouterr().err.replace(str(tmp_path), "")
+        assert not (tmp_path / "x" / "data.csv").exists()
 
     def test_singular_constraint_reported(self, tmp_path, monkeypatch, capsys):
         import laplgm.latent as lm
