@@ -119,7 +119,11 @@ def _float_column(cols, name, path, missing_ok=False):
                 raise ParseError(f"{path}: missing value in column {name!r}")
             out[i] = np.nan
         else:
-            out[i] = float(s)
+            try:
+                out[i] = float(s)
+            except ValueError:
+                raise ParseError(f"{path}: column {name!r}, data row {i + 1}: "
+                                 f"{s!r} is not a number") from None
     return out
 
 

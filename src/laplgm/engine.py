@@ -51,9 +51,12 @@ CHORD_CONTRACTION = 0.1
 # need no Newton solve (prior quantities and the likelihood at a fixed eta)
 PRIOR_DIFF_STEP = 1e-4
 
-# central-difference step in theta of the mode Hessian, taken on analytic
-# theta-gradients
-HESS_DIFF_STEP = 1e-3
+# step in theta of the mode Hessian's forward differences of analytic
+# theta-gradients (their O(h) error falls with h until the gradients' Newton
+# noise takes over, near 2e-5 at newton_tol 1e-12), and of its central
+# differences where BFGS took no gradient at the mode
+HESS_DIFF_STEP = 3e-5
+HESS_CENTRAL_STEP = 1e-3
 
 
 # a Gaussian approximation raises NonConvergence after MAX_NEWTON Newton
@@ -68,7 +71,7 @@ class EngineConfig:
 
     int_strategy: str = "ccd"        # grid | ccd | eb
     log_drop: float = 2.5            # keep grid nodes within this log drop
-    newton_tol: float = 1e-8
+    newton_tol: float = 1e-12
     # accepted and unused: inference runs on the calling thread
     # (bench/workloads.py passes it)
     threads: int = 1
@@ -81,7 +84,9 @@ class GaussianApprox:
     `factor` is the Cholesky factor of `Q_star` = Q*(`theta`, `curvature`),
     with c = `curvature` the likelihood curvature -d2 log p(y | eta) at the
     mode `x_star`.  `factorizations` counts the factorizations of Q* made
-    while finding it.
+    while finding it.  `dx` is dx*/dtheta (n x p), set by
+    `Engine.log_posterior_gradient`; a Newton iteration started from this
+    approximation uses it to predict the mode at another theta.
     """
 
     x_star: np.ndarray
@@ -94,6 +99,7 @@ class GaussianApprox:
     theta: np.ndarray = None
     curvature: np.ndarray = None
     factorizations: int = 0
+    dx: np.ndarray = None
 
 
 @dataclass
@@ -125,13 +131,17 @@ MODE_GRAD_TOL = 1e-2
 
 
 def _maximize(f, x0, grad, budget, grad_tol):
-    """BFGS ascent with backtracking.
+    """BFGS ascent with an interpolating backtrack.
 
     `f` may raise for or return -inf at invalid points; the line search
-    shrinks past them.  `grad(x)` is the gradient of `f` at a point where `f`
-    was just evaluated and finite.  Steps are capped at BFGS_MAX_STEP per
-    coordinate.  Raises ModeSearchFailed once `budget` evaluations of `f` are
-    exhausted; returns (x, f(x), evaluations of f).
+    halves the step past them.  A finite trial that fails the sufficient
+    increase test moves the step to the maximizer of the quadratic through
+    f(x), the slope g'd and the trial's value, clipped to [0.1, 0.5] times
+    the rejected step (Nocedal & Wright 2006, sec. 3.5).  `grad(x)` is the
+    gradient of `f` at a point where `f` was just evaluated and finite.
+    Steps are capped at BFGS_MAX_STEP per coordinate.  Raises
+    ModeSearchFailed once `budget` evaluations of `f` are exhausted; returns
+    (x, f(x), evaluations of f).
     """
     count = 0
 
@@ -163,16 +173,23 @@ def _maximize(f, x0, grad, budget, grad_tol):
         biggest = np.max(np.abs(direction))
         if biggest > BFGS_MAX_STEP:
             direction = direction * (BFGS_MAX_STEP / biggest)
+        slope = g @ direction
         lam, accepted = 1.0, False
         f_new = -np.inf
         x_new = x
         for _ in range(25):
             x_new = x + lam * direction
             f_new = fx(x_new)
-            if np.isfinite(f_new) and f_new >= fval + 1e-4 * lam * (g @ direction):
+            if np.isfinite(f_new) and f_new >= fval + 1e-4 * lam * slope:
                 accepted = True
                 break
-            lam *= 0.5
+            if np.isfinite(f_new):
+                # the maximizer of the quadratic through fval, slope and
+                # f_new, kept within [0.1, 0.5] of the rejected step
+                best = 0.5 * slope * lam**2 / (fval + slope * lam - f_new)
+                lam = min(max(best, 0.1 * lam), 0.5 * lam)
+            else:
+                lam *= 0.5
         if not accepted:
             break
         s = x_new - x
@@ -268,7 +285,7 @@ class Engine:
         self._pred_plan = (pair_rows, pos, twice * pair_weights)
         # the only engine state a fit changes
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
-                       "gradients": 0}
+                       "gradients": 0, "rejected_trials": 0, "hessian_clamped": 0}
 
     # -- ordering ---------------------------------------------------
 
@@ -404,10 +421,14 @@ class Engine:
         fails the first line-search trial (the simplified, or chord, Newton
         iteration).  A likelihood whose curvature does not depend on eta
         factorizes at theta first, so one exact step follows.  The returned
-        factor is that of Q*(theta, c(x*)) at the returned mode x*.
+        factor is that of Q*(theta, c(x*)) at the returned mode x*, and
+        its `dx` is None whatever the start's.
 
-        `x_init` defaults to the mode of `start`, else zeros.  `Qp`, when
-        given, is `model.prior_quantities(theta)[0]`.
+        `x_init` defaults to the mode of `start`, else zeros.  When `start`
+        carries `dx` and sits at another theta0, Newton starts instead at
+        the predicted mode x*0 + dx (theta - theta0), where the penalized
+        objective is higher than at x*0.  `Qp`, when given, is
+        `model.prior_quantities(theta)[0]`.
         """
         cfg = self.config
         model = self.model
@@ -416,6 +437,8 @@ class Engine:
         if Qp is None:
             Qp = model.prior_quantities(theta)[0]
         param = self._lik_param(theta)
+        predict = (x_init is None and start is not None and start.dx is not None
+                   and not np.array_equal(start.theta, theta))
         if x_init is None:
             x_init = np.zeros(self.n) if start is None else start.x_star
         x = np.array(x_init, dtype=float)
@@ -427,6 +450,14 @@ class Engine:
         factorizations = iterations = 0
         fx = None
         step_last = np.inf
+        if predict:
+            # the predictor step of a continuation method, kept where it
+            # raises the objective above that at the start's mode
+            fx = self._penalized_objective(x, Qp, param)
+            x_pred = x + start.dx @ (theta - start.theta)
+            f_pred = self._penalized_objective(x_pred, Qp, param)
+            if f_pred > fx:
+                x, fx = x_pred, f_pred
 
         def curvature(x):
             eta_obs = self.A_obs @ x
@@ -490,7 +521,7 @@ class Engine:
         if not sits_at(F, c):
             F = factor_here()
         return dataclasses.replace(F, x_star=x, iterations=iterations,
-                                   factorizations=factorizations)
+                                   factorizations=factorizations, dx=None)
 
     def log_posterior(self, theta, start=None, x_init=None, return_approx=False):
         """Unnormalized log posterior density of the hyperparameters.
@@ -552,8 +583,10 @@ class Engine:
           projected onto M dx = 0;
         * with constraints, +tr((M W)^-1 W' dQ* W) / 2, W = Q*^-1 M'.
 
-        (Kristensen et al. 2016 differentiate the Laplace approximation
-        through the same sparse inverse subset.)
+        The projected dx* (n x p) is kept as `approx.dx`, the predictor of
+        Newton iterations started from `approx`.  (Kristensen et al. 2016
+        differentiate the Laplace approximation through the same sparse
+        inverse subset.)
         """
         self.counts["gradients"] += 1
         model = self.model
@@ -597,6 +630,7 @@ class Engine:
         W = approx.constraint_W
         if self.n_constraints:
             dx = dx - W @ scipy.linalg.cho_solve(approx.constraint_cho, self.M @ dx)
+        approx.dx = dx
         dc = lik.curvature_slope(self.y_obs, eta, param)[:, None] * (self.A_obs @ dx) + dc_psi
         dq_star = dq + self._lik_map @ dc
         # tr(Q*^-1 dQ*) over the lower-triangle data of dQ* on the pattern of Q*
@@ -619,11 +653,18 @@ class Engine:
 
         BFGS starts the Newton iteration at each theta from the approximation
         it evaluated last, accepted by the line search or not, and takes the
-        theta-gradient from the approximation at each accepted point.  The
-        center is (log posterior, node quantities, approximation) at theta*:
-        the Hessian's probes start from its approximation, and `explore`
+        theta-gradient from the approximation at each accepted point, which
+        then carries dx*/dtheta for the next start.  The center is (log
+        posterior, node quantities, approximation) at theta*, with the dx of
+        the last gradient: the Hessian's probes start from it, and `explore`
         takes it for the node at theta* and as the start of every design
-        point.  With no free hyperparameter there is no center (None).
+        point.  H[:, j] is the forward difference (g(theta* + h e_j) - g*) / h,
+        h = HESS_DIFF_STEP, of analytic gradients, g* the one BFGS took at
+        theta*; when BFGS took none there, it is the central difference at
+        HESS_CENTRAL_STEP.  H is symmetrized, and its eigenvalues are clamped
+        below zero when it is not negative definite (counts["hessian_clamped"]).
+        counts["rejected_trials"] counts the line-search trials BFGS rejected.
+        With no free hyperparameter there is no center (None).
         """
         model = self.model
         p = len(model.free_hyperparams())
@@ -631,7 +672,8 @@ class Engine:
             return np.zeros(0), np.zeros((0, 0)), None
         last = None       # the approximation evaluated last
         S = None          # the selected inverse of the last gradient's factor
-        x_accepted = None  # the latent mode at the last accepted point
+        accepted = None   # (theta, x*, dx, gradient) at the last accepted point
+        gradients = 0
 
         def f(theta):
             nonlocal last, S
@@ -643,36 +685,47 @@ class Engine:
 
         def grad(theta):
             # _maximize asks for the gradient at the point it evaluated last
-            nonlocal S, x_accepted
+            nonlocal S, accepted, gradients
+            gradients += 1
             S = selected_inverse(last.factor)
-            x_accepted = last.x_star
-            return self.log_posterior_gradient(last, S)
+            g = self.log_posterior_gradient(last, S)
+            accepted = (last.theta, last.x_star, last.dx, g)
+            return g
 
-        theta_star, lp_star, _ = _maximize(f, model.theta_initial(), grad, MODE_BUDGET,
-                                           MODE_GRAD_TOL)
+        theta_star, lp_star, evaluations = _maximize(f, model.theta_initial(), grad,
+                                                     MODE_BUDGET, MODE_GRAD_TOL)
+        self.counts["rejected_trials"] += evaluations - gradients
+        theta_g, x_g, dx_g, g_star = accepted
         approx = last
         if not np.array_equal(approx.theta, theta_star):
             # the line search ended on a rejected trial: restart at the mode
-            approx = self.log_posterior(theta_star, x_init=x_accepted, return_approx=True)[1]
+            approx = self.log_posterior(theta_star, x_init=x_g, return_approx=True)[1]
+            approx.dx = dx_g
         # the node at the mode reads the selected inverse of the last gradient,
         # which is then freed, so that it is not held through the probes
         center = (lp_star, self._node_quantities(lp_star, approx, S), approx)
         S = None
-        # H is the symmetrized central difference of analytic gradients, each
-        # at a probe from the approximation at the mode
-        h = HESS_DIFF_STEP
+
+        def probe_gradient(theta):
+            return self.log_posterior_gradient(
+                self.log_posterior(theta, start=approx, return_approx=True)[1])
+
+        one_sided = np.array_equal(theta_g, theta_star)
+        h = HESS_DIFF_STEP if one_sided else HESS_CENTRAL_STEP
         H = np.zeros((p, p))
         for j in range(p):
             step = np.zeros(p)
             step[j] = h
-            g_up, g_dn = (self.log_posterior_gradient(
-                self.log_posterior(th, start=approx, return_approx=True)[1])
-                for th in (theta_star + step, theta_star - step))
-            H[:, j] = (g_up - g_dn) / (2.0 * h)
+            if one_sided:
+                H[:, j] = (probe_gradient(theta_star + step) - g_star) / h
+            else:
+                H[:, j] = (probe_gradient(theta_star + step)
+                           - probe_gradient(theta_star - step)) / (2.0 * h)
         H = 0.5 * (H + H.T)
         w, V = np.linalg.eigh(H)
         floor = -1e-6 * max(1.0, float(np.max(np.abs(w))))
         if np.any(w > floor):
+            self.counts["hessian_clamped"] += 1
             w = np.minimum(w, floor)
             H = (V * w) @ V.T
         return theta_star, H, center

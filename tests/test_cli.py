@@ -271,6 +271,25 @@ class TestFitCommand:
         rc = cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_non_numeric_cell_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("site_x,site_y,time,y\n0.1,0.1,1,3\n0.2,0.2,1,abc\n")
+        with pytest.raises(ParseError, match=r"column 'y', data row 2: 'abc'"):
+            cli._float_column(cli.read_csv(str(data)), "y", str(data), missing_ok=True)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(
+            f"data: {data}\n"
+            "likelihood:\n"
+            "  family: poisson\n"
+            "components:\n"
+            "  - name: intercept\n"
+            "    kind: fixed_effect\n"
+            "    covariate: const\n")
+        rc = cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and "data row 2" in err
+
 
 class TestPredictCommand:
     def _fit_cfg(self, tmp_path, sim_out, n_grid=9, time=3):
@@ -423,7 +442,8 @@ class TestDeterminismAcrossThreads:
             run(["fit", "--config", str(cfg), "--out", str(out), "--threads", threads])
             log = json.loads((out / "runlog.json").read_text())
             assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations",
-                                          "gradients", "nodes_dropped"}
+                                          "gradients", "rejected_trials", "hessian_clamped",
+                                          "nodes_dropped"}
             assert not set(log["counts"]) & set(log["timings"])
             counts.append(log["counts"])
         assert counts[0] == counts[1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -307,14 +309,42 @@ class TestThetaGradient:
     def test_mode_hessian_against_tight_reference(self, model):
         g = getattr(self, model)()
         engine = Engine(g)
-        theta_star, H, _ = engine.find_mode()
+        bfgs_gradients = []
+        real = eng._maximize
+
+        def counted(f, x0, grad, *args):
+            return real(f, x0, lambda x: bfgs_gradients.append(1) or grad(x), *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_maximize", counted)
+            theta_star, H, _ = engine.find_mode()
         p = theta_star.size
-        # one gradient per accepted BFGS point and 2p for the Hessian
-        assert engine.counts["gradients"] >= 2 * p + 1
+        # one gradient per accepted BFGS point and one probe per
+        # hyperparameter, since BFGS ends with a gradient at theta*
+        assert engine.counts["gradients"] == len(bfgs_gradients) + p
         ref = self.central_hessian(self.tight_log_posterior(g), theta_star, 1e-3)
         got, want = np.linalg.slogdet(-H), np.linalg.slogdet(-0.5 * (ref + ref.T))
         assert got[0] == want[0] == 1
         assert got[1] == pytest.approx(want[1], rel=1e-3, abs=1e-3)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_sided_hessian_against_central(self, model):
+        # the forward difference at h against central differences at h / 10,
+        # both of analytic gradients probed from the center
+        engine = Engine(getattr(self, model)())
+        theta_star, H, (_, _, center) = engine.find_mode()
+        p = theta_star.size
+        h = eng.HESS_DIFF_STEP / 10
+        ref = np.zeros((p, p))
+        for j in range(p):
+            e = np.zeros(p)
+            e[j] = h
+            up, dn = (engine.log_posterior_gradient(
+                engine.log_posterior(th, start=center, return_approx=True)[1])
+                for th in (theta_star + e, theta_star - e))
+            ref[:, j] = (up - dn) / (2.0 * h)
+        ref = 0.5 * (ref + ref.T)
+        assert np.abs(H - ref).max() <= 1e-4 * np.abs(ref).max()
 
 
 class TestFindMode:
@@ -342,6 +372,25 @@ class TestFindMode:
                                        budget=200, grad_tol=1e-8)
         assert np.abs(x - target).max() <= 1e-6
         assert evals <= 5 * 13  # a handful of iterations
+
+    def test_interpolating_backtrack_after_overshoot(self):
+        # the first step, capped at BFGS_MAX_STEP, lands far past the
+        # maximizer; halving from there takes 13 evaluations in all
+        target = np.array([0.4, -0.3])
+
+        def f(x):
+            d = x - target
+            return -float(np.sum(8.0 * d**2 + np.exp(d) - d))
+
+        def grad(x):
+            d = x - target
+            return -(16.0 * d + np.exp(d) - 1.0)
+
+        assert np.abs(grad(np.zeros(2))).max() > eng.BFGS_MAX_STEP
+        x, fval, evals = eng._maximize(f, np.zeros(2), grad=grad, budget=200, grad_tol=1e-8)
+        assert np.abs(grad(x)).max() <= 1e-8
+        assert np.abs(x - target).max() <= 1e-8
+        assert evals <= 9
 
     def test_zero_hyper_degenerates(self):
         g = poisson_iid_model([1.0, 2.0], fixed=True)
@@ -906,6 +955,61 @@ class TestFactorReuse:
         assert fit.counts["factorizations"] == len(count_factorizations)
         assert fit.counts["theta_evals"] >= len(fit.nodes)
         assert fit.counts["newton_iterations"] >= 1
+
+
+class TestPredictedStart:
+    """Newton starts at x*(theta0) + dx (theta - theta0), dx = dx*/dtheta of the gradient."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_design_log_posterior_start_independent(self, constrained):
+        if constrained:
+            g = TestFactorReuse.rw1_model(PoissonLik(), fixed=False)
+        else:
+            g = TestOnePass.two_hyper_model()
+        engine = Engine(g)
+        theta_star, H, center = engine.find_mode()
+        nodes = engine.explore(theta_star, H, "ccd", center)
+        assert len(nodes) == 1 + 2 * theta_star.size + 2 ** theta_star.size
+        start = center[2]
+        for nd in nodes[1:]:
+            # explore starts each design point from the center
+            assert abs(engine.log_posterior(nd.theta) - nd.log_post) <= 1e-10
+            plain = dataclasses.replace(start, dx=None)
+            assert abs(engine.log_posterior(nd.theta, start=plain) - nd.log_post) <= 1e-10
+            assert engine.log_posterior(nd.theta, start=start) == nd.log_post
+        assert start.dx is not None
+
+    def test_approximation_from_start_with_dx_has_none(self):
+        g = TestFactorReuse.rw1_model(PoissonLik(), fixed=False)
+        engine = Engine(g)
+        _, start = engine.log_posterior(np.array([0.2]), return_approx=True)
+        engine.log_posterior_gradient(start)
+        assert start.dx.shape == (g.n_latent, 1)
+        for th in (0.2, 0.5):
+            _, ap = engine.log_posterior(np.array([th]), start=start, return_approx=True)
+            assert ap.dx is None
+
+    def test_prediction_kept_only_where_it_raises_the_objective(self):
+        g = TestFactorReuse.rw1_model(PoissonLik(), fixed=False)
+        engine = Engine(g)
+        _, start = engine.log_posterior(np.array([0.2]), return_approx=True)
+        engine.log_posterior_gradient(start)
+        plain = dataclasses.replace(start, dx=None)
+        wild = dataclasses.replace(start, dx=300.0 * start.dx)
+        th = np.array([0.6])
+        Qp = g.prior_quantities(th)[0]
+        param = engine._lik_param(th)
+        assert (engine._penalized_objective(start.x_star + wild.dx @ (th - 0.2), Qp, param)
+                < engine._penalized_objective(start.x_star, Qp, param))
+        # a prediction below the start's mode is dropped, so Newton runs as
+        # from the start without dx
+        dropped = engine.gaussian_approximation(th, start=wild)
+        from_mode = engine.gaussian_approximation(th, start=plain)
+        assert np.array_equal(dropped.x_star, from_mode.x_star)
+        assert dropped.iterations == from_mode.iterations
+        predicted = engine.gaussian_approximation(th, start=start)
+        assert predicted.iterations < from_mode.iterations
+        assert np.abs(predicted.x_star - from_mode.x_star).max() <= 1e-10
 
 
 class TestNewtonStop:
