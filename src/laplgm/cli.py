@@ -89,22 +89,33 @@ def write_csv(path, name, header, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+class CsvColumns(dict):
+    """Column name -> cell strings; `lines[i]` is the file line of data row i."""
+
+    lines: list
+
+
 def read_csv(path):
-    """Columns of a CSV written by this tool (or plain CSV with a header)."""
+    """Columns of a CSV written by this tool (or plain CSV with a header).
+
+    Comment ('#') and blank lines are skipped; errors name a row by its line
+    in the file, counted from 1 over every line.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-    if not lines:
+        numbered = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
+                    if not ln.startswith("#") and ln.strip()]
+    if not numbered:
         raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    cols = {h: [] for h in header}
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
+    header = numbered[0][1].split(",")
+    cols = CsvColumns({h: [] for h in header})
+    cols.lines = []
+    for no, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ParseError(f"{path}:{no}: expected {len(header)} fields, got {len(parts)}")
         for h, v in zip(header, parts):
             cols[h].append(v)
+        cols.lines.append(no)
     return cols
 
 
@@ -116,13 +127,13 @@ def _float_column(cols, name, path, missing_ok=False):
         s = v.strip()
         if s == "" or s.upper() in ("NA", "NAN"):
             if not missing_ok:
-                raise ParseError(f"{path}: missing value in column {name!r}")
+                raise ParseError(f"{path}:{cols.lines[i]}: missing value in column {name!r}")
             out[i] = np.nan
         else:
             try:
                 out[i] = float(s)
             except ValueError:
-                raise ParseError(f"{path}: column {name!r}, data row {i + 1}: "
+                raise ParseError(f"{path}:{cols.lines[i]}: column {name!r}: "
                                  f"{s!r} is not a number") from None
     return out
 

@@ -53,10 +53,8 @@ PRIOR_DIFF_STEP = 1e-4
 
 # step in theta of the mode Hessian's forward differences of analytic
 # theta-gradients (their O(h) error falls with h until the gradients' Newton
-# noise takes over, near 2e-5 at newton_tol 1e-12), and of its central
-# differences where BFGS took no gradient at the mode
+# noise takes over, between 1e-5 and 3e-5 at the default newton_tol)
 HESS_DIFF_STEP = 3e-5
-HESS_CENTRAL_STEP = 1e-3
 
 
 # a Gaussian approximation raises NonConvergence after MAX_NEWTON Newton
@@ -71,7 +69,7 @@ class EngineConfig:
 
     int_strategy: str = "ccd"        # grid | ccd | eb
     log_drop: float = 2.5            # keep grid nodes within this log drop
-    newton_tol: float = 1e-12
+    newton_tol: float = 1e-11
     # accepted and unused: inference runs on the calling thread
     # (bench/workloads.py passes it)
     threads: int = 1
@@ -660,9 +658,9 @@ class Engine:
         takes it for the node at theta* and as the start of every design
         point.  H[:, j] is the forward difference (g(theta* + h e_j) - g*) / h,
         h = HESS_DIFF_STEP, of analytic gradients, g* the one BFGS took at
-        theta*; when BFGS took none there, it is the central difference at
-        HESS_CENTRAL_STEP.  H is symmetrized, and its eigenvalues are clamped
-        below zero when it is not negative definite (counts["hessian_clamped"]).
+        theta* (`_maximize` returns the last point it took a gradient at).
+        H is symmetrized, and its eigenvalues are clamped below zero when it
+        is not negative definite (counts["hessian_clamped"]).
         counts["rejected_trials"] counts the line-search trials BFGS rejected.
         With no free hyperparameter there is no center (None).
         """
@@ -672,7 +670,7 @@ class Engine:
             return np.zeros(0), np.zeros((0, 0)), None
         last = None       # the approximation evaluated last
         S = None          # the selected inverse of the last gradient's factor
-        accepted = None   # (theta, x*, dx, gradient) at the last accepted point
+        accepted = None   # (x*, dx, gradient) at the last accepted point
         gradients = 0
 
         def f(theta):
@@ -689,13 +687,13 @@ class Engine:
             gradients += 1
             S = selected_inverse(last.factor)
             g = self.log_posterior_gradient(last, S)
-            accepted = (last.theta, last.x_star, last.dx, g)
+            accepted = (last.x_star, last.dx, g)
             return g
 
         theta_star, lp_star, evaluations = _maximize(f, model.theta_initial(), grad,
                                                      MODE_BUDGET, MODE_GRAD_TOL)
         self.counts["rejected_trials"] += evaluations - gradients
-        theta_g, x_g, dx_g, g_star = accepted
+        x_g, dx_g, g_star = accepted
         approx = last
         if not np.array_equal(approx.theta, theta_star):
             # the line search ended on a rejected trial: restart at the mode
@@ -706,21 +704,16 @@ class Engine:
         center = (lp_star, self._node_quantities(lp_star, approx, S), approx)
         S = None
 
-        def probe_gradient(theta):
-            return self.log_posterior_gradient(
-                self.log_posterior(theta, start=approx, return_approx=True)[1])
-
-        one_sided = np.array_equal(theta_g, theta_star)
-        h = HESS_DIFF_STEP if one_sided else HESS_CENTRAL_STEP
+        # H is the symmetrized forward difference of analytic gradients, each
+        # at a probe from the approximation at the mode
+        h = HESS_DIFF_STEP
         H = np.zeros((p, p))
         for j in range(p):
             step = np.zeros(p)
             step[j] = h
-            if one_sided:
-                H[:, j] = (probe_gradient(theta_star + step) - g_star) / h
-            else:
-                H[:, j] = (probe_gradient(theta_star + step)
-                           - probe_gradient(theta_star - step)) / (2.0 * h)
+            g_up = self.log_posterior_gradient(
+                self.log_posterior(theta_star + step, start=approx, return_approx=True)[1])
+            H[:, j] = (g_up - g_star) / h
         H = 0.5 * (H + H.T)
         w, V = np.linalg.eigh(H)
         floor = -1e-6 * max(1.0, float(np.max(np.abs(w))))

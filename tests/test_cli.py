@@ -272,10 +272,18 @@ class TestFitCommand:
         assert rc == 2
 
     def test_non_numeric_cell_rejected(self, tmp_path, capsys):
+        # rows are named by their file line, as read_csv names a short row:
+        # the comment, header and blank lines count
         data = tmp_path / "data.csv"
-        data.write_text("site_x,site_y,time,y\n0.1,0.1,1,3\n0.2,0.2,1,abc\n")
-        with pytest.raises(ParseError, match=r"column 'y', data row 2: 'abc'"):
+        data.write_text("# laplgm-csv v1 data\nsite_x,site_y,time,y\n0.1,0.1,1,3\n\n"
+                        "0.2,0.2,1,abc\n")
+        with pytest.raises(ParseError, match=r"data.csv:5: column 'y': 'abc'"):
             cli._float_column(cli.read_csv(str(data)), "y", str(data), missing_ok=True)
+        short = tmp_path / "short.csv"
+        short.write_text("# laplgm-csv v1 data\nsite_x,site_y,time,y\n0.1,0.1,1,3\n\n"
+                         "0.2,0.2,1\n")
+        with pytest.raises(ParseError, match=r"short.csv:5: expected 4 fields"):
+            cli.read_csv(str(short))
         cfg = tmp_path / "fit.cfg"
         cfg.write_text(
             f"data: {data}\n"
@@ -288,7 +296,7 @@ class TestFitCommand:
         rc = cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(data) in err and "data row 2" in err
+        assert f"{data}:5:" in err
 
 
 class TestPredictCommand:
