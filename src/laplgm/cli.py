@@ -360,8 +360,9 @@ def engine_config(cfg, args):
     for key in ("log_drop", "newton_tol"):
         value = sec.get(key)
         if value is not None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(f"engine: {key} must be a number, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < np.inf):
+                raise ParseError(f"engine: {key} must be a finite number above 0, got {value!r}")
             setattr(ec, key, float(value))
     return ec
 

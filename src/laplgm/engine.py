@@ -62,6 +62,12 @@ HESS_DIFF_STEP = 3e-5
 MAX_NEWTON = 50
 MAX_GRID_NODES = 256
 
+# Newton also ends, at x with its factor, when two successive fresh-factor
+# increments stop shrinking (the second at least half the first) within
+# NEWTON_FLOOR times newton_tol: the increment's rounding floor, which grows
+# with the conditioning of Q*, has reached the tolerance
+NEWTON_FLOOR = 1e3
+
 
 @dataclass
 class EngineConfig:
@@ -246,11 +252,6 @@ class Engine:
         self.e = model.constraint_rhs
         self.n_constraints = self.M.shape[0]
 
-        self.fixed_cols = np.array(
-            [model.col_offsets[c.name][0] for c in model.components
-             if isinstance(c, FixedEffect)],
-            dtype=np.int64,
-        )
         # symbolic stage: Q* = Q(theta) + A' diag(c) A on one fixed pattern
         n = self.n
         P = model.prior_pattern()
@@ -274,8 +275,11 @@ class Engine:
             shape=(keys.size, self.obs_idx.size))
         self._pattern = sparse._csc_from_keys(keys, n)
         pattern = SparseSymmetric(n, self._pattern, validate=False)
-        self.perm = self._choose_permutation(pattern.full())
-        self._symbolic = sparse.analyze(pattern, self.perm)
+        # the dense fixed-effect columns go last, in the border
+        fixed_cols = [model.col_offsets[c.name][0] for c in model.components
+                      if isinstance(c, FixedEffect)]
+        self._symbolic = sparse.analyze(pattern, sparse.band_order(pattern.full(), fixed_cols))
+        self.perm = self._symbolic.perm
         # where the selected inverse holds each entry: the pattern of Q* for
         # the trace of the theta-gradient, the pairs for predictor variances
         self._trace_plan = self._selinv_reads(keys)
@@ -284,78 +288,6 @@ class Engine:
         # the only engine state a fit changes
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0, "rejected_trials": 0, "hessian_clamped": 0}
-
-    # -- ordering ---------------------------------------------------
-
-    def _choose_permutation(self, full):
-        """Pick the cheapest of a few deterministic band-ordering candidates.
-
-        Dense fixed-effect columns go last (a border), and the field keeps
-        its natural or reverse-Cuthill-McKee order.  One more candidate moves
-        the k highest-degree free columns (hubs, such as an rw1 trend that
-        every observation of its time level touches) into the border beside
-        the fixed effects and orders the rest by RCM (Rue & Held 2005, sec.
-        2.4), for k up to the border cap of the band factorization less the
-        fixed effects.  Only prefixes of the degree ranking that end where
-        the degree drops are tried, since a prefix that splits columns of
-        equal degree is picked by index alone; each is scored by RCM on the
-        rest, and k is the cheapest.  Costs are projected as
-        n * (bandwidth + border + 1)^2, the flops of the band factorization,
-        and ties go to the earlier candidate, so the hub border wins only
-        where it is cheaper.  `full` carries the unit pattern of the
-        conditional precision.
-        """
-        n = self.n
-        fixed = np.zeros(n, dtype=bool)
-        fixed[self.fixed_cols] = True
-        free_cols = np.flatnonzero(~fixed)
-        n_fixed = int(self.fixed_cols.size)
-        lower = sp.tril(full).tocoo()
-
-        def bordered_cost(order, nb=n_fixed):
-            inv = np.argsort(order)
-            r = inv[lower.row]
-            c = inv[lower.col]
-            lo = np.minimum(r, c)
-            hi = np.maximum(r, c)
-            core = hi < (n - nb)
-            w = int(np.max(hi[core] - lo[core])) if np.any(core) else 0
-            return float(n) * (w + nb + 1) ** 2
-
-        def rcm(cols):
-            return cols[sparse.rcm(full[cols, :][:, cols])]
-
-        candidates = []
-        natural = np.concatenate([free_cols, self.fixed_cols]).astype(np.int64)
-        candidates.append((bordered_cost(natural), 0, natural))
-        if free_cols.size:
-            rcm_order = np.concatenate([rcm(free_cols), self.fixed_cols]).astype(np.int64)
-            candidates.append((bordered_cost(rcm_order), 1, rcm_order))
-            hub_order = self._hub_border_order(full, free_cols, bordered_cost, rcm)
-            if hub_order is not None:
-                candidates.append((hub_order[0], 2, hub_order[1]))
-        _, _, best = min(candidates, key=lambda t: (t[0], t[1]))
-        return sparse.Permutation(best)
-
-    def _hub_border_order(self, full, free_cols, bordered_cost, rcm):
-        """(cost, order) of the cheapest hub border, or None when none is tried."""
-        n_fixed = int(self.fixed_cols.size)
-        k_max = min(sparse.MAX_BORDER - n_fixed, free_cols.size - 1)
-        if k_max < 1:
-            return None
-        sub = full[free_cols, :][:, free_cols]
-        degree = np.diff(sub.tocsc().indptr)
-        rank = np.argsort(-degree, kind="stable")
-        ranked = degree[rank]
-        best = None
-        for k in np.flatnonzero(ranked[:k_max] > ranked[1:k_max + 1]) + 1:
-            hubs = free_cols[rank[:k]]
-            rest = np.setdiff1d(free_cols, hubs)
-            order = np.concatenate([rcm(rest), hubs, self.fixed_cols]).astype(np.int64)
-            cost = bordered_cost(order, n_fixed + k)
-            if best is None or cost < best[0]:
-                best = (cost, order)
-        return best
 
     # -- per-theta quantities ----------------------------------------
 
@@ -413,12 +345,13 @@ class Engine:
         possibly at another theta) or one made here.  The increment is the
         one measure of progress: Newton stops when a factor at x gives
         max|dx| <= `newton_tol` (1 + max|x + dx|), which no infeasible x
-        passes.  Q* is factorized at the current point when there is no
-        factor yet, and when an older factor's increment is within that
-        tolerance, exceeds CHORD_CONTRACTION times the previous increment or
-        fails the first line-search trial (the simplified, or chord, Newton
-        iteration).  A likelihood whose curvature does not depend on eta
-        factorizes at theta first, so one exact step follows.  The returned
+        passes, or at the rounding floor of dx (NEWTON_FLOOR).  Q* is
+        factorized at the current point when there is no factor yet, and
+        when an older factor's increment is within that tolerance, exceeds
+        CHORD_CONTRACTION times the previous increment or fails the first
+        line-search trial (the simplified, or chord, Newton iteration).  A
+        likelihood whose curvature does not depend on eta factorizes at
+        theta first, so one exact step follows.  The returned
         factor is that of Q*(theta, c(x*)) at the returned mode x*, and
         its `dx` is None whatever the start's.
 
@@ -447,7 +380,7 @@ class Engine:
         F = start
         factorizations = iterations = 0
         fx = None
-        step_last = np.inf
+        step_last = fresh_last = np.inf
         if predict:
             # the predictor step of a continuation method, kept where it
             # raises the objective above that at the start's mode
@@ -494,6 +427,11 @@ class Engine:
                 continue
             if step <= cfg.newton_tol:
                 break   # x is the mode, and F sits there
+            if fresh:
+                if (step >= 0.5 * fresh_last
+                        and max(step, fresh_last) <= NEWTON_FLOOR * cfg.newton_tol):
+                    break   # at the increment's rounding floor, F sits at x
+                fresh_last = step
             if iterations >= MAX_NEWTON:
                 raise NonConvergence(iterations)
             if fx is None:

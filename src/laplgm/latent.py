@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.special import expit, gammaln, gamma as gamma_fn
 
 from .errors import DimensionMismatch, InvalidCorrelation, UnknownTag, UnsupportedObservation
-from .sparse import Permutation, SparseSymmetric, _csc_from_keys, analyze, factorize, rcm
+from .sparse import SparseSymmetric, _csc_from_keys, analyze, band_order, factorize
 from .sparse import reorder  # noqa: F401  (bench/tracing.py wraps laplgm.latent.reorder)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -541,10 +541,10 @@ class SpdeMaternComponent(_Component):
 
     @cached_property
     def _operator_analysis(self):
-        """C and the lower triangle of G on one pattern, analyzed under RCM."""
+        """C and the lower triangle of G on one pattern, analyzed under `band_order`."""
         terms = _Terms([sp.diags(self.fem.mass_diag), self.fem.stiffness.lower])
         K = SparseSymmetric(self.size, terms.pattern, validate=False)
-        return terms, analyze(K, Permutation(rcm(K.full())))
+        return terms, analyze(K, band_order(K.full()))
 
 
 def spde_matern_component(name, fem, mesh, alpha=2, initial_range=None, initial_sigma=1.0,

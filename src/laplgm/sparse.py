@@ -1,14 +1,14 @@
 """Sparse symmetric positive-definite linear algebra for Gauss-Markov models.
 
-Lower-triangle storage, minimum-degree and reverse Cuthill-McKee orderings,
-Cholesky factorization, log-determinants, selected inversion (a blocked
-Takahashi recursion), seeded GMRF sampling and the factor of a linear
-constraint system.
+Lower-triangle storage, minimum-degree and band orderings, Cholesky
+factorization, log-determinants, selected inversion (a blocked Takahashi
+recursion), seeded GMRF sampling and the factor of a linear constraint
+system.
 The permuted matrix is factorized through LAPACK band storage: its pattern
 is read as a band plus a small dense trailing border, as every model the
 package builds is under a band ordering with its dense columns last (Rue &
-Held 2005, sec. 2.4.3).  The caller's permutation sets the band width; a
-band too large to store raises ProblemTooLarge.
+Held 2005, sec. 2.4.3).  The caller's permutation, `band_order` for every
+fit, sets the band width; a band too large to store raises ProblemTooLarge.
 """
 from __future__ import annotations
 
@@ -216,6 +216,44 @@ def rcm(full):
     return scipy.sparse.csgraph.reverse_cuthill_mckee(sp.csr_matrix(full), symmetric_mode=True)
 
 
+def _band_candidates(full, last):
+    """The orders `band_order` scores, the columns `last` at the end of each.
+
+    The natural order, then reverse Cuthill-McKee with the k highest-degree
+    other columns (hubs) moved before `last`, for k = 0 and for each k up to
+    the border cap less `last` where the degree drops after the k-th (a
+    prefix that split columns of equal degree would be picked by index
+    alone).  A hub, such as an rw1 trend column that every observation of
+    its time level touches, widens any band it sits in, and costs one row of
+    the border (Rue & Held 2005, sec. 2.4).
+    """
+    free = np.setdiff1d(np.arange(full.shape[0]), last)
+    yield np.concatenate([free, last])
+    if not free.size:
+        return
+    sub = full[free, :][:, free]
+    degree = np.diff(sub.indptr)
+    rank = np.argsort(-degree, kind="stable")
+    ranked = degree[rank]
+    room = max(0, min(MAX_BORDER - last.size, free.size - 1))
+    for k in [0, *np.flatnonzero(ranked[:room] > ranked[1:room + 1]) + 1]:
+        rest = np.sort(rank[k:])
+        yield np.concatenate([free[rest[rcm(sub[rest, :][:, rest])]], free[rank[:k]], last])
+
+
+def band_order(full, last=()):
+    """The band ordering of a full symmetric CSC pattern that factorizes cheapest.
+
+    The pattern stores every diagonal entry.  `last` (dense fixed-effect
+    columns, say) goes at the end in the order given.  Each of
+    `_band_candidates` is scored by the layout `analyze` detects for it
+    (`_detect_bordered_band`), and ties go to the earlier candidate.
+    """
+    candidates = list(_band_candidates(full, np.asarray(last, dtype=np.int64)))
+    costs = [_detect_bordered_band(_row_widths(full, order))[2] for order in candidates]
+    return Permutation(candidates[int(np.argmin(costs))])
+
+
 class CholeskyFactor:
     """Permuted sparse Cholesky factorization P Q P' = L L'.
 
@@ -348,7 +386,9 @@ class SymbolicFactor:
         pr = inv[lower.indices]
         pc = inv[np.repeat(np.arange(n), np.diff(lower.indptr))]
         r, c = np.maximum(pr, pc), np.minimum(pr, pc)
-        w, nb = _detect_bordered_band(r, c, n)
+        width = np.zeros(n, dtype=np.int64)
+        np.maximum.at(width, r, r - c)
+        w, nb, _ = _detect_bordered_band(width)
         if n * (w + nb + 1) > _BAND_ENTRY_CAP:
             raise ProblemTooLarge(
                 f"the factor of n = {n} with band width w = {w} and border nb = {nb} "
@@ -430,10 +470,10 @@ def factorize(Q, perm=None):
     pattern read as a band plus a small trailing border, so L L' reproduces
     P Q P' exactly.  A pivot whose square is at or below PIVOT_TOL raises
     NotPositiveDefinite, and a band over `_BAND_ENTRY_CAP` entries raises
-    ProblemTooLarge: the permutation should be a band ordering (`rcm`) with
-    dense columns last.  `perm` is a Permutation (None: identity), or a
-    SymbolicFactor from `analyze` when many matrices share one pattern;
-    then only the numeric stage runs.
+    ProblemTooLarge: the permutation should be a band ordering
+    (`band_order`) with dense columns last.  `perm` is a Permutation (None:
+    identity), or a SymbolicFactor from `analyze` when many matrices share
+    one pattern; then only the numeric stage runs.
     """
     symbolic = perm if isinstance(perm, SymbolicFactor) else analyze(Q, perm)
     return symbolic.numeric(Q)
@@ -451,22 +491,38 @@ def solve(factor, b):
     return out
 
 
-def _detect_bordered_band(rows, cols, n):
-    """Core bandwidth and trailing border width minimizing the window cost.
+def _row_widths(full, order):
+    """Width r - c of the widest entry in each row r of the pattern permuted by `order`.
 
-    `rows >= cols` index the lower-triangle entries of the permuted matrix.
+    `full` is a full symmetric CSC pattern with every diagonal entry stored:
+    original column i becomes row inv[i], which reaches back to the least
+    inv of its entries.
+    """
+    n = full.shape[0]
+    inv = np.empty(n, dtype=np.int64)
+    inv[order] = np.arange(n)
+    width = np.empty(n, dtype=np.int64)
+    width[inv] = inv - np.minimum.reduceat(inv[full.indices], full.indptr[:-1])
+    return width
+
+
+def _detect_bordered_band(width):
+    """Core bandwidth w and trailing border width nb of least factorization cost.
+
+    `width[r]` is the widest r - c in row r of the permuted lower triangle.
     Dense trailing rows (an arrowhead of fixed effects, say) would blow up
     the plain bandwidth; tracking them as a border keeps the window small.
+    The cost is n (w + nb + 1)^2, the flops of the band factorization; the
+    smallest nb of least cost wins.  Returns (w, nb, cost).
     """
-    best = None
-    for nb in range(0, min(MAX_BORDER, n - 1) + 1):
-        cut = n - nb
-        mask = rows < cut
-        w = int(np.max(rows[mask] - cols[mask])) if np.any(mask) else 0
-        cost = n * (w + nb + 1) ** 2
-        if best is None or cost < best[2]:
-            best = (w, nb, cost)
-    return best[0], best[1]
+    # w of a cut is the widest row before it: the running maximum of the
+    # widths gives every cut at once
+    n = width.size
+    nb = np.arange(min(MAX_BORDER, n - 1) + 1)
+    w = np.maximum.accumulate(width)[n - 1 - nb]
+    cost = float(n) * (w + nb + 1) ** 2
+    best = int(np.argmin(cost))
+    return int(w[best]), best, float(cost[best])
 
 
 def _band_window(flat, w, start, lo, rows, cols, masks):

@@ -1,4 +1,6 @@
 """The band factorization and the engine's plans against dense oracles."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -317,8 +319,33 @@ def _trend_field_model(n_sites, seed=11, T=12, trend=True):
 
 @pytest.fixture
 def old_ordering(monkeypatch):
-    """Engines built under it order without the hub-border candidate."""
-    monkeypatch.setattr(eng.Engine, "_hub_border_order", lambda *args: None)
+    """Engines built under it order without the hub-border candidates."""
+    candidates = sps._band_candidates
+    monkeypatch.setattr(sps, "_band_candidates",
+                        lambda full, last: itertools.islice(candidates(full, last), 2))
+
+
+def test_orders_come_from_band_order(monkeypatch):
+    # the engine orders Q* and the SPDE component its operator through the
+    # one band_order, with the fixed effects last in the first and nothing
+    # last in the second
+    made = []
+    real = sps.band_order
+
+    def spy(full, last=()):
+        made.append((full.shape[0], list(last), real(full, last)))
+        return made[-1][2]
+
+    monkeypatch.setattr(sps, "band_order", spy)
+    monkeypatch.setattr(lm, "band_order", spy)
+    model = _trend_field_model(15)
+    engine = eng.Engine(model)
+    engine.log_posterior(model.theta_initial())
+    spde = model.components[-1]
+    fixed = [model.col_offsets[name][0] for name in ("mu", "z")]
+    assert [(n, last) for n, last, _ in made] == [(model.n_latent, fixed), (spde.size, [])]
+    assert engine.perm is made[0][2] and engine._symbolic.perm is made[0][2]
+    assert spde._operator_analysis[1].perm is made[1][2]
 
 
 @pytest.mark.parametrize("n_sites", [60, 15])

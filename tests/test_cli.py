@@ -619,6 +619,10 @@ class TestModelBuilding:
                            ("engine:\n  threads: 2\n", "threads"),
                            ("engine:\n  int_strategy: foo\n", "int_strategy"),
                            ("engine:\n  newton_tol: tight\n", "newton_tol"),
+                           ("engine:\n  newton_tol: -1\n", "newton_tol"),
+                           ("engine:\n  newton_tol: 0\n", "newton_tol"),
+                           ("engine:\n  log_drop: -2.5\n", "log_drop"),
+                           ("engine:\n  log_drop: inf\n", "log_drop"),
                            ("seed: abc\n", "seed")]:
             path.write_text(config + extra)
             for command in ("fit", "assess"):

@@ -1040,6 +1040,42 @@ class TestNewtonStop:
         _, far = engine.log_posterior(np.array([3.0]), return_approx=True)
         assert engine.log_posterior(th, start=far) == pytest.approx(cold, abs=1e-8)
 
+    @staticmethod
+    def rw1_field_model():
+        """SPDE (alpha = 2) x rw1 in time, Poisson at 15 sites, n = 321: Q* stiff
+        enough that a fresh factor's increment stalls between 1e-16 and 1e-14."""
+        import laplgm.mesh as mm
+        rng = np.random.default_rng(0)
+        mesh = mm.structured_mesh(0, 1, 0, 1, 7, 7)
+        T, ns = 5, 15
+        spde = lm.spde_matern_component("s", mm.assemble(mesh), mesh, alpha=2,
+                                        initial_range=0.4, grouping=lm.Rw1Grouping(T))
+        sites = rng.random((ns, 2))
+        t_idx = np.repeat(np.arange(T), ns)
+        block = lm.group_block(mm.projector(mesh, sites)[np.tile(np.arange(ns), T)], t_idx, T)
+        part = lm.StackPart(rng.poisson(2.0, t_idx.size).astype(float),
+                            {"mu": np.ones(t_idx.size), "s": block}, "obs")
+        return lm.build_stack([part], [lm.FixedEffect("mu"), spde], PoissonLik())
+
+    @pytest.mark.parametrize("shift", [0.0, -1.5])
+    def test_ends_at_the_rounding_floor(self, shift):
+        # below the floor no fresh increment reaches the tolerance, and Newton
+        # ends where two of them stop shrinking, at the mode of looser tolerances
+        g = self.rw1_field_model()
+        assert g.n_latent == 321
+        theta = g.theta_initial() + shift
+        ref = Engine(g).gaussian_approximation(theta)
+        near = Engine(g, EngineConfig(newton_tol=1e-14)).gaussian_approximation(theta)
+        for tol in (1e-15, 1e-16):
+            ap = Engine(g, EngineConfig(newton_tol=tol)).gaussian_approximation(theta)
+            assert np.abs(ap.x_star - ref.x_star).max() <= 1e-9
+            assert ap.factorizations <= near.factorizations + 2
+            # the factor is the one at the returned x
+            eta = g.A[g.observed] @ ap.x_star
+            param = g.likelihood.param(g.values_from_theta(theta))
+            c = -g.likelihood.derivs(g.y[g.observed], eta, param)[1]
+            assert np.array_equal(ap.curvature, c)
+
 
 class TestOnePass:
     """Exploration reads each node's quantities from the approximation it made there."""

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import laplgm as lg
+import laplgm.sparse as sps
 from laplgm.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -97,6 +98,87 @@ class TestReorder:
         Q = lg.SparseSymmetric.from_full(random_spd(12, rng))
         p = lg.reorder(Q)
         assert np.array_equal(p.order[p.inverse().order], np.arange(12))
+
+
+def detect_by_border_loop(rows, cols, n):
+    """(w, nb, cost) of the band-plus-border layout, one border width at a time."""
+    best = None
+    for nb in range(0, min(sps.MAX_BORDER, n - 1) + 1):
+        cut = n - nb
+        mask = rows < cut
+        w = int(np.max(rows[mask] - cols[mask])) if np.any(mask) else 0
+        cost = n * (w + nb + 1) ** 2
+        if best is None or cost < best[2]:
+            best = (w, nb, cost)
+    return best
+
+
+def unit_pattern(n, pairs):
+    """Full symmetric unit pattern with a diagonal and the (i, j) pairs given."""
+    i, j = (np.asarray(a, dtype=np.int64) for a in zip(*pairs)) if pairs else ([], [])
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    M = sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    M.data[:] = 1.0
+    return M
+
+
+class TestBandOrder:
+    @pytest.mark.parametrize("n, kind", [
+        (1, "identity"), (5, "random"), (24, "random"), (25, "structured"),
+        (60, "identity"), (80, "random"), (150, "structured"), (300, "random"),
+    ])
+    def test_one_pass_detection_matches_border_loop(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "structured":
+            # a band of width 7 with 3 dense border rows, the core reversed
+            Q = lg.SparseSymmetric.from_full(bordered_band_spd(n, 7, 3, rng))
+            order = np.concatenate([np.arange(n - 3)[::-1], np.arange(n - 3, n)])
+        else:
+            pairs = [(i, j) for i in range(n) for j in range(i) if rng.random() < 3.0 / n]
+            Q = lg.SparseSymmetric.from_full(unit_pattern(n, pairs))
+            order = np.arange(n) if kind == "identity" else rng.permutation(n)
+        inv = np.argsort(order)
+        coo = Q.lower.tocoo()
+        a, b = inv[coo.row], inv[coo.col]
+        want = detect_by_border_loop(np.maximum(a, b), np.minimum(a, b), n)
+        # the widths band_order reads off the full pattern, and analyze's own
+        assert sps._detect_bordered_band(sps._row_widths(Q.full(), order)) == want
+        sym = lg.analyze(Q, lg.Permutation(order))
+        assert (sym.w, sym.nb) == want[:2]
+
+    @staticmethod
+    def pattern(case):
+        """(full pattern, last columns, index of the candidate that should win)."""
+        rng = np.random.default_rng(4)
+        n = 90
+        path = [(i + 1, i) for i in range(n - 1)]
+        if case == "natural":
+            # a path: natural and RCM give w = 1, and the tie goes to natural
+            return unit_pattern(n, path), [], 0
+        relabel = rng.permutation(n)
+        band = [(relabel[i], relabel[j]) for i in range(n) for j in range(max(0, i - 2), i)]
+        if case == "rcm":
+            return unit_pattern(n, band), [], 1
+        # three hubs of unequal degree and a dense last column
+        hubs = [(h, j) for h, k in zip(relabel[[10, 40, 70]], (60, 45, 30))
+                for j in rng.choice(n, k, replace=False) if j != h]
+        dense = [(relabel[0], j) for j in range(n) if j != relabel[0]]
+        return unit_pattern(n, band + hubs + dense), [relabel[0]], None
+
+    @pytest.mark.parametrize("case", ["natural", "rcm", "hubs"])
+    def test_cheapest_candidate_as_analyze_measures_it(self, case):
+        full, last, want = self.pattern(case)
+        n = full.shape[0]
+        candidates = list(sps._band_candidates(full, np.asarray(last, dtype=np.int64)))
+        Q = lg.SparseSymmetric.from_full(full)
+        costs = []
+        for order in candidates:
+            sym = lg.analyze(Q, lg.Permutation(order))
+            costs.append(n * (sym.w + sym.nb + 1) ** 2)
+        best = costs.index(min(costs))
+        assert best == want if want is not None else best >= 2
+        assert np.array_equal(sps.band_order(full, last).order, candidates[best])
 
 
 class TestFactorize:
