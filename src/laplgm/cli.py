@@ -25,7 +25,7 @@ from .simulation import (
     simulate as run_simulation,
 )
 from .config import check_keys, load_config, require
-from .engine import EngineConfig, fit as engine_fit
+from .engine import INT_STRATEGIES, EngineConfig, fit as engine_fit
 from .errors import LaplgmError, ParseError
 from .latent import (
     Ar1Component,
@@ -345,25 +345,19 @@ def build_model(cfg, config_path):
     return ModelBundle(model, grid_pts)
 
 
-INT_STRATEGIES = ("grid", "ccd", "eb")
-
-
 def engine_config(cfg, args):
-    """EngineConfig from the `engine:` section, --int-strategy taking precedence."""
+    """EngineConfig from the `engine:` section, --int-strategy taking precedence.
+
+    The section's values are checked by EngineConfig, whatever the flag.
+    """
     sec = cfg.get("engine") or {}
     check_keys(sec, {"int_strategy", "log_drop", "newton_tol"}, "engine")
-    ec = EngineConfig()
-    strategy = sec.get("int_strategy")
-    if strategy is not None and strategy not in INT_STRATEGIES:
-        raise ParseError(f"engine: int_strategy {strategy!r} is not one of {INT_STRATEGIES}")
-    ec.int_strategy = args.int_strategy or strategy or ec.int_strategy
-    for key in ("log_drop", "newton_tol"):
-        value = sec.get(key)
-        if value is not None:
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < np.inf):
-                raise ParseError(f"engine: {key} must be a finite number above 0, got {value!r}")
-            setattr(ec, key, float(value))
+    try:
+        ec = EngineConfig(**{k: v for k, v in sec.items() if v is not None})
+    except ValueError as err:
+        raise ParseError(f"engine: {err}") from None
+    if args.int_strategy:
+        ec.int_strategy = args.int_strategy
     return ec
 
 

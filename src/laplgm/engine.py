@@ -69,9 +69,16 @@ MAX_GRID_NODES = 256
 NEWTON_FLOOR = 1e3
 
 
+INT_STRATEGIES = ("grid", "ccd", "eb")
+
+
 @dataclass
 class EngineConfig:
-    """Settings of the approximation engine."""
+    """Settings of the approximation engine.
+
+    Raises ValueError, naming the field, unless `int_strategy` is one of
+    INT_STRATEGIES and `log_drop` and `newton_tol` are finite numbers above 0.
+    """
 
     int_strategy: str = "ccd"        # grid | ccd | eb
     log_drop: float = 2.5            # keep grid nodes within this log drop
@@ -79,6 +86,16 @@ class EngineConfig:
     # accepted and unused: inference runs on the calling thread
     # (bench/workloads.py passes it)
     threads: int = 1
+
+    def __post_init__(self):
+        if self.int_strategy not in INT_STRATEGIES:
+            raise ValueError(f"int_strategy {self.int_strategy!r} is not one of {INT_STRATEGIES}")
+        for key in ("log_drop", "newton_tol"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < np.inf):
+                raise ValueError(f"{key} must be a finite number above 0, got {value!r}")
+            setattr(self, key, float(value))
 
 
 @dataclass
@@ -134,7 +151,7 @@ MODE_BUDGET = 200
 MODE_GRAD_TOL = 1e-2
 
 
-def _maximize(f, x0, grad, budget, grad_tol):
+def _maximize(f, x0, grad, budget, grad_tol, metric=None):
     """BFGS ascent with an interpolating backtrack.
 
     `f` may raise for or return -inf at invalid points; the line search
@@ -143,9 +160,16 @@ def _maximize(f, x0, grad, budget, grad_tol):
     f(x), the slope g'd and the trial's value, clipped to [0.1, 0.5] times
     the rejected step (Nocedal & Wright 2006, sec. 3.5).  `grad(x)` is the
     gradient of `f` at a point where `f` was just evaluated and finite.
-    Steps are capped at BFGS_MAX_STEP per coordinate.  Raises
-    ModeSearchFailed once `budget` evaluations of `f` are exhausted; returns
-    (x, f(x), evaluations of f).
+    `metric(x)`, called once after the first gradient, returns a symmetric
+    estimate B0 of the negative Hessian at x0: BFGS starts from B0^-1, with
+    B0's eigenvalues floored at 1e-3 of the largest, or from the identity
+    when no eigenvalue is positive or there is no `metric`, and returns to
+    that start where a direction fails to ascend.  Steps are capped at
+    BFGS_MAX_STEP per coordinate.  Raises ModeSearchFailed once `budget`
+    evaluations of `f` are exhausted; returns (x, f(x), evaluations of f,
+    converged), where converged is False when the search ended on a line
+    search that accepted no trial, or at BFGS_MAX_ITER iterations short of
+    the gradient and step tolerances.
     """
     count = 0
 
@@ -165,15 +189,21 @@ def _maximize(f, x0, grad, budget, grad_tol):
     fval = fx(x)
     if not np.isfinite(fval):
         raise ModeSearchFailed("log-posterior not finite at the initial point")
-    Hinv = np.eye(p)
     g = grad(x)
+    start = np.eye(p)
+    if metric is not None:
+        w, V = np.linalg.eigh(metric(x))
+        if np.max(w) > 0:
+            start = (V / np.maximum(w, 1e-3 * np.max(w))) @ V.T
+    Hinv = start
+    converged = np.max(np.abs(g)) <= grad_tol
     for _ in range(BFGS_MAX_ITER):
-        if np.max(np.abs(g)) <= grad_tol:
+        if converged:
             break
         direction = Hinv @ g
         if direction @ g <= 0:
-            Hinv = np.eye(p)
-            direction = g.copy()
+            Hinv = start
+            direction = Hinv @ g
         biggest = np.max(np.abs(direction))
         if biggest > BFGS_MAX_STEP:
             direction = direction * (BFGS_MAX_STEP / biggest)
@@ -206,9 +236,8 @@ def _maximize(f, x0, grad, budget, grad_tol):
             Hinv = (I - rho * np.outer(s, y)) @ Hinv @ (I - rho * np.outer(y, s)) \
                 + rho * np.outer(s, s)
         x, fval, g = x_new, f_new, g_new
-        if np.max(np.abs(s)) <= BFGS_STEP_TOL:
-            break
-    return x, fval, count
+        converged = np.max(np.abs(g)) <= grad_tol or np.max(np.abs(s)) <= BFGS_STEP_TOL
+    return x, fval, count, bool(converged)
 
 
 # ------------------------------------------------------------------
@@ -287,7 +316,8 @@ class Engine:
         self._pred_plan = (pair_rows, pos, twice * pair_weights)
         # the only engine state a fit changes
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
-                       "gradients": 0, "rejected_trials": 0, "hessian_clamped": 0}
+                       "gradients": 0, "rejected_trials": 0, "hessian_clamped": 0,
+                       "mode_unconverged": 0}
 
     # -- per-theta quantities ----------------------------------------
 
@@ -599,7 +629,16 @@ class Engine:
         theta* (`_maximize` returns the last point it took a gradient at).
         H is symmetrized, and its eigenvalues are clamped below zero when it
         is not negative definite (counts["hessian_clamped"]).
-        counts["rejected_trials"] counts the line-search trials BFGS rejected.
+        counts["rejected_trials"] counts the line-search trials BFGS rejected,
+        and counts["mode_unconverged"] a search that stopped at BFGS_MAX_ITER
+        or on a line search that accepted nothing.
+
+        BFGS starts from the Gauss-Newton metric of the first gradient's
+        approximation, at the initial theta: J' diag(c) J with J = A dx*/dtheta
+        and c the likelihood curvature at x* (Nocedal & Wright 2006, ch. 10).
+        Each likelihood hyperparameter psi, where that cross term can have the
+        wrong sign, gets its row and column zeroed and -d2/dpsi2 sum log p(y |
+        eta*, psi), a second difference at PRIOR_DIFF_STEP, on the diagonal.
         With no free hyperparameter there is no center (None).
         """
         model = self.model
@@ -628,8 +667,24 @@ class Engine:
             accepted = (last.x_star, last.dx, g)
             return g
 
-        theta_star, lp_star, evaluations = _maximize(f, model.theta_initial(), grad,
-                                                     MODE_BUDGET, MODE_GRAD_TOL)
+        def metric(theta):
+            # _maximize asks at its first gradient's point, so `last` carries dx
+            J = self.A_obs @ last.dx
+            B = J.T @ (last.curvature[:, None] * J)
+            eta = self.A_obs @ last.x_star
+            h = PRIOR_DIFF_STEP
+            for j, step in enumerate(h * np.eye(p)):
+                up, mid, dn = (self._lik_param(th) for th in (theta + step, theta, theta - step))
+                if up != dn:
+                    ll = [float(np.sum(model.likelihood.log_lik(self.y_obs, eta, psi)))
+                          for psi in (up, mid, dn)]
+                    B[j, :] = B[:, j] = 0.0
+                    B[j, j] = -(ll[0] - 2.0 * ll[1] + ll[2]) / h**2
+            return B
+
+        theta_star, lp_star, evaluations, converged = _maximize(
+            f, model.theta_initial(), grad, MODE_BUDGET, MODE_GRAD_TOL, metric)
+        self.counts["mode_unconverged"] += not converged
         self.counts["rejected_trials"] += evaluations - gradients
         x_g, dx_g, g_star = accepted
         approx = last

@@ -238,7 +238,9 @@ def _band_candidates(full, last):
     room = max(0, min(MAX_BORDER - last.size, free.size - 1))
     for k in [0, *np.flatnonzero(ranked[:room] > ranked[1:room + 1]) + 1]:
         rest = np.sort(rank[k:])
-        yield np.concatenate([free[rest[rcm(sub[rest, :][:, rest])]], free[rank[:k]], last])
+        # at k = 0 rest is every free column, and sub is already their pattern
+        part = sub if k == 0 else sub[rest, :][:, rest]
+        yield np.concatenate([free[rest[rcm(part)]], free[rank[:k]], last])
 
 
 def band_order(full, last=()):
@@ -534,9 +536,9 @@ def _band_window(flat, w, start, lo, rows, cols, masks):
     inside the band (0 <= i - j <= w), the only ones that may be read or
     written through the window.  `masks` caches the mask per window shape.
     """
-    view = np.lib.stride_tricks.as_strided(
-        flat[start * (w + 1) + lo:], shape=(rows, cols),
-        strides=(flat.itemsize, flat.itemsize * w), writeable=True)
+    view = np.ndarray((rows, cols), flat.dtype, buffer=flat,
+                      offset=(start * (w + 1) + lo) * flat.itemsize,
+                      strides=(flat.itemsize, flat.itemsize * w))
     mask = masks.get((lo, rows, cols))
     if mask is None:
         off = lo + np.arange(rows)[:, None] - np.arange(cols)

@@ -451,6 +451,7 @@ class TestDeterminismAcrossThreads:
             log = json.loads((out / "runlog.json").read_text())
             assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations",
                                           "gradients", "rejected_trials", "hessian_clamped",
+                                          "mode_unconverged",
                                           "nodes_dropped"}
             assert not set(log["counts"]) & set(log["timings"])
             counts.append(log["counts"])

@@ -368,8 +368,9 @@ class TestFindMode:
             d = x - target
             return -np.array([3.0 * d[0] + 0.5 * d[1], 0.5 * d[1] + 0.5 * d[0]])
 
-        x, fval, evals = eng._maximize(f, np.zeros(2), grad=grad,
-                                       budget=200, grad_tol=1e-8)
+        x, fval, evals, converged = eng._maximize(f, np.zeros(2), grad=grad,
+                                                  budget=200, grad_tol=1e-8)
+        assert converged
         assert np.abs(x - target).max() <= 1e-6
         assert evals <= 5 * 13  # a handful of iterations
 
@@ -387,10 +388,104 @@ class TestFindMode:
             return -(16.0 * d + np.exp(d) - 1.0)
 
         assert np.abs(grad(np.zeros(2))).max() > eng.BFGS_MAX_STEP
-        x, fval, evals = eng._maximize(f, np.zeros(2), grad=grad, budget=200, grad_tol=1e-8)
+        x, fval, evals, _ = eng._maximize(f, np.zeros(2), grad=grad, budget=200, grad_tol=1e-8)
         assert np.abs(grad(x)).max() <= 1e-8
         assert np.abs(x - target).max() <= 1e-8
         assert evals <= 9
+
+    TARGET, NEG_HESSIAN = np.array([1.0, -2.0]), np.array([[3.0, 0.5], [0.5, 0.5]])
+
+    @classmethod
+    def quadratic(cls):
+        """f = -(x - TARGET)' NEG_HESSIAN (x - TARGET) / 2 and its gradient."""
+        def f(x):
+            d = x - cls.TARGET
+            return -0.5 * float(d @ cls.NEG_HESSIAN @ d)
+
+        return f, lambda x: -cls.NEG_HESSIAN @ (x - cls.TARGET)
+
+    def test_exact_metric_takes_the_newton_step(self):
+        # with the negative Hessian as its metric, BFGS's first step is
+        # Newton's and lands on the maximizer: no trial is rejected
+        f, grad = self.quadratic()
+        calls = []
+        x, fval, evals, converged = eng._maximize(
+            f, np.zeros(2), grad, 200, 1e-8, lambda x: calls.append(x) or self.NEG_HESSIAN)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.zeros(2))
+        assert evals == 2 and converged
+        assert np.abs(x - self.TARGET).max() <= 1e-12
+
+    def test_zero_metric_falls_back_to_identity(self):
+        f, grad = self.quadratic()
+        plain = eng._maximize(f, np.zeros(2), grad, 200, 1e-8)
+        zero = eng._maximize(f, np.zeros(2), grad, 200, 1e-8, lambda x: np.zeros((2, 2)))
+        assert np.array_equal(plain[0], zero[0]) and plain[1:] == zero[1:]
+
+    def test_unconverged_ways_out(self, monkeypatch):
+        f, grad = self.quadratic()
+        # a line search that accepts no trial
+        x0 = np.zeros(2)
+        x, _, evals, converged = eng._maximize(
+            lambda x: f(x) if np.array_equal(x, x0) else -np.inf, x0, grad, 200, 1e-8)
+        assert not converged and np.array_equal(x, x0) and evals == 26
+        # the iteration cap
+        monkeypatch.setattr(eng, "BFGS_MAX_ITER", 1)
+        assert not eng._maximize(f, x0, grad, 200, 1e-8)[3]
+        assert eng._maximize(f, x0, grad, 200, 1e-8, lambda x: self.NEG_HESSIAN)[3]
+
+    @pytest.mark.parametrize("way", ["iteration_cap", "line_search"])
+    def test_unconverged_mode_search_counted(self, monkeypatch, way):
+        g = TestOnePass.two_hyper_model()
+        engine = Engine(g)
+        engine.find_mode()
+        assert engine.counts["mode_unconverged"] == 0
+        if way == "iteration_cap":
+            monkeypatch.setattr(eng, "BFGS_MAX_ITER", 1)
+        else:
+            real = eng._maximize
+
+            def nothing_accepted(f, x0, *args):
+                return real(lambda x: f(x) if np.array_equal(x, x0) else -np.inf, x0, *args)
+
+            monkeypatch.setattr(eng, "_maximize", nothing_accepted)
+        engine = Engine(g)
+        theta_star, H, center = engine.find_mode()
+        assert engine.counts["mode_unconverged"] == 1
+        assert np.isfinite(H).all() and center is not None
+        if way == "line_search":
+            assert np.array_equal(theta_star, g.theta_initial())
+
+    def test_gauss_newton_start_saves_factorizations(self, monkeypatch):
+        g = TestThetaGradient.ar1_grouped_spde()
+        gauss_newton = Engine(g)
+        _, _, (_, _, center) = gauss_newton.find_mode()
+        real = eng._maximize
+        monkeypatch.setattr(eng, "_maximize", lambda f, x0, grad, budget, tol, metric:
+                            real(f, x0, grad, budget, tol))
+        identity = Engine(g)
+        identity.find_mode()
+        assert gauss_newton.counts["factorizations"] <= identity.counts["factorizations"]
+        gradient = gauss_newton.log_posterior_gradient(center)
+        assert np.abs(gradient).max() <= eng.MODE_GRAD_TOL
+
+    @pytest.mark.parametrize("model, psi", [("gaussian_rw1_sum_to_zero", "obs.logprec"),
+                                            ("negative_binomial", "nb.logdisp")])
+    def test_metric_splits_off_likelihood_hyperparameter(self, monkeypatch, model, psi):
+        g = getattr(TestThetaGradient, model)()
+        real = eng._maximize
+        seen = []
+
+        def spying(f, x0, grad, budget, tol, metric):
+            return real(f, x0, grad, budget, tol, lambda x: seen.append(metric(x)) or seen[-1])
+
+        monkeypatch.setattr(eng, "_maximize", spying)
+        Engine(g).find_mode()
+        (B,) = seen
+        j = g.theta_names().index(psi)
+        others = np.arange(B.shape[0]) != j
+        assert B[j, j] > 0
+        assert not B[j, others].any() and not B[others, j].any()
+        assert (np.linalg.eigvalsh(B[np.ix_(others, others)]) > 0).all()
 
     def test_zero_hyper_degenerates(self):
         g = poisson_iid_model([1.0, 2.0], fixed=True)
@@ -1201,9 +1296,9 @@ class TestStateless:
         real = eng._maximize
 
         def ending_on_rejected_trial(f, x0, grad, *args, **kwargs):
-            x, fval, count = real(f, x0, grad, *args, **kwargs)
+            x, fval, count, converged = real(f, x0, grad, *args, **kwargs)
             f(x + 0.5)
-            return x, fval, count + 1
+            return x, fval, count + 1, converged
 
         monkeypatch.setattr(eng, "_maximize", ending_on_rejected_trial)
         ts2, H2, (lp2, q2, approx2) = Engine(g).find_mode()
@@ -1243,3 +1338,18 @@ class TestConstraintErrors:
         assert g.constraint_matrix.shape[0] == 2
         with pytest.raises(SingularConstraint):
             Engine(g).log_posterior(np.zeros(0))
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("newton_tol", -1.0), ("newton_tol", 0.0), ("newton_tol", np.inf),
+        ("newton_tol", np.nan), ("newton_tol", "tight"), ("log_drop", -1.0),
+        ("log_drop", True), ("int_strategy", "gaussian")])
+    def test_bad_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+
+    def test_numbers_kept_as_floats(self):
+        cfg = EngineConfig(int_strategy="grid", log_drop=3, newton_tol=1e-9)
+        assert (cfg.int_strategy, cfg.log_drop, cfg.newton_tol) == ("grid", 3.0, 1e-9)
+        assert isinstance(cfg.log_drop, float)
