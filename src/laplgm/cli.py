@@ -471,6 +471,8 @@ def _write_fit_outputs(bundle, result, out_dir, seed):
         "theta_mode": {nm: float(v) for nm, v in zip(model.theta_names(), result.theta_mode)},
         "mlik": float(result.mlik),
         "nodes": len(result.nodes),
+        "design_departure": max(abs(nd.log_post - result.nodes[0].log_post
+                                    + 0.5 * float(nd.z @ nd.z)) for nd in result.nodes),
         "timings": {k: float(v) for k, v in result.timings.items()},
         "counts": {k: int(v) for k, v in result.counts.items()},
         "factor": result.factor_layout,

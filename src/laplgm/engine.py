@@ -58,8 +58,10 @@ HESS_DIFF_STEP = 3e-5
 
 
 # a Gaussian approximation raises NonConvergence after MAX_NEWTON Newton
-# iterations; the grid strategy keeps at most MAX_GRID_NODES nodes
+# iterations, or when its line search halves a step down to NEWTON_MIN_STEP
+# with no trial accepted; the grid strategy keeps at most MAX_GRID_NODES nodes
 MAX_NEWTON = 50
+NEWTON_MIN_STEP = 2.0**-40
 MAX_GRID_NODES = 256
 
 # Newton also ends, at x with its factor, when two successive fresh-factor
@@ -128,13 +130,15 @@ class ThetaNode:
     """One integration node in hyperparameter space.
 
     `quantities` holds the latent and predictor moments of the Gaussian
-    approximation at `theta` (see `Engine.node_quantities`).
+    approximation at `theta` (see `Engine.node_quantities`), and `z` the
+    node's design point in Laplace-standardized coordinates (see `explore`).
     """
 
     theta: np.ndarray
     log_post: float
     weight: float
     quantities: dict = None
+    z: np.ndarray = None
 
 
 # ------------------------------------------------------------------
@@ -242,6 +246,21 @@ def _maximize(f, x0, grad, budget, grad_tol, metric=None):
 
 # ------------------------------------------------------------------
 # the engine proper
+
+def ccd_design(p):
+    """Central composite design (Z, w) in p Laplace-standardized coordinates.
+
+    The center, then the corners of [-1, 1]^p (for p >= 5 the half-fraction
+    whose entries multiply to +1), then -sqrt(p) e_j and +sqrt(p) e_j for
+    j = 0, ..., p - 1 (Rue, Martino & Chopin 2009, sec. 6.5); unit weights.
+    """
+    corners = np.array(list(product((-1.0, 1.0), repeat=p)))
+    if p >= 5:
+        corners = corners[np.prod(corners, axis=1) > 0]
+    axial = np.sqrt(p) * np.kron(np.eye(p), [[-1.0], [1.0]])
+    Z = np.vstack([np.zeros((1, p)), corners, axial]) + 0.0   # no -0.0 entries
+    return Z, np.ones(len(Z))
+
 
 def _row_pairs(A):
     """Lower-triangle entries of the row outer products of A as (key, row, weight).
@@ -379,9 +398,10 @@ class Engine:
         factorized at the current point when there is no factor yet, and
         when an older factor's increment is within that tolerance, exceeds
         CHORD_CONTRACTION times the previous increment or fails the first
-        line-search trial (the simplified, or chord, Newton iteration).  A
-        likelihood whose curvature does not depend on eta factorizes at
-        theta first, so one exact step follows.  The returned
+        line-search trial (the simplified, or chord, Newton iteration), whose
+        halvings end at NEWTON_MIN_STEP.  A likelihood whose curvature does
+        not depend on eta factorizes at theta first, so one exact step
+        follows.  The returned
         factor is that of Q*(theta, c(x*)) at the returned mode x*, and
         its `dx` is None whatever the start's.
 
@@ -472,7 +492,9 @@ class Engine:
                 continue
             lam = 1.0
             x_new = x_prop
-            while not accepted(f_new) and lam > 1.0 / 64:
+            while not accepted(f_new):
+                if lam <= NEWTON_MIN_STEP:
+                    raise NonConvergence(iterations, "Newton line search accepted no step")
                 lam *= 0.5
                 x_new = x + lam * (x_prop - x)
                 f_new = self._penalized_objective(x_new, Qp, param)
@@ -719,8 +741,11 @@ class Engine:
     def explore(self, theta_star, H, strategy=None, center=None):
         """Integration nodes, each with its log posterior and node quantities.
 
-        `center` is the one `find_mode` returns; without it theta* is
-        evaluated from a cold start.  Every design point is one Gaussian
+        A node carries its design point z, at theta* + S z with S S' = (-H)^-1,
+        and its design weight over the sum of the kept nodes' (`ccd_design`,
+        or unit weights on the grid's unit steps in z).  The first node is
+        the center, z = 0 at theta* itself: the one `find_mode` returns, else
+        evaluated from a cold start.  Every other design point is one Gaussian
         approximation, started from the center's; the node reads its
         quantities from it, and the factor is dropped before the next point.
         A design point is dropped when its approximation fails or its log
@@ -737,70 +762,48 @@ class Engine:
             center = (lp0, self._node_quantities(lp0, approx0), approx0)
         lp0, q0, approx0 = center
         if p == 0 or strategy == "eb":
-            return [ThetaNode(theta_star.copy(), lp0, 1.0, q0)]
+            return [ThetaNode(theta_star.copy(), lp0, 1.0, q0, np.zeros(p))]
 
         Sigma = np.linalg.inv(-H)
         Sigma = 0.5 * (Sigma + Sigma.T)
         w, V = np.linalg.eigh(Sigma)
         scale = V @ np.diag(np.sqrt(np.clip(w, 1e-12, None)))
 
-        def theta_of(z):
-            z = np.asarray(z, dtype=float)
-            if not z.any():
-                return theta_star.copy()
-            return theta_star + scale @ z
+        # z bytes -> (theta, log posterior, node quantities or None when dropped)
+        seen = {np.zeros(p).tobytes(): (theta_star.copy(), lp0, q0)}
 
-        # theta bytes -> (log posterior, node quantities or None when dropped)
-        seen = {theta_star.tobytes(): (lp0, q0)}
-
-        def node_at(z, keep):
+        def node_at(z, keep, weight=1.0):
             """The node at design point z, or None when keep(log posterior) is False."""
-            th = theta_of(z)
-            key = th.tobytes()
+            z = np.asarray(z, dtype=float) + 0.0   # -0.0 becomes 0.0 in the key
+            key = z.tobytes()
             if key not in seen:
+                th = theta_star + scale @ z
                 try:
                     lp, approx = self.log_posterior(th, start=approx0, return_approx=True)
                 except _REJECTABLE:
                     lp, approx = -np.inf, None
-                seen[key] = (lp, self._node_quantities(lp, approx) if keep(lp) else None)
-            lp, q = seen[key]
+                seen[key] = (th, lp, self._node_quantities(lp, approx) if keep(lp) else None)
+            th, lp, q = seen[key]
             if q is None:
                 self.counts["nodes_dropped"] += 1
                 return None
-            return ThetaNode(th, lp, 1.0, q)
+            return ThetaNode(th, lp, weight, q, z)
 
         if strategy == "ccd":
-            zs = [np.zeros(p)]
-            corners = list(product((-1.0, 1.0), repeat=p))
-            if p >= 5:
-                corners = [c for c in corners if np.prod(c) > 0]
-            zs += [np.array(c) for c in corners]
-            r = np.sqrt(p)
-            for j in range(p):
-                for s in (-1.0, 1.0):
-                    z = np.zeros(p)
-                    z[j] = s * r
-                    zs.append(z)
-            nodes = [node_at(z, np.isfinite) for z in zs]
+            nodes = [node_at(z, np.isfinite, wz) for z, wz in zip(*ccd_design(p))]
             nodes = [nd for nd in nodes if nd is not None]
         elif strategy == "grid":
             def near(lp):
                 return lp0 - lp <= cfg.log_drop
 
-            extents = []
-            for j in range(p):
-                ext = []
-                for s in (-1, 1):
-                    m = 0
-                    while m < 20:
-                        z = np.zeros(p)
-                        z[j] = s * (m + 1)
-                        if node_at(z, near) is None:
-                            break
-                        m += 1
-                    ext.append(m)
-                extents.append(ext)
-            axes = [range(-lo, hi + 1) for lo, hi in extents]
+            def extent(v):
+                """The unit steps along v whose points stay near, at most 20."""
+                m = 0
+                while m < 20 and node_at((m + 1) * v, near) is not None:
+                    m += 1
+                return m
+
+            axes = [range(-extent(-e), extent(e) + 1) for e in np.eye(p)]
             candidates = sorted(product(*axes),
                                 key=lambda z: (sum(abs(c) for c in z), z))
             nodes = []
@@ -812,9 +815,9 @@ class Engine:
                     nodes.append(nd)
         else:
             raise ValueError(f"unknown int_strategy {strategy!r}")
-        wgt = 1.0 / len(nodes)
+        total = sum(nd.weight for nd in nodes)
         for nd in nodes:
-            nd.weight = wgt
+            nd.weight /= total
         return nodes
 
     # -- per-node posterior quantities --------------------------------
@@ -991,14 +994,6 @@ class FitResult:
 
     def predictor_marginal(self, row):
         return mixture_marginal(self.pred_mean[:, row], self.pred_sd[:, row], self.weights)
-
-    def response_marginal(self, row):
-        """Predictor marginal mapped through the inverse link."""
-        m = self.predictor_marginal(row)
-        link = self.model.likelihood.link
-        if link == "identity":
-            return m
-        return transform_marginal(m, np.exp, np.exp)
 
     def response_moments(self):
         """Posterior mean and sd of the response mean, closed form per node."""

@@ -212,6 +212,27 @@ class TestFitCommand:
         log = json.loads((fit_out / "runlog.json").read_text())
         assert log["nodes"] == 1
 
+    def test_runlog_design_departure(self, tmp_path):
+        # max over the nodes of |lp_k - lp* + |z_k|^2 / 2|, |z_k|^2 read from -H
+        import laplgm.engine as eng
+        sim_out = simulate_fixture(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(FIT_TEMPLATE.format(seed=5, data=sim_out / "data.csv", nx=5))
+        departure = {}
+        for strategy in ("eb", "ccd"):
+            out = tmp_path / strategy
+            run(["fit", "--config", str(cfg), "--out", str(out), "--int-strategy", strategy])
+            departure[strategy] = json.loads((out / "runlog.json").read_text())["design_departure"]
+        assert departure["eb"] == 0.0
+        fit = eng.fit(cli.build_model(cli.load_config(str(cfg)), str(cfg)).model,
+                      eng.EngineConfig(int_strategy="ccd"))
+        (lp_star,) = [nd.log_post for nd in fit.nodes if np.array_equal(nd.theta, fit.theta_mode)]
+        d = np.array([nd.theta for nd in fit.nodes]) - fit.theta_mode
+        shifts = [nd.log_post - lp_star for nd in fit.nodes]
+        expected = np.max(np.abs(shifts + 0.5 * np.einsum("ki,ij,kj->k", d, -fit.theta_hessian, d)))
+        assert expected > 0.0
+        assert departure["ccd"] == pytest.approx(expected, rel=1e-9)
+
     def test_gaussian_conjugate_matches_dense_oracle(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 40

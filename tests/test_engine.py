@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -531,6 +532,55 @@ class TestExplore:
         assert len(nodes) == 9  # 4 factorial + 4 star + center
         assert nodes[0].weight == pytest.approx(1.0 / 9.0)
 
+    @pytest.mark.parametrize("p, rows", [(1, 5), (2, 9), (3, 15), (4, 25), (5, 27), (6, 45)])
+    def test_ccd_design_rows_in_order(self, p, rows):
+        Z, w = eng.ccd_design(p)
+        assert Z.shape == (rows, p) and w.shape == (rows,)
+        corners = [c for c in itertools.product((-1.0, 1.0), repeat=p)
+                   if p < 5 or np.prod(c) > 0]
+        axial = [s * np.sqrt(p) * e for e in np.eye(p) for s in (-1.0, 1.0)]
+        assert np.array_equal(Z, np.vstack([np.zeros((1, p)), corners, axial]))
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_ccd_design_unit_weights_no_negative_zero(self, p):
+        Z, w = eng.ccd_design(p)
+        assert np.array_equal(w, np.ones(len(Z)))
+        assert not np.signbit(Z[Z == 0.0]).any()
+
+    @pytest.mark.parametrize("strategy", ["ccd", "grid", "eb"])
+    def test_nodes_carry_their_design_points(self, strategy):
+        engine = Engine(TestOnePass.two_hyper_model())
+        ts, H, center = engine.find_mode()
+        nodes = engine.explore(ts, H, strategy, center)
+        assert np.array_equal(nodes[0].z, np.zeros(2))
+        assert np.array_equal(nodes[0].theta, ts)
+        if strategy == "ccd":
+            assert np.array_equal(np.array([nd.z for nd in nodes]), eng.ccd_design(2)[0])
+        # z is standardized: |z|^2 is theta's squared distance in the metric of -H
+        for nd in nodes:
+            d = nd.theta - ts
+            assert float(d @ -H @ d) == pytest.approx(float(nd.z @ nd.z), rel=1e-9, abs=1e-12)
+
+    def test_grid_evaluates_each_design_point_once(self, monkeypatch):
+        # the axis walks and the box share their points, -0.0 or not
+        engine = Engine(TestOnePass.two_hyper_model())
+        ts, H, center = engine.find_mode()
+        real = Engine.log_posterior
+        evaluated = []
+
+        def counted(self, theta, *args, **kwargs):
+            evaluated.append(np.array(theta, dtype=float).tobytes())
+            return real(self, theta, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "log_posterior", counted)
+        nodes = engine.explore(ts, H, "grid", center)
+        assert len(set(evaluated)) == len(evaluated)
+        assert len({nd.z.tobytes() for nd in nodes}) == len(nodes)
+        assert not any(np.signbit(nd.z[nd.z == 0.0]).any() for nd in nodes)
+        # every node but the center, and every dropped point, is one evaluation
+        assert engine.counts["nodes_dropped"] >= 4
+        assert len(evaluated) == len(nodes) - 1 + engine.counts["nodes_dropped"]
+
     def test_weights_equal_and_normalized(self):
         g, *_ = conjugate_model()
         engine = Engine(g)
@@ -792,20 +842,6 @@ class TestFit:
             pred = fit.predictor_marginal(i)
             assert np.abs(lat.grid - pred.grid).max() <= 1e-10
             assert np.abs(lat.density - pred.density).max() <= 1e-10
-
-    def test_pred_tag_gets_response_marginals(self):
-        rng = np.random.default_rng(6)
-        y = rng.poisson(2.0, 12).astype(float)
-        hy = lm.log_precision_hyper("u.prec", 1.0)
-        comps = [lm.IidComponent("u", 4, hy)]
-        obs = lm.StackPart(y, {"u": lm.index_block(rng.integers(0, 4, 12), 4)}, "obs")
-        pred = lm.StackPart(np.full(4, np.nan), {"u": lm.index_block(range(4), 4)}, "pred")
-        g = lm.build_stack([obs, pred], comps, PoissonLik())
-        fit = eng.fit(g)
-        for row in g.tag_range("pred"):
-            m = fit.response_marginal(row)
-            assert np.all(m.grid > 0)
-            assert m.integral() == pytest.approx(1.0, abs=1e-6)
 
     def test_marginals_integrate_to_one(self):
         rng = np.random.default_rng(10)
@@ -1170,6 +1206,45 @@ class TestNewtonStop:
             param = g.likelihood.param(g.values_from_theta(theta))
             c = -g.likelihood.derivs(g.y[g.observed], eta, param)[1]
             assert np.array_equal(ap.curvature, c)
+
+
+class TestLargeCounts:
+    """Newton's line search never takes a step that lowers the objective."""
+
+    @staticmethod
+    def model(scale):
+        """30 Poisson counts near `scale`: an intercept and an iid effect of size 10."""
+        rng = np.random.default_rng(0)
+        y = rng.poisson(scale * np.exp(0.3 * rng.standard_normal(30))).astype(float)
+        hy = lm.log_precision_hyper("u.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        part = lm.StackPart(y, {"mu": np.ones(30), "u": lm.index_block(np.arange(30) % 10, 10)},
+                            "obs")
+        return lm.build_stack([part], [lm.FixedEffect("mu"), lm.IidComponent("u", 10, hy)],
+                              PoissonLik())
+
+    def test_fit_at_counts_near_ten_thousand(self):
+        g = self.model(1e4)
+        fit = eng.fit(g)
+        assert fit.counts["nodes_dropped"] == 0 and len(fit.nodes) == 5
+        A, y = g.A.toarray(), g.y
+        for nd in fit.nodes:
+            x = nd.quantities["x_star"]
+            lik = A.T @ (y - np.exp(A @ x))
+            prior = g.prior_quantities(nd.theta)[0] @ x
+            scale = 1.0 + max(np.abs(lik).max(), np.abs(prior).max())
+            assert np.abs(lik - prior).max() / scale <= 1e-8
+
+    def test_line_search_that_accepts_nothing_raises(self, monkeypatch):
+        from laplgm.errors import NonConvergence
+        g = self.model(10.0)
+        real = Engine._penalized_objective
+
+        def only_at_zero(self, x, *args):
+            return real(self, x, *args) if not x.any() else -np.inf
+
+        monkeypatch.setattr(Engine, "_penalized_objective", only_at_zero)
+        with pytest.raises(NonConvergence, match="line search"):
+            Engine(g).gaussian_approximation(g.theta_initial())
 
 
 class TestOnePass:
