@@ -443,7 +443,7 @@ def _run_fit(job):
     return bundle, engine_fit(bundle.model, job.engine)
 
 
-def _write_fit_outputs(bundle, result, out_dir, seed):
+def _write_fit_outputs(bundle, result, out_dir, seed, cpo_failures=None):
     model = bundle.model
     fixed = result.fixed_summary()
     header, rows = _summary_rows(fixed)
@@ -477,6 +477,8 @@ def _write_fit_outputs(bundle, result, out_dir, seed):
         "counts": {k: int(v) for k, v in result.counts.items()},
         "factor": result.factor_layout,
     }
+    if cpo_failures is not None:
+        log["cpo_failures"] = cpo_failures
     atomic_write(os.path.join(out_dir, "runlog.json"),
                  json.dumps(log, indent=2, sort_keys=True) + "\n")
 
@@ -529,8 +531,9 @@ def _write_assessment(result, model, out_dir):
 
 def cmd_assess(job, out_dir):
     bundle, result = _run_fit(job)
-    _write_fit_outputs(bundle, result, out_dir, seed=job.seed)
     d = _write_assessment(result, bundle.model, out_dir)
+    _write_fit_outputs(bundle, result, out_dir, seed=job.seed,
+                       cpo_failures=int(np.sum(d.failure)))
     print(f"assess: dic={d.dic:.2f} waic={d.waic:.2f} mlik={d.mlik:.2f}; wrote {out_dir}")
     return 0
 

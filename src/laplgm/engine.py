@@ -336,7 +336,7 @@ class Engine:
         # the only engine state a fit changes
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0, "rejected_trials": 0, "hessian_clamped": 0,
-                       "mode_unconverged": 0}
+                       "mode_unconverged": 0, "newton_halvings": 0}
 
     # -- per-theta quantities ----------------------------------------
 
@@ -399,9 +399,9 @@ class Engine:
         when an older factor's increment is within that tolerance, exceeds
         CHORD_CONTRACTION times the previous increment or fails the first
         line-search trial (the simplified, or chord, Newton iteration), whose
-        halvings end at NEWTON_MIN_STEP.  A likelihood whose curvature does
-        not depend on eta factorizes at theta first, so one exact step
-        follows.  The returned
+        halvings end at NEWTON_MIN_STEP (counts["newton_halvings"] counts
+        them).  A likelihood whose curvature does not depend on eta
+        factorizes at theta first, so one exact step follows.  The returned
         factor is that of Q*(theta, c(x*)) at the returned mode x*, and
         its `dx` is None whatever the start's.
 
@@ -496,6 +496,7 @@ class Engine:
                 if lam <= NEWTON_MIN_STEP:
                     raise NonConvergence(iterations, "Newton line search accepted no step")
                 lam *= 0.5
+                self.counts["newton_halvings"] += 1
                 x_new = x + lam * (x_prop - x)
                 f_new = self._penalized_objective(x_new, Qp, param)
             converged = increment(x_new, x) <= cfg.newton_tol

@@ -4,6 +4,12 @@ Structured rectangle meshes, CSV import/export, lumped mass and stiffness
 assembly, and barycentric point-to-mesh projection.  These are the substrate
 for the Matern-like random fields built in `latent`.
 
+A mesh keeps a uniform grid of square cells over its vertices' bounding box,
+CELLS_PER_VERTEX cells per vertex.  The grid answers two questions with numpy alone:
+which vertices coincide within DUPLICATE_TOL (such pairs share a cell or sit
+in neighbouring cells), and which vertex lies nearest a point (rings of cells
+searched outward from the point's cell).
+
 A point lies in a triangle when all three of its barycentric weights are at
 least -INSIDE_TOL.  Point location runs in two array passes: the triangles
 around each point's nearest vertex, then, for the points that pass misses, a
@@ -16,7 +22,6 @@ import csv
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateTriangle,
@@ -28,6 +33,7 @@ from .errors import (
 from .sparse import SparseSymmetric
 
 AREA_TOL = 1e-14
+CELLS_PER_VERTEX = 4
 DUPLICATE_TOL = 1e-12
 INSIDE_TOL = 1e-10
 SCAN_CHUNK = 256
@@ -36,7 +42,7 @@ SCAN_CHUNK = 256
 class TriMesh:
     """Conforming 2D triangulation with counter-clockwise triangles."""
 
-    __slots__ = ("vertices", "triangles", "_tree")
+    __slots__ = ("vertices", "triangles", "_grid")
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=float)
@@ -61,22 +67,24 @@ class TriMesh:
         triangles = triangles.copy()
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         if nv > 1:
-            tree = cKDTree(vertices)
-            pairs = tree.query_pairs(DUPLICATE_TOL)
-            if pairs:
-                i, j = sorted(next(iter(pairs)))
+            grid = _VertexGrid(vertices)
+            close = grid.pairs_within(DUPLICATE_TOL)
+            if close.size:
+                i, j = close[0]
                 raise ValueError(f"vertices {i} and {j} coincide within {DUPLICATE_TOL}")
-            self._tree = tree
+            self._grid = grid
         else:
-            self._tree = None
+            self._grid = None
 
         edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        edges, holders = np.unique(edges, axis=0, return_counts=True)
+        keys, holders = np.unique(edges[:, 0] * nv + edges[:, 1], return_counts=True)
         shared = np.flatnonzero(holders > 2)
         if shared.size:
-            a, b = edges[shared[0]]
-            raise NonConformingMesh(f"edge {(int(a), int(b))} shared by more than two triangles")
+            a, b = divmod(int(keys[shared[0]]), nv)
+            raise NonConformingMesh(f"edge {(a, b)} shared by more than two triangles")
 
         self.vertices = vertices
         self.triangles = triangles
@@ -95,6 +103,133 @@ class TriMesh:
         p2 = self.vertices[self.triangles[:, 2]]
         return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                       - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+
+
+def _spans(first, count):
+    """Every position first[k] + 0, ..., first[k] + count[k] - 1, with its k.
+
+    Returns (owner, position), ordered by k and then by position.
+    """
+    owner = np.repeat(np.arange(first.size), count)
+    shift = np.repeat(first - (np.cumsum(count) - count), count)
+    return owner, np.arange(owner.size) + shift
+
+
+def _offsets(r_min, r):
+    """Cell offsets (dx, dy) with r_min <= max(|dx|, |dy|) <= r."""
+    dx, dy = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1))
+    keep = np.maximum(np.abs(dx), np.abs(dy)) >= r_min
+    return dx[keep], dy[keep]
+
+
+class _VertexGrid:
+    """Uniform grid of square cells over the bounding box of n vertices.
+
+    With c = CELLS_PER_VERTEX, the cell side is the larger of
+    sqrt(box area / (c n)) and the box's longer side / (c n) (and at least
+    4 * DUPLICATE_TOL), so the grid has about c n cells and never more than
+    3 c n + 1.  A border of empty cells surrounds them.  Cells are numbered
+    row by row; cell k holds the vertices members[start[k]:start[k] +
+    count[k]], in increasing index order.
+    """
+
+    __slots__ = ("x", "y", "lo", "side", "shape", "start", "count", "members", "slack")
+
+    def __init__(self, vertices):
+        n = vertices.shape[0]
+        self.x, self.y = vertices[:, 0].copy(), vertices[:, 1].copy()
+        self.lo = vertices.min(axis=0)
+        extent = vertices.max(axis=0) - self.lo
+        cells = CELLS_PER_VERTEX * n
+        self.side = max(np.sqrt(extent[0] * extent[1] / cells), extent.max() / cells,
+                        4.0 * DUPLICATE_TOL)
+        ij = np.floor((vertices - self.lo) / self.side).astype(np.int64) + 1
+        self.shape = ij.max(axis=0) + 2
+        cell = ij[:, 1] * self.shape[0] + ij[:, 0]
+        self.members = np.argsort(cell, kind="stable")
+        self.count = np.bincount(cell, minlength=self.shape.prod())
+        self.start = np.cumsum(self.count) - self.count
+        # cells and distances are rounded: a vertex may sit this far on the
+        # wrong side of its cell's edge
+        self.slack = 1e-12 * (np.abs(self.lo).max() + extent.max() + self.side)
+
+    def _cells(self, points):
+        """Column and row of each point's cell, clipped to the inner cells."""
+        ij = np.floor((points - self.lo) / self.side) + 1
+        ij = np.clip(ij, 1, self.shape - 2).astype(np.int64)
+        return ij[:, 0], ij[:, 1]
+
+    def _members_near(self, cx, cy, dx, dy):
+        """Vertices in the cells (cx[k] + dx, cy[k] + dy).
+
+        Returns (k, vertex) pairs ordered by k.  A cell off the grid is read
+        as the empty border cell beside it.
+        """
+        nx, ny = self.shape
+        x = np.clip(cx[:, None] + dx, 0, nx - 1)
+        y = np.clip(cy[:, None] + dy, 0, ny - 1)
+        cell = (y * nx + x).ravel()
+        owner, pos = _spans(self.start[cell], self.count[cell])
+        return owner // dx.size, self.members[pos]
+
+    def _dist2(self, px, py, v):
+        dx, dy = px - self.x[v], py - self.y[v]
+        return dx * dx + dy * dy
+
+    def pairs_within(self, tol):
+        """Vertex pairs (i, j), i < j, at most tol apart, in increasing order.
+
+        tol must not exceed the cell side: such a pair then shares a cell or
+        sits in neighbouring cells.  Each vertex is paired with the later
+        members of its own cell and with every member of four of its eight
+        neighbours, so each pair of cells is visited once.
+        """
+        cx, cy = self._cells(np.column_stack([self.x, self.y]))
+        cell = cy * self.shape[0] + cx
+        at = np.empty_like(self.members)
+        at[self.members] = np.arange(at.size)
+        i, pos = _spans(at + 1, self.start[cell] + self.count[cell] - at - 1)
+        ni, nj = self._members_near(cx, cy, np.array([1, -1, 0, 1]), np.array([0, 1, 1, 1]))
+        i, j = np.concatenate([i, ni]), np.concatenate([self.members[pos], nj])
+        close = self._dist2(self.x[i], self.y[i], j) <= tol * tol
+        pairs = np.sort(np.column_stack([i[close], j[close]]), axis=1)
+        return pairs[np.lexsort(pairs.T[::-1])]
+
+    def nearest(self, points):
+        """Index of each point's nearest vertex; among equals, the lowest.
+
+        Cells are searched outward from each point's cell: first the 3 x 3
+        block around it, then one ring of cells at a time.  Once the rings
+        up to r are searched, every vertex left is at least r cell sides
+        away, so a point stops when it has a vertex closer than that, or
+        when its rings cover the grid.
+        """
+        n = self.x.size
+        px, py = points[:, 0].copy(), points[:, 1].copy()
+        cx, cy = self._cells(points)
+        last = np.max([cx - 1, self.shape[0] - 2 - cx, cy - 1, self.shape[1] - 2 - cy], axis=0)
+        best = np.full(px.size, np.inf)
+        best_v = np.full(px.size, n)
+        todo = np.arange(px.size)
+        r, dx, dy = 1, *_offsets(0, 1)
+        while todo.size:
+            k, v = self._members_near(cx[todo], cy[todo], dx, dy)
+            if v.size:
+                d = self._dist2(px[todo[k]], py[todo[k]], v)
+                seg = np.flatnonzero(np.diff(k, prepend=-1))    # each point's first pair
+                d_min = np.minimum.reduceat(d, seg)
+                tied = d == np.repeat(d_min, np.diff(seg, append=d.size))
+                v_min = np.minimum.reduceat(np.where(tied, v, n), seg)
+                at = todo[k[seg]]
+                better = (d_min < best[at]) | ((d_min == best[at]) & (v_min < best_v[at]))
+                best[at[better]] = d_min[better]
+                best_v[at[better]] = v_min[better]
+            reach = r * self.side - self.slack
+            done = (last[todo] <= r) | ((reach > 0) & (best[todo] < reach * reach))
+            todo = todo[~done]
+            r += 1
+            dx, dy = _offsets(r, r)
+        return best_v
 
 
 def structured_mesh(x_min, x_max, y_min, y_max, nx, ny):
@@ -233,7 +368,9 @@ def _keep_first_inside(mesh, points, row, cand, tri_of, lam_of):
     row's candidates in increasing triangle order.
     """
     lam = _barycentric(mesh, cand, points[row])
-    inside = np.flatnonzero(lam.min(axis=1) >= -INSIDE_TOL)
+    # column by column: numpy reduces rows of three several times slower
+    low = np.minimum(np.minimum(lam[:, 0], lam[:, 1]), lam[:, 2])
+    inside = np.flatnonzero(low >= -INSIDE_TOL)
     found, first = np.unique(row[inside], return_index=True)
     tri_of[found] = cand[inside[first]]
     lam_of[found] = lam[inside[first]]
@@ -243,26 +380,24 @@ def _locate(mesh, points):
     """Containing triangle and barycentric weights of each point.
 
     Candidates are first the triangles incident to the point's nearest
-    vertex, then every triangle whose bounding box, padded by the factor
-    1 + 3*INSIDE_TOL about its centroid, holds the point: a point whose
-    weights are all >= -INSIDE_TOL lies in the triangle scaled by that
-    factor.  Either way the lowest-index containing candidate wins.
+    vertex, which the mesh's vertex grid finds, then every triangle whose
+    bounding box, padded by the factor 1 + 3*INSIDE_TOL about its centroid,
+    holds the point: a point whose weights are all >= -INSIDE_TOL lies in
+    the triangle scaled by that factor.  Either way the lowest-index
+    containing candidate wins.
     """
     npts = points.shape[0]
     tri_of = np.full(npts, -1, dtype=np.int64)
     lam_of = np.zeros((npts, 3))
-    if mesh._tree is not None:
-        nearest = mesh._tree.query(points)[1]
+    if mesh._grid is not None:
+        nearest = mesh._grid.nearest(points)
         # triangles incident to each vertex, in increasing order (CSR)
         order = np.argsort(mesh.triangles.ravel(), kind="stable")
         inc_tri = order // 3
         inc_ptr = np.concatenate([[0], np.cumsum(np.bincount(mesh.triangles.ravel(),
                                                              minlength=mesh.n_vertices))])
-        counts = inc_ptr[nearest + 1] - inc_ptr[nearest]
-        row = np.repeat(np.arange(npts), counts)
-        offset = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        cand = inc_tri[inc_ptr[nearest][row] + offset]
-        _keep_first_inside(mesh, points, row, cand, tri_of, lam_of)
+        row, pos = _spans(inc_ptr[nearest], inc_ptr[nearest + 1] - inc_ptr[nearest])
+        _keep_first_inside(mesh, points, row, inc_tri[pos], tri_of, lam_of)
 
     missed = np.flatnonzero(tri_of < 0)
     if missed.size:
@@ -293,11 +428,14 @@ def projector(mesh, points):
     clipped at zero and renormalized so they sum to one.  A point counts as
     inside a triangle when none of its weights is below -INSIDE_TOL.  The
     containing triangle is the lowest-index one around the point's nearest
-    vertex; for the few points none of those contains, all triangles are
-    scanned and the lowest-index containing one is used.  A point that no
-    triangle contains raises PointOutsideMesh.
+    vertex (the lowest-index vertex among equally near ones, searched on the
+    mesh's vertex grid); for the few points none of those contains, all
+    triangles are scanned and the lowest-index containing one is used.  A
+    point that no triangle contains raises PointOutsideMesh.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(points).all():
+        raise ValueError("point coordinates must be finite")
     tri_of, lam_of = _locate(mesh, points)
     lam = np.clip(lam_of, 0.0, None)
     lam = lam / lam.sum(axis=1, keepdims=True)

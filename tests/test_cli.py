@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import laplgm.assessment as assessment
 import laplgm.cli as cli
 from laplgm.config import parse_config_text
 from laplgm.errors import ParseError
@@ -378,6 +379,27 @@ class TestAssessAndCompareCommands:
         assert len(rows) == 1
         assert (out / "spde_summary.csv").exists()
 
+    def test_runlog_counts_cpo_failures(self, tmp_path, monkeypatch):
+        path = tmp_path / "fit.cfg"
+        path.write_text(SPDE_CONFIG.format(data=_small_data(tmp_path), prior="")
+                        + "engine:\n  int_strategy: eb\n"
+                        + "predict:\n  n_grid: 3\n  time: 1\n")
+
+        def runlog(command, name):
+            out = tmp_path / name
+            run([command, "--config", str(path), "--out", str(out)])
+            return out, json.loads((out / "runlog.json").read_text())
+
+        for command in ("fit", "predict"):
+            assert "cpo_failures" not in runlog(command, command)[1]
+        for share, name in ((assessment.FAILURE_SHARE, "assess"), (0.0, "all_fail")):
+            monkeypatch.setattr(assessment, "FAILURE_SHARE", share)
+            out, log = runlog("assess", name)
+            _, rows = read_rows(out / "diagnostics.csv")
+            assert log["cpo_failures"] == sum(float(r[3]) for r in rows)
+        # with a zero share every observation counts as a failure
+        assert log["cpo_failures"] == len(rows) == 18
+
     def test_compare_table_shape(self, tmp_path):
         sim_out = simulate_fixture(tmp_path)
         cfg1 = tmp_path / "m1.cfg"
@@ -472,7 +494,7 @@ class TestDeterminismAcrossThreads:
             log = json.loads((out / "runlog.json").read_text())
             assert set(log["counts"]) == {"theta_evals", "newton_iterations", "factorizations",
                                           "gradients", "rejected_trials", "hessian_clamped",
-                                          "mode_unconverged",
+                                          "mode_unconverged", "newton_halvings",
                                           "nodes_dropped"}
             assert not set(log["counts"]) & set(log["timings"])
             counts.append(log["counts"])
@@ -693,7 +715,8 @@ class TestModelBuilding:
 
 class TestImportFootprint:
     def test_assess_loads_no_integrate_or_optimize(self, tmp_path):
-        # a fresh interpreter, so that no other test's imports count
+        # a fresh interpreter, so that no other test's imports count; the
+        # mesh's vertex grid is numpy's, so scipy.spatial stays out too
         import subprocess
         import sys
         path = tmp_path / "fit.cfg"
@@ -706,7 +729,8 @@ class TestImportFootprint:
             "import laplgm.cli as cli\n"
             f"code = cli.main(['assess', '--config', {str(path)!r}, '--out', {str(out)!r}])\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
-            "                               if m.startswith(('scipy.integrate', 'scipy.optimize')))]))\n")
+            "                               if m.startswith(('scipy.integrate', 'scipy.optimize',\n"
+            "                                                'scipy.spatial')))]))\n")
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -717,7 +741,8 @@ class TestImportFootprint:
         assert loaded == []
 
     def test_one_hyper_fit_loads_no_interpolate(self):
-        # the spline of a one-hyperparameter marginal is numpy's, not SciPy's
+        # the spline of a one-hyperparameter marginal is numpy's, not SciPy's,
+        # and a library fit loads no scipy.spatial either
         import subprocess
         import sys
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -734,7 +759,8 @@ class TestImportFootprint:
             "summary = fit.hyper_summary()\n"
             "print(json.dumps([len(fit.theta_mode), len(fit.nodes), len(summary),\n"
             "                  sorted(m for m in sys.modules\n"
-            "                         if m.startswith('scipy.interpolate'))]))\n")
+            "                         if m.startswith(('scipy.interpolate',\n"
+            "                                          'scipy.spatial')))]))\n")
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr

@@ -1234,6 +1234,12 @@ class TestLargeCounts:
             scale = 1.0 + max(np.abs(lik).max(), np.abs(prior).max())
             assert np.abs(lik - prior).max() / scale <= 1e-8
 
+    def test_halvings_counted(self):
+        g = self.model(1e4)
+        first, second = eng.fit(g).counts, eng.fit(g).counts
+        assert first["newton_halvings"] > 0
+        assert second["newton_halvings"] == first["newton_halvings"]
+
     def test_line_search_that_accepts_nothing_raises(self, monkeypatch):
         from laplgm.errors import NonConvergence
         g = self.model(10.0)

@@ -274,3 +274,78 @@ class TestTopology:
         v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
         with pytest.raises(NonConformingMesh):
             mm.TriMesh(v, np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]]))
+
+
+def unit_square_with(*extra):
+    """The two triangles of the unit square and unused vertices `extra` after its four."""
+    v = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], extra])
+    return v, np.array([[0, 1, 2], [1, 3, 2]])
+
+
+class TestVertexGrid:
+    def test_exact_duplicate_raises(self):
+        with pytest.raises(ValueError, match="vertices 1 and 4 coincide"):
+            mm.TriMesh(*unit_square_with([1.0, 0.0]))
+
+    def test_close_pair_apart_in_x_order_raises(self):
+        # vertex 5 lies between 4 and 6 in x, far from both in y
+        v, tri = unit_square_with([0.5, 0.5], [0.5 + 5e-14, 0.9], [0.5 + 1e-13, 0.5])
+        assert np.array_equal(np.argsort(v[4:, 0]), [0, 1, 2])
+        with pytest.raises(ValueError, match="vertices 4 and 6 coincide"):
+            mm.TriMesh(v, tri)
+
+    def test_pair_beyond_tolerance_passes(self):
+        mesh = mm.TriMesh(*unit_square_with([0.5, 0.5], [0.5 + 2e-12, 0.5]))
+        assert mesh.n_vertices == 6
+
+    def test_nearest_tie_goes_to_lowest_index(self):
+        # cell centres of a 4 x 4 mesh lie exactly as far from four vertices;
+        # reversing the vertex order puts the lowest index at the top right
+        m = unit_square(4, 4)
+        n = m.n_vertices
+        mesh = mm.TriMesh(m.vertices[::-1], n - 1 - m.triangles)
+        centres = (np.mgrid[0:4, 0:4].reshape(2, -1).T + 0.5) / 4.0
+        d = ((centres[:, None, :] - mesh.vertices) ** 2).sum(axis=2)
+        assert ((d == d.min(axis=1, keepdims=True)).sum(axis=1) == 4).all()
+        got = mesh._grid.nearest(centres)
+        assert np.array_equal(got, nearest_vertices(mesh, centres))
+        assert np.array_equal(got, [np.flatnonzero(row == row.min()).min() for row in d])
+        assert_same_csr(mm.projector(mesh, centres), oracle_projector(mesh, centres))
+
+    def test_clustered_mesh_matches_oracle(self):
+        # a dense 30 x 30 patch in one corner of a 3 x 3 grid of coarse cells
+        fine, coarse = np.linspace(0.0, 0.1, 31), np.linspace(0.1, 1.0, 4)[1:]
+        xs = np.concatenate([fine, coarse])
+        m = unit_square(xs.size - 1, xs.size - 1)
+        X, Y = np.meshgrid(xs, xs)
+        mesh = mm.TriMesh(np.column_stack([X.ravel(), Y.ravel()]), m.triangles)
+        rng = np.random.default_rng(5)
+        pts = np.vstack([rng.random((300, 2)), 0.1 * rng.random((100, 2))])
+        # many points have their nearest vertex several grid cells away
+        cell = np.sqrt(1.0 / (mm.CELLS_PER_VERTEX * mesh.n_vertices))
+        gap = np.sqrt(((pts - mesh.vertices[nearest_vertices(mesh, pts)]) ** 2).sum(axis=1))
+        assert (gap > 3.0 * cell).sum() >= 50
+        assert_same_csr(mm.projector(mesh, pts), oracle_projector(mesh, pts))
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "lattice"])
+    def test_grid_matches_brute_force(self, kind):
+        # the grid alone, on vertex sets no triangulation needs to cover; the
+        # lattice has exact ties and duplicates, the clusters empty cells
+        rng = np.random.default_rng(7)
+        for n in (2, 50, 300):
+            if kind == "uniform":
+                v = rng.random((n, 2))
+            elif kind == "clustered":
+                v = np.vstack([0.01 * rng.random((n // 2, 2)), 10.0 * rng.random((n - n // 2, 2))])
+            else:
+                v = rng.integers(0, 6, (n, 2)) + 0.5 * rng.integers(0, 2, (n, 1))
+            v = v.astype(float)[rng.permutation(n)]
+            grid = mm._VertexGrid(v)
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            pts = np.vstack([lo + (hi - lo) * rng.uniform(-0.3, 1.3, (200, 2)),
+                             0.5 * (v[rng.integers(0, n, 50)] + v[rng.integers(0, n, 50)])])
+            assert np.array_equal(grid.nearest(pts),
+                                  np.argmin(((pts[:, None, :] - v) ** 2).sum(axis=2), axis=1))
+            tol = grid.side
+            i, j = np.nonzero(np.triu(((v[:, None, :] - v) ** 2).sum(axis=2) <= tol * tol, 1))
+            assert np.array_equal(grid.pairs_within(tol), np.column_stack([i, j]))
