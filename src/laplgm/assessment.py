@@ -71,18 +71,17 @@ def _logsumexp(a):
 
 
 def _node_tensors(fit, model, rows, params, t):
-    """Log-likelihood and CDF on the (node, observation, quadrature) grid of `rows`."""
-    y = model.y[rows]
-    llik = np.empty((len(fit.nodes), rows.size, GH_POINTS))
-    cdf = np.empty_like(llik)
-    for ell, param in enumerate(params):
-        m = fit.pred_mean[ell, rows][:, None]
-        s = fit.pred_sd[ell, rows][:, None]
-        eta = m + np.sqrt(2.0) * s * t[None, :]
-        yy = np.broadcast_to(y[:, None], eta.shape)
-        llik[ell] = model.likelihood.log_lik(yy, eta, param)
-        cdf[ell] = model.likelihood.cdf(yy, eta, param)
-    return llik, cdf
+    """Log-likelihood and CDF on the (node, observation, quadrature) grid of `rows`.
+
+    `params` holds the nodes' likelihood parameters as a (nodes, 1, 1) array,
+    or None for a family without one.
+    """
+    y = model.y[rows][:, None]
+    m = fit.pred_mean[:, rows][:, :, None]
+    s = fit.pred_sd[:, rows][:, :, None]
+    eta = m + np.sqrt(2.0) * s * t
+    yy = np.broadcast_to(y, eta.shape)
+    return model.likelihood.log_lik(yy, eta, params), model.likelihood.cdf(yy, eta, params)
 
 
 def _cpo_pit(logw, llik, cdf):
@@ -130,6 +129,7 @@ def _diagnostics(fit, model):
     logw = np.log(fit.weights)[:, None, None] + np.log(w)[None, None, :]
     params = [model.likelihood.param(model.values_from_theta(node.theta))
               for node in fit.nodes]
+    params = None if params[0] is None else np.array(params)[:, None, None]
     terms = np.empty((6, obs.size))
     step = max(1, BLOCK_ENTRIES // (len(fit.nodes) * GH_POINTS))
     for start in range(0, obs.size, step):

@@ -333,6 +333,9 @@ class Engine:
         self._trace_plan = self._selinv_reads(keys)
         pos, twice = self._selinv_reads(pair_keys)
         self._pred_plan = (pair_rows, pos, twice * pair_weights)
+        # the theta_j that no component's prior reads (likelihood hyperparameters)
+        read = {id(h) for comp in model.components for h in comp.hyperparams()}
+        self._lik_only = [id(h) not in read for h in model.free_hyperparams()]
         # the only engine state a fit changes
         self.counts = {"theta_evals": 0, "newton_iterations": 0, "factorizations": 0,
                        "gradients": 0, "rejected_trials": 0, "hessian_clamped": 0,
@@ -572,6 +575,11 @@ class Engine:
           projected onto M dx = 0;
         * with constraints, +tr((M W)^-1 W' dQ* W) / 2, W = Q*^-1 M'.
 
+        A theta_j that no component's prior reads (a likelihood
+        hyperparameter) has dQ = 0, and its prior term is the difference of
+        log pi(theta) alone: the prior quantities are evaluated only for the
+        others, twice each.
+
         The projected dx* (n x p) is kept as `approx.dx`, the predictor of
         Newton iterations started from `approx`.  (Kristensen et al. 2016
         differentiate the Laplace approximation through the same sparse
@@ -595,19 +603,26 @@ class Engine:
         for j in range(p):
             step = np.zeros(p)
             step[j] = h
-            sides = []
-            for th in (theta + step, theta - step):
-                Qp, _, logdet_p, corr = model.prior_quantities(th)
-                sides.append((Qp.data, log_prior_theta(model, th) + 0.5 * logdet_p + corr,
-                              self._lik_param(th)))
-            (q_up, s_up, psi_up), (q_dn, s_dn, psi_dn) = sides
-            dQ = sp.csc_matrix(((q_up - q_dn) / (2.0 * h), P.indices, P.indptr), shape=P.shape)
+            up, dn = theta + step, theta - step
+            psi_up, psi_dn = self._lik_param(up), self._lik_param(dn)
+            if self._lik_only[j]:
+                # dQ = 0, and of the prior terms only log pi(theta) moves
+                dQ = sp.csc_matrix(P.shape)
+                grad[j] = (log_prior_theta(model, up) - log_prior_theta(model, dn)) / (2.0 * h)
+            else:
+                sides = []
+                for th in (up, dn):
+                    Qp, _, logdet_p, corr = model.prior_quantities(th)
+                    sides.append((Qp.data, log_prior_theta(model, th) + 0.5 * logdet_p + corr))
+                (q_up, s_up), (q_dn, s_dn) = sides
+                dQ = sp.csc_matrix(((q_up - q_dn) / (2.0 * h), P.indices, P.indptr),
+                                   shape=P.shape)
+                dQx = dQ @ x
+                grad[j] = (s_up - s_dn) / (2.0 * h) - 0.5 * float(x @ dQx)
+                rhs[:, j] = -dQx
+                dq[:, j] = self._prior_on_pattern(dQ)
             if self.n_constraints:
                 dQs.append(dQ)
-            dQx = dQ @ x
-            grad[j] = (s_up - s_dn) / (2.0 * h) - 0.5 * float(x @ dQx)
-            rhs[:, j] = -dQx
-            dq[:, j] = self._prior_on_pattern(dQ)
             if psi_up != psi_dn:
                 ll = lik.log_lik(self.y_obs, eta, psi_up) - lik.log_lik(self.y_obs, eta, psi_dn)
                 (d1_up, d2_up), (d1_dn, d2_dn) = (lik.derivs(self.y_obs, eta, psi)

@@ -9,6 +9,13 @@ is read as a band plus a small dense trailing border, as every model the
 package builds is under a band ordering with its dense columns last (Rue &
 Held 2005, sec. 2.4.3).  The caller's permutation, `band_order` for every
 fit, sets the band width; a band too large to store raises ProblemTooLarge.
+The band core may fall apart into independent chains (replicates of a
+field, say), coupled only through the border.  `analyze` finds them once
+per pattern; the border rows of the factor are solved over the chains they
+touch, and the selected inversion runs each group of equal-length chains
+in lockstep, then fills the band slots that join two chains from the
+border (Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj).  Its column blocks are
+64 wide, or 32 on a band narrower than 64.
 """
 from __future__ import annotations
 
@@ -30,10 +37,12 @@ _BAND_ENTRY_CAP = 2 * 10**7
 # widest trailing border the band factorization tracks
 MAX_BORDER = 24
 # The blocked selected inversion over the band runs on column blocks of this
-# many columns, whatever the bandwidth: a narrow band still makes a few large
-# BLAS-3 calls, and a wide one pays about w^2 + 2 w b flops per column, not
-# the 4 w^2 of blocks as wide as the band.
+# many columns, or half as many on a band narrower than that: a narrow band
+# still makes a few large BLAS-3 calls, and a wide one pays about
+# w^2 + 2 w b flops per column, not the 4 w^2 of blocks as wide as the band.
 _SELINV_BLOCK = 64
+# floats per temporary when the band slots that join two chains are filled
+_GATHER_ENTRIES = 8192
 
 
 class SparseSymmetric:
@@ -261,9 +270,10 @@ class CholeskyFactor:
 
     The permuted matrix is [[A11, B'], [B, A22]] with A11 banded of width w
     and B the nb border rows; L = [[L1, 0], [M, LF]] with L1 the LAPACK band
-    factor `lband`, M = B L1^-T and LF the Cholesky of the border Schur
-    complement.  Triangular band sweeps go through LAPACK tbtrs.  `symbolic`
-    is the SymbolicFactor the factor was computed from.
+    factor `lband`, M = B L1^-T (each row solved over the chains it
+    touches) and LF the Cholesky of the border Schur complement.  Triangular
+    band sweeps go through LAPACK tbtrs.  `symbolic` is the SymbolicFactor
+    the factor was computed from.
     """
 
     __slots__ = ("n", "perm", "symbolic", "logdet", "cut", "w", "nb", "lband", "M", "LF", "_L")
@@ -281,7 +291,10 @@ class CholeskyFactor:
             raise NotPositiveDefinite("pivot at or below tolerance")
         logdet = 2.0 * float(np.sum(np.log(lband[0])))
         if nb:
-            M = self._tbtrs(lband, Bt, b"N").T
+            # each row of M is zero outside the chains its border row touches
+            M = np.zeros((nb, cut))
+            for rows, lo, hi in symbolic._spans:
+                M[rows, lo:hi] = self._tbtrs(lband[:, lo:hi], Bt[lo:hi, rows], b"N").T
             F = F + np.tril(F, -1).T
             S = F - M @ M.T
             try:
@@ -376,9 +389,19 @@ class SymbolicFactor:
     one band factorization, and `selected_inverse_slots` says where the
     selected inverse of any such factor holds each entry.  A band that would
     take more than `_BAND_ENTRY_CAP` entries raises ProblemTooLarge.
+
+    The band core splits into chains: a gap at g means that no core entry
+    (r, c) has c < g <= r, so the core, its factor L1 and the recursion of
+    the selected inverse fall apart into independent diagonal blocks, coupled
+    only through the border (replicates of one field, say).  `groups` holds
+    (start, length, count) for each run of `count` consecutive chains of
+    equal `length`; the selected inverse runs each group in lockstep.  The
+    band slots that join two chains (`_cross`), and the span of the core that
+    each border row's solve touches (`_spans`), are fixed here as well.
     """
 
-    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "_maps")
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "groups", "_maps", "_cross",
+                 "_spans")
 
     def __init__(self, Q, perm):
         n = Q.n
@@ -406,10 +429,39 @@ class SymbolicFactor:
                 (core, (r - c + c * (w + 1))[core]),
                 (border, (c * nb + r - cut)[border]),
                 (corner, ((r - cut) * nb + c - cut)[corner])))
+        # g starts a chain when every core row from g on reaches back to g at most
+        at = np.arange(cut)
+        reach = np.minimum.accumulate((at - width[:cut])[::-1])[::-1]
+        starts = np.flatnonzero(reach == at)
+        lengths = np.diff(np.append(starts, cut))
+        runs = np.flatnonzero(np.diff(lengths, prepend=-1))
+        self.groups = tuple((int(starts[i]), int(lengths[i]), int(k))
+                            for i, k in zip(runs, np.diff(np.append(runs, lengths.size))))
+        chain_start = np.repeat(starts, lengths)
+        chain_end = chain_start + np.repeat(lengths, lengths)
+        # the band slots (row, col) of two chains: col from row - w up to row's chain
+        first = np.maximum(at - w, 0)
+        count = np.maximum(chain_start - first, 0)
+        rows = np.repeat(at, count)
+        cols = first[rows] + np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+        used, pos = np.unique(np.concatenate([rows, cols]), return_inverse=True)
+        self._cross = (rows - cols + cols * (w + 1), used, pos[:rows.size], pos[rows.size:])
+        # border row k's solve runs from its first core column to the end of
+        # the chain of its last; rows of equal span share one solve
+        lo = np.full(nb, cut)
+        hi = np.zeros(nb, dtype=np.int64)
+        np.minimum.at(lo, r[border] - cut, c[border])
+        np.maximum.at(hi, r[border] - cut, chain_end[c[border]])
+        spans = {}
+        for k in np.flatnonzero(lo < cut):
+            spans.setdefault((int(lo[k]), int(hi[k])), []).append(k)
+        self._spans = tuple((np.array(ks), a, b) for (a, b), ks in spans.items())
 
     def layout(self):
-        """Shape of the factor: {"n", "w", "nb"}, the band width and border rows."""
-        return {"n": int(self.n), "w": self.w, "nb": self.nb}
+        """Shape of the factor: {"n", "w", "nb", "chains"}, the band width, the
+        border rows and the number of independent chains of the band core."""
+        return {"n": int(self.n), "w": self.w, "nb": self.nb,
+                "chains": sum(k for _, _, k in self.groups)}
 
     def numeric(self, Q):
         """Cholesky factor of Q, whose lower triangle lies on the analyzed pattern."""
@@ -527,18 +579,22 @@ def _detect_bordered_band(width):
     return int(w[best]), best, float(cost[best])
 
 
-def _band_window(flat, w, start, lo, rows, cols, masks):
-    """Strided rows x cols window onto a band matrix in LAPACK layout, and its mask.
+def _band_window(flat, w, start, lo, chains, rows, cols, masks):
+    """Strided window onto `chains` consecutive chains of a band matrix, and its mask.
 
     `flat` is the column-major (w+1) x cut band array raveled, where entry
-    (i, j) of the matrix sits at flat index i + j w.  Window entry (r, c) is
-    matrix entry (start + lo + r, start + c); the mask marks the entries
-    inside the band (0 <= i - j <= w), the only ones that may be read or
-    written through the window.  `masks` caches the mask per window shape.
+    (i, j) of the matrix sits at flat index i + j w.  `chains` is (count,
+    length): window entry (k, r, c) is matrix entry (start + k length + lo +
+    r, start + k length + c), so one chain lies length (w + 1) entries after
+    the one before.  The mask marks the entries inside the band (0 <= i - j
+    <= w), the only ones that may be read or written through the window; it
+    is shared by every chain, and `masks` caches it per window shape.
     """
-    view = np.ndarray((rows, cols), flat.dtype, buffer=flat,
-                      offset=(start * (w + 1) + lo) * flat.itemsize,
-                      strides=(flat.itemsize, flat.itemsize * w))
+    count, length = chains
+    item = flat.itemsize
+    view = np.ndarray((count, rows, cols), flat.dtype, buffer=flat,
+                      offset=(start * (w + 1) + lo) * item,
+                      strides=(length * (w + 1) * item, item, item * w))
     mask = masks.get((lo, rows, cols))
     if mask is None:
         off = lo + np.arange(rows)[:, None] - np.arange(cols)
@@ -546,9 +602,10 @@ def _band_window(flat, w, start, lo, rows, cols, masks):
     return view, mask
 
 
-def _triangular_inverse(L):
-    """L^-1 of a dense lower-triangular L (zero above the diagonal)."""
-    Linv, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+def _triangular_inverse(L, overwrite=False):
+    """L^-1 of a dense lower-triangular L (zero above the diagonal); in L's
+    own memory when `overwrite` and L is in Fortran order."""
+    Linv, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=overwrite)
     if info != 0:
         raise NotPositiveDefinite(f"singular triangular factor (info={info})")
     return Linv
@@ -557,12 +614,19 @@ def _triangular_inverse(L):
 def _takahashi_bordered(factor):
     """Blocked selected inverse over a band plus trailing border rows.
 
-    The band core is cut into column blocks of b = _SELINV_BLOCK columns.
-    Block k (columns s .. s + b - 1) couples only to the h = min(w, .) band
-    rows after it, which may reach over several later blocks, and to the
-    border.  From the last block back, with C stacking those rows of L
-    (L_{H,k}) and the border rows M_k, and Sigma_H the inverse already known
-    on them:
+    Given the border, the chains of the band core (`SymbolicFactor`) are
+    independent: each runs its own recursion, started from the border corner
+    Sigma_BB = LF^-T LF^-1.  The chains of a group (consecutive, of equal
+    length) run it in lockstep, every step batched over a leading chain axis
+    (dtrtri runs per chain); a single chain is a group of one.
+
+    Each chain is cut into column blocks of b = 64 columns, or 32 when
+    w < 64, where 64 would spend most of a block's b^3 work outside the band.
+    Block k (columns s .. s + b - 1 of its chain) couples only to the
+    h = min(w, .) band rows after it in the chain, which may reach over
+    several later blocks, and to the border.  From the last block back, with
+    C stacking those rows of L (L_{H,k}) and the border rows M_k, and
+    Sigma_H the inverse already known on them:
 
         Z = C L_kk^-1,  Sigma_{H,k} = -Sigma_H Z,
         Sigma_kk = L_kk^-T L_kk^-1 - Z' Sigma_{H,k},
@@ -575,14 +639,21 @@ def _takahashi_bordered(factor):
     Sigma_{H,k} outside the band are computed but not stored.  When w <= b
     the shift is empty and H lies within the next block.
 
+    The band slots that join two chains lie outside L's pattern.  The chains
+    are conditionally independent given the border, so there
+
+        Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj = (LF' Sigma_Bi)' (LF' Sigma_Bj),
+
+    read from the border strip; with no border they are exactly 0.
+
     Returns one flat array: the band of the inverse in the layout of `lband`
     ((w+1) x cut, column major, diagonal in row 0), then the border strip
     Sigma[cut:, :cut] (nb x cut, row major), then the border corner
     Sigma[cut:, cut:] (nb x nb, row major).
     """
+    sym = factor.symbolic
     cut, w, nb = factor.cut, factor.w, factor.nb
     lflat = factor.lband.ravel(order="F")
-    M = factor.M
     size = (w + 1) * cut
     out = np.empty(size + nb * cut + nb * nb)
     band = out[:size]
@@ -591,48 +662,71 @@ def _takahashi_bordered(factor):
     if nb:
         LFinv = _triangular_inverse(factor.LF)
         corner[...] = LFinv.T @ LFinv
-    # inverse on the h band rows after the block (H) and on the border
-    head, h = corner.copy(), 0
+    b = _SELINV_BLOCK if w >= _SELINV_BLOCK else _SELINV_BLOCK // 2
     masks = {}
-    b = _SELINV_BLOCK
-    for s in range((cut - 1) // b * b, -1, -b):
-        bk = min(b, cut - s)
-        view, mask = _band_window(lflat, w, s, 0, bk, bk, masks)
-        Linv = _triangular_inverse(np.where(mask, view, 0.0))
-        Skk = Linv.T @ Linv
-        if h + nb:
-            C = np.empty((h + nb, bk))
-            if h:
-                view, mask = _band_window(lflat, w, s, bk, h, bk, masks)
-                C[:h] = np.where(mask, view, 0.0)
-            C[h:] = M[:, s:s + bk]
-            Z = C @ Linv
-            Shk = -(head @ Z)
-            Skk -= Z.T @ Shk
-            if h:
-                view, mask = _band_window(band, w, s, bk, h, bk, masks)
-                np.copyto(view, Shk[:h], where=mask)
-            strip[:, s:s + bk] = Shk[h:]
-        view, mask = _band_window(band, w, s, 0, bk, bk, masks)
-        np.copyto(view, Skk, where=mask)
-        # H of the block before: k rows of this block, then the first m of H
-        hn = min(w, cut - s)
-        k = min(hn, bk)
-        m = hn - k
-        new = np.empty((hn + nb, hn + nb))
-        new[:k, :k] = Skk[:k, :k]
-        if m:
-            new[k:hn, :k] = Shk[:m]
-            new[:k, k:hn] = Shk[:m].T
-            new[k:hn, k:hn] = head[:m, :m]
-        if nb:
-            new[hn:, :k] = Shk[h:, :k]
-            new[:k, hn:] = Shk[h:, :k].T
+    for start, length, count in sym.groups:
+        chains = (count, length)
+        span = slice(start, start + count * length)
+        Mc = factor.M[:, span].reshape(nb, count, length)
+        Sc = strip[:, span].reshape(nb, count, length)
+        # inverse on the h band rows after the block (H) and on the border
+        head, h = np.broadcast_to(corner, (count, nb, nb)), 0
+        for s in range((length - 1) // b * b, -1, -b):
+            bk = min(b, length - s)
+            # each chain's diagonal block in Fortran order, inverted in place
+            view, mask = _band_window(lflat, w, start + s, 0, chains, bk, bk, masks)
+            Linv = np.zeros((count, bk, bk)).transpose(0, 2, 1)
+            np.copyto(Linv, view, where=mask)
+            if bk == 1:
+                # chains of one node each (isolated nodes): no LAPACK call per node
+                Linv = 1.0 / Linv
+            else:
+                for L in Linv:
+                    L[...] = _triangular_inverse(L, overwrite=True)
+            Skk = Linv.transpose(0, 2, 1) @ Linv
+            if h + nb:
+                C = np.empty((count, h + nb, bk))
+                if h:
+                    view, mask = _band_window(lflat, w, start + s, bk, chains, h, bk, masks)
+                    C[:, :h] = np.where(mask, view, 0.0)
+                C[:, h:] = Mc[:, :, s:s + bk].transpose(1, 0, 2)
+                Z = C @ Linv
+                Shk = -(head @ Z)
+                Skk -= Z.transpose(0, 2, 1) @ Shk
+                if h:
+                    view, mask = _band_window(band, w, start + s, bk, chains, h, bk, masks)
+                    np.copyto(view, Shk[:, :h], where=mask)
+                Sc[:, :, s:s + bk] = Shk[:, h:].transpose(1, 0, 2)
+            view, mask = _band_window(band, w, start + s, 0, chains, bk, bk, masks)
+            np.copyto(view, Skk, where=mask)
+            # H of the block before: k rows of this block, then the first m of H
+            hn = min(w, length - s)
+            k = min(hn, bk)
+            m = hn - k
+            new = np.empty((count, hn + nb, hn + nb))
+            new[:, :k, :k] = Skk[:, :k, :k]
             if m:
-                new[hn:, k:hn] = head[h:, :m]
-                new[k:hn, hn:] = head[:m, h:]
-            new[hn:, hn:] = corner
-        head, h = new, hn
+                new[:, k:hn, :k] = Shk[:, :m]
+                new[:, :k, k:hn] = Shk[:, :m].transpose(0, 2, 1)
+                new[:, k:hn, k:hn] = head[:, :m, :m]
+            if nb:
+                new[:, hn:, :k] = Shk[:, h:, :k]
+                new[:, :k, hn:] = Shk[:, h:, :k].transpose(0, 2, 1)
+                if m:
+                    new[:, hn:, k:hn] = head[:, h:, :m]
+                    new[:, k:hn, hn:] = head[:, :m, h:]
+                new[:, hn:, hn:] = corner
+            head, h = new, hn
+    slots, used, ir, ic = sym._cross
+    band[slots] = 0.0
+    if slots.size and nb:
+        # row i of G is LF' Sigma_Bi; the pairs are gathered in pieces, as
+        # whole gathers of nb floats per slot raised the peak RSS of a fit
+        G = strip[:, used].T @ factor.LF
+        step = _GATHER_ENTRIES // nb
+        for k in range(0, slots.size, step):
+            part = slice(k, k + step)
+            band[slots[part]] = np.einsum("ij,ij->i", G.take(ir[part], 0), G.take(ic[part], 0))
     return out
 
 
@@ -689,7 +783,10 @@ def selected_inverse(factor):
     """Values of Q^-1 on (at least) the sparsity pattern of L + L'.
 
     Diagonal entries are the exact marginal variances of the GMRF with
-    precision Q.  The blocked recursion's output is kept as it is written:
+    precision Q.  The blocked recursion (`_takahashi_bordered`) runs the
+    chains of the band core group by group, each group in lockstep, on
+    column blocks of 64 (32 when w < 64), and fills the band slots that join
+    two chains from the border.  Its output is kept as it is written:
     the band of the permuted inverse in LAPACK layout, then the border strip
     and corner.  The returned SelectedInverse reads it in place, at the
     positions `SymbolicFactor.selected_inverse_slots` gives, and builds no

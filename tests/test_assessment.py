@@ -305,6 +305,24 @@ class TestAssessOnePass:
         assert np.array_equal(d.index, np.flatnonzero(model.observed))
 
 
+@pytest.mark.parametrize("make_model", [poisson_toy_model, gaussian_free_precision_toy],
+                         ids=["poisson", "gaussian"])
+def test_node_tensors_equal_a_loop_over_nodes(make_model):
+    model = make_model()
+    fit = eng.fit(model, EngineConfig(int_strategy="ccd"))
+    rows = np.flatnonzero(model.observed)
+    t, _ = ass._gh_rule()
+    params = [model.likelihood.param(model.values_from_theta(nd.theta)) for nd in fit.nodes]
+    got = ass._node_tensors(fit, model, rows, None if params[0] is None
+                            else np.array(params)[:, None, None], t)
+    y = model.y[rows][:, None]
+    for ell, param in enumerate(params):
+        eta = fit.pred_mean[ell, rows][:, None] + np.sqrt(2.0) * fit.pred_sd[ell, rows][:, None] * t
+        yy = np.broadcast_to(y, eta.shape)
+        assert np.array_equal(got[0][ell], model.likelihood.log_lik(yy, eta, param))
+        assert np.array_equal(got[1][ell], model.likelihood.cdf(yy, eta, param))
+
+
 def many_rows_toy(seed=23, n=503, cells=7, groups=5):
     """Poisson counts on two crossed effects, on more rows than one default block holds."""
     rng = np.random.default_rng(seed)

@@ -543,8 +543,10 @@ class TestFactorLayout:
         run(["fit", "--config", str(cfg), "--out", str(out), "--int-strategy", "eb"])
         log = json.loads((out / "runlog.json").read_text())
         factor = log["factor"]
-        assert set(factor) == {"n", "w", "nb"}
+        assert set(factor) == {"n", "w", "nb", "chains"}
         assert factor["n"] == log["n_latent"] == 3 + n_times + n_times * 169
+        # given the border, each replicate of the field is its own chain
+        assert factor["chains"] == n_times
         # the rw1 trend joins the three fixed effects in the dense border
         assert factor["nb"] >= n_times + 3
         assert factor["w"] < 169

@@ -295,6 +295,21 @@ class TestThetaGradient:
         assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max())
         assert engine.counts["gradients"] == 1
 
+    @pytest.mark.parametrize("model, prior_hypers", [
+        ("negative_binomial", 1), ("gaussian_rw1_sum_to_zero", 1), ("ar1_grouped_spde", 3)])
+    def test_prior_quantities_only_for_prior_hyperparameters(self, model, prior_hypers,
+                                                             monkeypatch):
+        # a likelihood hyperparameter leaves Q(theta) as it is: its difference
+        # needs no prior quantities
+        g = getattr(self, model)()
+        engine = Engine(g, self.TIGHT)
+        _, approx = engine.log_posterior(g.theta_initial(), return_approx=True)
+        calls = []
+        real = g.prior_quantities
+        monkeypatch.setattr(g, "prior_quantities", lambda th: calls.append(th) or real(th))
+        engine.log_posterior_gradient(approx)
+        assert len(calls) == 2 * prior_hypers
+
     def test_conjugate_closed_form(self):
         g, idx, y, pp = conjugate_model()
         oracle = conjugate_logpost(g, idx, y, pp)

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -408,6 +409,102 @@ class TestBlockedSelectedInverse:
         assert peak < 1.5 * flat_bytes
         dense = np.linalg.inv(Q.to_dense())
         assert np.abs(var - np.diag(dense)).max() <= 1e-10 * np.abs(dense).max()
+
+
+def chained_spd(lengths, w, nb, rng):
+    """SPD L0 L0' whose core is block diagonal, one band of width at most w
+    per chain of the given lengths in order, and whose last nb rows are dense."""
+    cut = sum(lengths)
+    n = cut + nb
+    chain = np.repeat(np.arange(len(lengths) + 1), list(lengths) + [nb])
+    i, j = np.tril_indices(n)
+    keep = (i >= cut) | ((i - j <= w) & (chain[i] == chain[j]))
+    L0 = np.zeros((n, n))
+    L0[i[keep], j[keep]] = rng.uniform(-0.5, 0.5, int(keep.sum())) / np.sqrt(w + nb + 1)
+    L0[np.arange(n), np.arange(n)] = rng.uniform(1.0, 2.0, n)
+    return L0 @ L0.T
+
+
+def cross_chain_pairs(lengths, w):
+    """(row, col) of every band position within w whose ends lie in two chains."""
+    cut = sum(lengths)
+    chain = np.repeat(np.arange(len(lengths)), lengths)
+    i, j = np.tril_indices(cut, -1)
+    cross = (i - j <= w) & (chain[i] != chain[j])
+    return i[cross], j[cross]
+
+
+class TestChains:
+    """Independent chains of the band core: detection and the lockstep recursion."""
+
+    @pytest.mark.parametrize("lengths, w, nb", [
+        ([40] * 6, 7, 3),                      # equal chains with a border
+        ([60] + [20] * 5, 40, 2),              # chains shorter than the band
+        ([30, 30, 50, 70, 70, 70, 9], 12, 4),  # unequal lengths, runs of equal ones
+        ([3] * 20 + [90], 45, 2),              # many short chains, then a long one
+        ([1] * 60, 0, 3),                      # isolated nodes (w = 0)
+        ([25] * 8, 6, 0),                      # equal chains, no border
+        ([1] * 40 + [50], 5, 0),
+        ([260], 70, 3),                        # one chain, 64-column blocks
+        ([150], 20, 0),                        # one chain, narrow band
+    ])
+    def test_selected_inverse_dense_oracle(self, lengths, w, nb):
+        rng = np.random.default_rng(sum(lengths) + 11 * w + nb)
+        Qd = chained_spd(lengths, w, nb, rng)
+        n, cut = Qd.shape[0], sum(lengths)
+        f = lg.factorize(lg.SparseSymmetric.from_full(Qd))
+        sym = f.symbolic
+        assert (sym.w, sym.nb) == (w, nb)
+        assert sym.layout()["chains"] == len(lengths)
+        # one group per run of equal lengths: (start, length, count)
+        groups, start = [], 0
+        for length, run in itertools.groupby(lengths):
+            groups.append((start, length, len(list(run))))
+            start += length * groups[-1][2]
+        assert sym.groups == tuple(groups)
+        # M is exact outside the span of each border row: L L' is P Q P'
+        assert np.abs((f.L @ f.L.T).toarray() - Qd).max() <= 1e-12 * np.abs(Qd).max()
+        S = lg.selected_inverse(f)
+        dense = np.linalg.inv(Qd)
+        coo = S.lower.tocoo()
+        assert coo.nnz == n + sum(cut - d for d in range(1, w + 1)) + nb * cut \
+            + nb * (nb - 1) // 2
+        tol = 1e-10 * np.abs(dense).max()
+        assert np.abs(coo.data - dense[coo.row, coo.col]).max() <= tol
+        # the slots that join two chains, filled from the border
+        i, j = cross_chain_pairs(lengths, w)
+        slots, inside = sym.selected_inverse_slots(i, j)
+        assert inside.all()
+        if nb:
+            assert np.all(np.abs(S.data[slots] - dense[i, j]) <= tol)
+        else:
+            assert np.all(S.data[slots] == 0.0)
+
+    def test_detected_on_a_permuted_block_diagonal_pattern(self):
+        # replicates of one mesh field, a covariate joined to every node, under
+        # a random relabelling: band_order puts each replicate in a chain
+        import laplgm.latent as lm
+        import laplgm.mesh as mm
+        K = lm.spde_precision(mm.assemble(mm.structured_mesh(0, 1, 0, 1, 6, 6)), 2, 4.0, 1.0)
+        m, reps = K.n, 5
+        blocks = sp.block_diag([K.full()] * reps + [sp.identity(1)], format="csr")
+        n = m * reps + 1
+        blocks = blocks.tolil()
+        blocks[n - 1, :] = 0.1
+        blocks[:, n - 1] = 0.1
+        blocks[n - 1, n - 1] = 10.0 * n
+        rng = np.random.default_rng(9)
+        relabel = rng.permutation(n)
+        inv = np.argsort(relabel)
+        Q = lg.SparseSymmetric.from_full(sp.csc_matrix(blocks)[inv][:, inv])
+        last = [int(relabel[n - 1])]
+        sym = lg.analyze(Q, sps.band_order(Q.full(), last))
+        assert sym.nb == 1 and sym.layout()["chains"] == reps
+        assert sym.groups == ((0, m, reps),)
+        # each chain holds the nodes of one replicate
+        replicate = inv // m
+        for c in range(reps):
+            assert np.unique(replicate[sym.perm.order[c * m:(c + 1) * m]]).size == 1
 
 
 class TestSample:
