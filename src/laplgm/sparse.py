@@ -12,10 +12,11 @@ fit, sets the band width; a band too large to store raises ProblemTooLarge.
 The band core may fall apart into independent chains (replicates of a
 field, say), coupled only through the border.  `analyze` finds them once
 per pattern; the border rows of the factor are solved over the chains they
-touch, and the selected inversion runs each group of equal-length chains
-in lockstep, then fills the band slots that join two chains from the
-border (Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj).  Its column blocks are
-64 wide, or 32 on a band narrower than 64.
+touch.  The selected inversion works on column blocks 64 wide, or 32 on a
+band narrower than 64.  It runs consecutive chains shorter than a block as
+one sequence, runs each group of equal-length sequences in lockstep, and
+fills the band slots that join two sequences from the border
+(Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj).
 """
 from __future__ import annotations
 
@@ -41,8 +42,11 @@ MAX_BORDER = 24
 # still makes a few large BLAS-3 calls, and a wide one pays about
 # w^2 + 2 w b flops per column, not the 4 w^2 of blocks as wide as the band.
 _SELINV_BLOCK = 64
-# floats per temporary when the band slots that join two chains are filled
-_GATHER_ENTRIES = 8192
+
+
+def _selinv_block(w):
+    """Column block width of the selected inversion over a band of width w."""
+    return _SELINV_BLOCK if w >= _SELINV_BLOCK else _SELINV_BLOCK // 2
 
 
 class SparseSymmetric:
@@ -390,17 +394,19 @@ class SymbolicFactor:
     selected inverse of any such factor holds each entry.  A band that would
     take more than `_BAND_ENTRY_CAP` entries raises ProblemTooLarge.
 
-    The band core splits into chains: a gap at g means that no core entry
+    The band core splits into `chains`: a gap at g means that no core entry
     (r, c) has c < g <= r, so the core, its factor L1 and the recursion of
     the selected inverse fall apart into independent diagonal blocks, coupled
-    only through the border (replicates of one field, say).  `groups` holds
-    (start, length, count) for each run of `count` consecutive chains of
-    equal `length`; the selected inverse runs each group in lockstep.  The
-    band slots that join two chains (`_cross`), and the span of the core that
-    each border row's solve touches (`_spans`), are fixed here as well.
+    only through the border (replicates of one field, say).  The recursion
+    runs consecutive chains shorter than its column block (isolated nodes,
+    short AR(1) groups) as one sequence, so a sequence shorter than a block
+    lies between two that are not.  `groups` holds (start, length, count) for each run
+    of `count` consecutive sequences of equal `length`; the selected inverse
+    runs each group in lockstep.  The span of the core that each border
+    row's solve touches (`_spans`) is fixed here as well.
     """
 
-    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "groups", "_maps", "_cross",
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "chains", "groups", "_maps",
                  "_spans")
 
     def __init__(self, Q, perm):
@@ -434,18 +440,16 @@ class SymbolicFactor:
         reach = np.minimum.accumulate((at - width[:cut])[::-1])[::-1]
         starts = np.flatnonzero(reach == at)
         lengths = np.diff(np.append(starts, cut))
+        self.chains = int(starts.size)
+        chain_end = np.repeat(starts + lengths, lengths)
+        # a chain shorter than a block joins the sequence of the one before
+        # when that is short too
+        short = lengths < _selinv_block(w)
+        starts = starts[np.append(True, ~(short[1:] & short[:-1]))]
+        lengths = np.diff(np.append(starts, cut))
         runs = np.flatnonzero(np.diff(lengths, prepend=-1))
         self.groups = tuple((int(starts[i]), int(lengths[i]), int(k))
                             for i, k in zip(runs, np.diff(np.append(runs, lengths.size))))
-        chain_start = np.repeat(starts, lengths)
-        chain_end = chain_start + np.repeat(lengths, lengths)
-        # the band slots (row, col) of two chains: col from row - w up to row's chain
-        first = np.maximum(at - w, 0)
-        count = np.maximum(chain_start - first, 0)
-        rows = np.repeat(at, count)
-        cols = first[rows] + np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
-        used, pos = np.unique(np.concatenate([rows, cols]), return_inverse=True)
-        self._cross = (rows - cols + cols * (w + 1), used, pos[:rows.size], pos[rows.size:])
         # border row k's solve runs from its first core column to the end of
         # the chain of its last; rows of equal span share one solve
         lo = np.full(nb, cut)
@@ -460,8 +464,7 @@ class SymbolicFactor:
     def layout(self):
         """Shape of the factor: {"n", "w", "nb", "chains"}, the band width, the
         border rows and the number of independent chains of the band core."""
-        return {"n": int(self.n), "w": self.w, "nb": self.nb,
-                "chains": sum(k for _, _, k in self.groups)}
+        return {"n": int(self.n), "w": self.w, "nb": self.nb, "chains": self.chains}
 
     def numeric(self, Q):
         """Cholesky factor of Q, whose lower triangle lies on the analyzed pattern."""
@@ -611,19 +614,56 @@ def _triangular_inverse(L, overwrite=False):
     return Linv
 
 
+def _fill_cross(band, strip, LF, w, g, chains, b, masks):
+    """Fill the band slots that join each of `chains` = (count, length)
+    consecutive sequences, the first at column g, to the columns before it.
+
+    The sequences are independent given the border, so there
+
+        Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj = (LF' Sigma_Bi)' (LF' Sigma_Bj),
+
+    read from the border strip; with no border it is exactly 0.  Only the
+    first min(w, length) rows of a sequence reach back over its start, to at
+    most min(w, g) columns.  They go in blocks of b rows, batched over the
+    sequences: the fill keeps no index array, and its temporaries hold a
+    block of rows by w columns per sequence.
+    """
+    count, length = chains
+    wc = min(w, g)
+    nb, cut = strip.shape
+    item = strip.itemsize
+
+    def columns(lo, cols):
+        # strip columns g + k length + lo + c as a (count, nb, cols) view
+        return np.lib.stride_tricks.as_strided(
+            strip[:, g + lo:], (count, nb, cols), (length * item, cut * item, item),
+            writeable=False)
+
+    Gc = LF.T @ columns(-wc, wc)
+    for s in range(0, min(w, length), b):
+        bk = min(b, w - s, length - s)
+        # row s + r reaches back to column wc + s + r - w before the sequence
+        c0 = max(0, wc + s - w)
+        Gr = LF.T @ columns(s, bk)
+        view, mask = _band_window(band, w, g - wc + c0, wc - c0 + s, chains, bk, wc - c0, masks)
+        np.copyto(view, Gr.transpose(0, 2, 1) @ Gc[:, :, c0:], where=mask)
+
+
 def _takahashi_bordered(factor):
     """Blocked selected inverse over a band plus trailing border rows.
 
     Given the border, the chains of the band core (`SymbolicFactor`) are
     independent: each runs its own recursion, started from the border corner
-    Sigma_BB = LF^-T LF^-1.  The chains of a group (consecutive, of equal
-    length) run it in lockstep, every step batched over a leading chain axis
-    (dtrtri runs per chain); a single chain is a group of one.
+    Sigma_BB = LF^-T LF^-1.  Consecutive chains shorter than a block run as
+    one sequence, which the recursion treats as a single chain.  The
+    sequences of a group (consecutive, of equal length) run it in lockstep,
+    every step batched over a leading sequence axis (dtrtri runs per
+    sequence); a single chain is a group of one.
 
-    Each chain is cut into column blocks of b = 64 columns, or 32 when
+    Each sequence is cut into column blocks of b = 64 columns, or 32 when
     w < 64, where 64 would spend most of a block's b^3 work outside the band.
-    Block k (columns s .. s + b - 1 of its chain) couples only to the
-    h = min(w, .) band rows after it in the chain, which may reach over
+    Block k (columns s .. s + b - 1 of its sequence) couples only to the
+    h = min(w, .) band rows after it in the sequence, which may reach over
     several later blocks, and to the border.  From the last block back, with
     C stacking those rows of L (L_{H,k}) and the border rows M_k, and
     Sigma_H the inverse already known on them:
@@ -639,12 +679,8 @@ def _takahashi_bordered(factor):
     Sigma_{H,k} outside the band are computed but not stored.  When w <= b
     the shift is empty and H lies within the next block.
 
-    The band slots that join two chains lie outside L's pattern.  The chains
-    are conditionally independent given the border, so there
-
-        Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj = (LF' Sigma_Bi)' (LF' Sigma_Bj),
-
-    read from the border strip; with no border they are exactly 0.
+    The band slots that join two sequences lie outside L's pattern; they are
+    filled from the border strip (`_fill_cross`), exactly 0 with no border.
 
     Returns one flat array: the band of the inverse in the layout of `lband`
     ((w+1) x cut, column major, diagonal in row 0), then the border strip
@@ -662,7 +698,7 @@ def _takahashi_bordered(factor):
     if nb:
         LFinv = _triangular_inverse(factor.LF)
         corner[...] = LFinv.T @ LFinv
-    b = _SELINV_BLOCK if w >= _SELINV_BLOCK else _SELINV_BLOCK // 2
+    b = _selinv_block(w)
     masks = {}
     for start, length, count in sym.groups:
         chains = (count, length)
@@ -677,12 +713,8 @@ def _takahashi_bordered(factor):
             view, mask = _band_window(lflat, w, start + s, 0, chains, bk, bk, masks)
             Linv = np.zeros((count, bk, bk)).transpose(0, 2, 1)
             np.copyto(Linv, view, where=mask)
-            if bk == 1:
-                # chains of one node each (isolated nodes): no LAPACK call per node
-                Linv = 1.0 / Linv
-            else:
-                for L in Linv:
-                    L[...] = _triangular_inverse(L, overwrite=True)
+            for L in Linv:
+                L[...] = _triangular_inverse(L, overwrite=True)
             Skk = Linv.transpose(0, 2, 1) @ Linv
             if h + nb:
                 C = np.empty((count, h + nb, bk))
@@ -717,16 +749,16 @@ def _takahashi_bordered(factor):
                     new[:, k:hn, hn:] = head[:, :m, h:]
                 new[:, hn:, hn:] = corner
             head, h = new, hn
-    slots, used, ir, ic = sym._cross
-    band[slots] = 0.0
-    if slots.size and nb:
-        # row i of G is LF' Sigma_Bi; the pairs are gathered in pieces, as
-        # whole gathers of nb floats per slot raised the peak RSS of a fit
-        G = strip[:, used].T @ factor.LF
-        step = _GATHER_ENTRIES // nb
-        for k in range(0, slots.size, step):
-            part = slice(k, k + step)
-            band[slots[part]] = np.einsum("ij,ij->i", G.take(ir[part], 0), G.take(ic[part], 0))
+        # a sequence that starts less than w after column 0 reaches back over
+        # fewer columns: the first `lead` of the group go one at a time
+        lead = min(count, max(0, -((start - w) // length)))
+        for k in range(lead):
+            if start + k * length:
+                _fill_cross(band, strip, factor.LF, w, start + k * length, (1, length), b,
+                            masks)
+        if lead < count:
+            _fill_cross(band, strip, factor.LF, w, start + lead * length,
+                        (count - lead, length), b, masks)
     return out
 
 
@@ -785,8 +817,9 @@ def selected_inverse(factor):
     Diagonal entries are the exact marginal variances of the GMRF with
     precision Q.  The blocked recursion (`_takahashi_bordered`) runs the
     chains of the band core group by group, each group in lockstep, on
-    column blocks of 64 (32 when w < 64), and fills the band slots that join
-    two chains from the border.  Its output is kept as it is written:
+    column blocks of 64 (32 when w < 64), with consecutive chains shorter
+    than a block as one sequence, and fills the band slots that join two
+    sequences from the border.  Its output is kept as it is written:
     the band of the permuted inverse in LAPACK layout, then the border strip
     and corner.  The returned SelectedInverse reads it in place, at the
     positions `SymbolicFactor.selected_inverse_slots` gives, and builds no

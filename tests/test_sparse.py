@@ -439,11 +439,13 @@ class TestChains:
 
     @pytest.mark.parametrize("lengths, w, nb", [
         ([40] * 6, 7, 3),                      # equal chains with a border
-        ([60] + [20] * 5, 40, 2),              # chains shorter than the band
+        ([60] + [40] * 4, 50, 2),              # chains shorter than the band
+        ([40] * 4 + [70], 45, 2),              # chains that start less than w in
         ([30, 30, 50, 70, 70, 70, 9], 12, 4),  # unequal lengths, runs of equal ones
         ([3] * 20 + [90], 45, 2),              # many short chains, then a long one
+        ([60] + [20] * 5 + [40, 5, 40], 40, 2),  # short chains between long ones
         ([1] * 60, 0, 3),                      # isolated nodes (w = 0)
-        ([25] * 8, 6, 0),                      # equal chains, no border
+        ([40] * 6, 6, 0),                      # equal chains, no border
         ([1] * 40 + [50], 5, 0),
         ([260], 70, 3),                        # one chain, 64-column blocks
         ([150], 20, 0),                        # one chain, narrow band
@@ -456,9 +458,17 @@ class TestChains:
         sym = f.symbolic
         assert (sym.w, sym.nb) == (w, nb)
         assert sym.layout()["chains"] == len(lengths)
+        # consecutive chains shorter than a block run as one sequence
+        b = 64 if w >= 64 else 32
+        sequences = []
+        for length in lengths:
+            if sequences and length < b and sequences[-1][1]:
+                sequences[-1][0] += length
+            else:
+                sequences.append([length, length < b])
         # one group per run of equal lengths: (start, length, count)
         groups, start = [], 0
-        for length, run in itertools.groupby(lengths):
+        for length, run in itertools.groupby(length for length, _ in sequences):
             groups.append((start, length, len(list(run))))
             start += length * groups[-1][2]
         assert sym.groups == tuple(groups)
@@ -505,6 +515,52 @@ class TestChains:
         replicate = inv // m
         for c in range(reps):
             assert np.unique(replicate[sym.perm.order[c * m:(c + 1) * m]]).size == 1
+
+
+    def test_short_chains_beside_a_wide_band(self):
+        # an iid block beside a wide band: its isolated nodes run as one
+        # sequence, and neither the analysis nor the inverse keeps an array
+        # per band slot that joins two chains
+        import tracemalloc
+        rng = np.random.default_rng(6)
+        m, w, iid, nb = 600, 70, 1500, 2
+        cut = m + iid
+        n = cut + nb
+        d = np.concatenate([np.full(m - k, k) for k in range(1, w + 1)])
+        cols = np.concatenate([np.arange(m - k) for k in range(1, w + 1)])
+        br, bc = np.tril_indices(n, -1)
+        keep = br >= cut
+        rows = np.concatenate([cols + d, br[keep]])
+        cols = np.concatenate([cols, bc[keep]])
+        vals = rng.uniform(-0.5, 0.5, rows.size)
+        diag = 1.0 + np.bincount(rows, np.abs(vals), n) + np.bincount(cols, np.abs(vals), n)
+        Q = lg.SparseSymmetric.from_triplets(
+            n, np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)]),
+            np.concatenate([vals, diag]))
+        perm = lg.Permutation.identity(n)
+        tracemalloc.start()
+        try:
+            sym = lg.analyze(Q, perm)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (sym.w, sym.nb, sym.chains) == (w, nb, 1 + iid)
+        assert sym.groups == ((0, m, 1), (m, iid, 1))
+        # besides the scatter maps, one entry per stored entry, O(n) at most
+        maps = sum(src.nbytes + dst.nbytes for src, dst in sym._maps)
+        assert kept < maps + 16 * n
+        f = sym.numeric(Q)
+        flat_bytes = 8 * ((w + 1) * cut + nb * cut + nb * nb)
+        tracemalloc.start()
+        try:
+            S = lg.selected_inverse(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * flat_bytes
+        dense = np.linalg.inv(Q.to_dense())
+        coo = S.lower.tocoo()
+        assert np.abs(coo.data - dense[coo.row, coo.col]).max() <= 1e-10 * np.abs(dense).max()
 
 
 class TestSample:
