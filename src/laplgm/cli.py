@@ -106,7 +106,11 @@ def read_csv(path):
                     if not ln.startswith("#") and ln.strip()]
     if not numbered:
         raise ParseError(f"{path}: empty file")
-    header = numbered[0][1].split(",")
+    no, text = numbered[0]
+    header = text.split(",")
+    for k, h in enumerate(header):
+        if h in header[:k]:
+            raise ParseError(f"{path}:{no}: repeated column name {h!r}")
     cols = CsvColumns({h: [] for h in header})
     cols.lines = []
     for no, ln in numbered[1:]:
@@ -141,6 +145,25 @@ def _float_column(cols, name, path, missing_ok=False):
 # ------------------------------------------------------------------
 # config interpretation
 
+_REQUIRED = object()
+
+
+def _int_setting(section, key, context, default=_REQUIRED, top=None):
+    """The integer setting `key` of a config section, from 1 to `top` (no
+    bound when None); `default` when the key is absent, if one is given.
+
+    A float, bool or string value is an error, not truncated.
+    """
+    value = require(section, key, context) if default is _REQUIRED else section.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1 \
+            or (top is not None and value > top):
+        bound = "at least 1" if top is None else f"from 1 to {top}"
+        raise ParseError(f"{context}: {key} must be an integer {bound}, got {value!r}")
+    return value
+
+
 def build_mesh(section, context="mesh"):
     kind = require(section, "kind", context)
     if kind == "structured":
@@ -148,7 +171,7 @@ def build_mesh(section, context="mesh"):
         return structured_mesh(
             float(require(section, "x_min", context)), float(require(section, "x_max", context)),
             float(require(section, "y_min", context)), float(require(section, "y_max", context)),
-            int(require(section, "nx", context)), int(require(section, "ny", context)))
+            _int_setting(section, "nx", context), _int_setting(section, "ny", context))
     if kind == "files":
         check_keys(section, {"kind", "vertices", "triangles"}, context)
         return load_mesh(require(section, "vertices", context),
@@ -258,7 +281,7 @@ def build_model(cfg, config_path):
             check_keys(sec, {"name", "kind", "covariate", "n_bins", "precision",
                              "correlation_prior", "sum_to_zero"}, ctx)
             values = _covariate_values(cols, require(sec, "covariate", ctx), data_path, n)
-            idx, centers = bin_covariate(values, sec.get("n_bins"))
+            idx, centers = bin_covariate(values, _int_setting(sec, "n_bins", ctx, None))
             size = centers.size
             prec = _log_prec_hyper(f"{name}.log_precision", sec.get("precision"), ctx)
             if kind == "iid":
@@ -281,7 +304,7 @@ def build_model(cfg, config_path):
                 raise ParseError(f"{ctx}: spde_matern requires a top-level mesh section")
             if fem_cache is None:
                 fem_cache = assemble(mesh)
-            alpha = int(sec.get("alpha", 2))
+            alpha = _int_setting(sec, "alpha", ctx, 2, top=2)
             grouping = None
             gsec = sec.get("group")
             if gsec is not None:
@@ -324,7 +347,7 @@ def build_model(cfg, config_path):
     if psec is not None:
         ctx = "predict"
         check_keys(psec, {"n_grid", "time", "x_min", "x_max", "y_min", "y_max"}, ctx)
-        n_grid = int(psec.get("n_grid", 51))
+        n_grid = _int_setting(psec, "n_grid", ctx, 51)
         t_value = float(require(psec, "time", ctx))
         lv = np.flatnonzero(np.isclose(time_levels, t_value))
         if lv.size == 0:
@@ -362,12 +385,15 @@ def engine_config(cfg, args):
 
 
 def _seed_of(cfg, args, path):
-    """The --seed flag, else the config's integer `seed`, else None."""
-    if args.seed is not None:
-        return args.seed
-    seed = cfg.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ParseError(f"{path}: seed must be an integer, got {seed!r}")
+    """The --seed flag, else the config's integer `seed`, else None.
+
+    A seed keys a Philox stream, so it lies in [0, 2**128).
+    """
+    source, seed = ("--seed", args.seed) if args.seed is not None else \
+        (f"{path}: seed", cfg.get("seed"))
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or not 0 <= seed < 2**128):
+        raise ParseError(f"{source} must be an integer in [0, 2**128), got {seed!r}")
     return seed
 
 
@@ -403,13 +429,14 @@ def cmd_simulate(cfg, out_dir, seed):
     for c in sec.get("covariates") or []:
         check_keys(c, {"name", "kind", "coef"}, "simulate covariate")
         covs.append(SimCovariate(c["name"], c["kind"], float(c["coef"])))
-    n_sites = int(require(sec, "n_sites", "simulate"))
+    n_sites = _int_setting(sec, "n_sites", "simulate")
     bounds = sec.get("site_bounds") or [0.0, 1.0, 0.0, 1.0]
     sites = random_sites(n_sites, seed, tuple(float(b) for b in bounds))
     spec = SimulationSpec(
-        mesh=mesh, sites=sites, n_times=int(require(sec, "n_times", "simulate")),
+        mesh=mesh, sites=sites, n_times=_int_setting(sec, "n_times", "simulate"),
         range0=float(truth.get("range0", 0.25)), sigma0=float(truth.get("sigma0", 1.0)),
-        ar_coef=float(truth.get("ar_coef", 0.5)), alpha=int(truth.get("alpha", 2)),
+        ar_coef=float(truth.get("ar_coef", 0.5)),
+        alpha=_int_setting(truth, "alpha", "simulate truth", 2, top=2),
         intercept=float(truth.get("intercept", 0.0)), covariates=covs,
         family=sec.get("family", "poisson"),
         family_param=None if sec.get("family_param") is None else float(sec["family_param"]))

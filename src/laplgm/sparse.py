@@ -14,9 +14,10 @@ field, say), coupled only through the border.  `analyze` finds them once
 per pattern; the border rows of the factor are solved over the chains they
 touch.  The selected inversion works on column blocks 64 wide, or 32 on a
 band narrower than 64.  It runs consecutive chains shorter than a block as
-one sequence, runs each group of equal-length sequences in lockstep, and
-fills the band slots that join two sequences from the border
-(Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj).
+one sequence and each group of equal-length sequences in lockstep.  It
+stores Sigma on the band within each sequence, the border strip and the
+corner; the band slots that join two sequences lie outside L's pattern and
+are not stored.
 """
 from __future__ import annotations
 
@@ -402,12 +403,14 @@ class SymbolicFactor:
     short AR(1) groups) as one sequence, so a sequence shorter than a block
     lies between two that are not.  `groups` holds (start, length, count) for each run
     of `count` consecutive sequences of equal `length`; the selected inverse
-    runs each group in lockstep.  The span of the core that each border
-    row's solve touches (`_spans`) is fixed here as well.
+    runs each group in lockstep and stores no band slot that joins two
+    sequences.  The first column of each sequence (`_starts`) and the span
+    of the core that each border row's solve touches (`_spans`) are fixed
+    here as well.
     """
 
-    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "chains", "groups", "_maps",
-                 "_spans")
+    __slots__ = ("n", "perm", "indptr", "indices", "w", "nb", "chains", "groups", "_starts",
+                 "_maps", "_spans")
 
     def __init__(self, Q, perm):
         n = Q.n
@@ -445,7 +448,7 @@ class SymbolicFactor:
         # a chain shorter than a block joins the sequence of the one before
         # when that is short too
         short = lengths < _selinv_block(w)
-        starts = starts[np.append(True, ~(short[1:] & short[:-1]))]
+        starts = self._starts = starts[np.append(True, ~(short[1:] & short[:-1]))]
         lengths = np.diff(np.append(starts, cut))
         runs = np.flatnonzero(np.diff(lengths, prepend=-1))
         self.groups = tuple((int(starts[i]), int(lengths[i]), int(k))
@@ -490,8 +493,10 @@ class SymbolicFactor:
         Returns (slots, inside): the index of each pair in the flat output of
         the recursion (see `_takahashi_bordered`), for either order of i and
         j, and whether the pair lies in the stored band, border strip or
-        corner.  Pairs outside get slot -1.  Computed by arithmetic through
-        the permutation, w and nb, with no array the size of the output.
+        corner.  A band pair is stored when both its ends lie in one sequence
+        of the core.  Pairs outside get slot -1.  Computed by arithmetic
+        through the permutation, w, nb and the sequence starts, with no array
+        the size of the output.
         """
         n, cut, w, nb = self.n, self.n - self.nb, self.w, self.nb
         inv = np.empty(n, dtype=np.int64)
@@ -502,7 +507,9 @@ class SymbolicFactor:
         slots = np.where(r < cut, r - c + c * (w + 1),
                          np.where(c < cut, size + (r - cut) * cut + c,
                                   size + nb * cut + (r - cut) * nb + c - cut))
-        inside = (r >= cut) | (r - c <= w)
+        seq = self._starts
+        inside = (r >= cut) | ((r - c <= w) & (np.searchsorted(seq, r, "right")
+                                                == np.searchsorted(seq, c, "right")))
         slots[~inside] = -1
         return slots, inside
 
@@ -614,41 +621,6 @@ def _triangular_inverse(L, overwrite=False):
     return Linv
 
 
-def _fill_cross(band, strip, LF, w, g, chains, b, masks):
-    """Fill the band slots that join each of `chains` = (count, length)
-    consecutive sequences, the first at column g, to the columns before it.
-
-    The sequences are independent given the border, so there
-
-        Sigma_ij = Sigma_iB Sigma_BB^-1 Sigma_Bj = (LF' Sigma_Bi)' (LF' Sigma_Bj),
-
-    read from the border strip; with no border it is exactly 0.  Only the
-    first min(w, length) rows of a sequence reach back over its start, to at
-    most min(w, g) columns.  They go in blocks of b rows, batched over the
-    sequences: the fill keeps no index array, and its temporaries hold a
-    block of rows by w columns per sequence.
-    """
-    count, length = chains
-    wc = min(w, g)
-    nb, cut = strip.shape
-    item = strip.itemsize
-
-    def columns(lo, cols):
-        # strip columns g + k length + lo + c as a (count, nb, cols) view
-        return np.lib.stride_tricks.as_strided(
-            strip[:, g + lo:], (count, nb, cols), (length * item, cut * item, item),
-            writeable=False)
-
-    Gc = LF.T @ columns(-wc, wc)
-    for s in range(0, min(w, length), b):
-        bk = min(b, w - s, length - s)
-        # row s + r reaches back to column wc + s + r - w before the sequence
-        c0 = max(0, wc + s - w)
-        Gr = LF.T @ columns(s, bk)
-        view, mask = _band_window(band, w, g - wc + c0, wc - c0 + s, chains, bk, wc - c0, masks)
-        np.copyto(view, Gr.transpose(0, 2, 1) @ Gc[:, :, c0:], where=mask)
-
-
 def _takahashi_bordered(factor):
     """Blocked selected inverse over a band plus trailing border rows.
 
@@ -679,8 +651,8 @@ def _takahashi_bordered(factor):
     Sigma_{H,k} outside the band are computed but not stored.  When w <= b
     the shift is empty and H lies within the next block.
 
-    The band slots that join two sequences lie outside L's pattern; they are
-    filled from the border strip (`_fill_cross`), exactly 0 with no border.
+    The band slots that join two sequences lie outside L's pattern and are
+    left unwritten.
 
     Returns one flat array: the band of the inverse in the layout of `lband`
     ((w+1) x cut, column major, diagonal in row 0), then the border strip
@@ -749,21 +721,12 @@ def _takahashi_bordered(factor):
                     new[:, k:hn, hn:] = head[:, :m, h:]
                 new[:, hn:, hn:] = corner
             head, h = new, hn
-        # a sequence that starts less than w after column 0 reaches back over
-        # fewer columns: the first `lead` of the group go one at a time
-        lead = min(count, max(0, -((start - w) // length)))
-        for k in range(lead):
-            if start + k * length:
-                _fill_cross(band, strip, factor.LF, w, start + k * length, (1, length), b,
-                            masks)
-        if lead < count:
-            _fill_cross(band, strip, factor.LF, w, start + lead * length,
-                        (count - lead, length), b, masks)
     return out
 
 
 class SelectedInverse:
-    """Q^-1 on the band, border strip and corner of a factor, in the recursion's layout.
+    """Q^-1 on the band within each sequence, the border strip and the corner
+    of a factor, in the recursion's layout.
 
     `data` is the flat output of `_takahashi_bordered` and `symbolic` the
     analysis of the factor; `symbolic.selected_inverse_slots` locates any
@@ -796,7 +759,9 @@ class SelectedInverse:
             n, cut, w, nb = sym.n, sym.n - sym.nb, sym.w, sym.nb
             size = (w + 1) * cut
             j, d = np.divmod(np.arange(size), w + 1)
-            band = np.flatnonzero(j + d < cut)
+            # the band slots whose row lies in the sequence of their column
+            ends = np.append(sym._starts[1:], cut)
+            band = np.flatnonzero(j + d < ends[np.searchsorted(sym._starts, j, "right") - 1])
             br, bc = np.tril_indices(nb)
             slots = np.concatenate([band, size + np.arange(nb * cut),
                                     size + nb * cut + br * nb + bc])
@@ -818,12 +783,12 @@ def selected_inverse(factor):
     precision Q.  The blocked recursion (`_takahashi_bordered`) runs the
     chains of the band core group by group, each group in lockstep, on
     column blocks of 64 (32 when w < 64), with consecutive chains shorter
-    than a block as one sequence, and fills the band slots that join two
-    sequences from the border.  Its output is kept as it is written:
-    the band of the permuted inverse in LAPACK layout, then the border strip
-    and corner.  The returned SelectedInverse reads it in place, at the
-    positions `SymbolicFactor.selected_inverse_slots` gives, and builds no
-    sparse matrix unless its `lower` is asked for.
+    than a block as one sequence.  The band slots that join two sequences
+    lie outside L's pattern and are not stored.  The output is kept as it
+    is written: the band of the permuted inverse in LAPACK layout, then the
+    border strip and corner.  The returned SelectedInverse reads it in
+    place, at the positions `SymbolicFactor.selected_inverse_slots` gives,
+    and builds no sparse matrix unless its `lower` is asked for.
     """
     return SelectedInverse(factor.symbolic, _takahashi_bordered(factor))
 

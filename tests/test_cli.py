@@ -715,6 +715,61 @@ class TestModelBuilding:
             assert name in err
 
 
+POISSON_INTERCEPT = """\
+data: {data}
+likelihood:
+  family: poisson
+components:
+  - name: intercept
+    kind: fixed_effect
+    covariate: const
+"""
+SIM_SMALL = SIM_TEMPLATE.format(seed=5, n_sites=4, n_times=2, sim_nx=4)
+SPDE_SMALL = SPDE_CONFIG.format(data="{data}", prior="")
+RW1_BINS = SPDE_CONFIG.format(
+    data="{data}", prior="  - name: trend\n    kind: rw1\n    covariate: time\n"
+                         "    n_bins: {n_bins}\n")
+
+
+@pytest.mark.parametrize("command, data, config, flags", [
+    pytest.param("fit", "site_x,site_y,time,y,y\n0.1,0.1,1,3,3\n0.2,0.2,1,4,4\n0.3,0.3,2,5,5\n",
+                 POISSON_INTERCEPT, [], id="repeated-column"),
+    pytest.param("fit", "site_x,site_y,time,y,y\n0.1,0.1,1,3,3\n0.2,0.2,1,4,abc\n",
+                 POISSON_INTERCEPT, [], id="repeated-column-bad-cell"),
+    pytest.param("simulate", None, SIM_SMALL, ["--seed", "-1"], id="seed-flag-negative"),
+    pytest.param("simulate", None, SIM_SMALL.replace("seed: 5", f"seed: {2**128}"), [],
+                 id="seed-config-too-large"),
+    pytest.param("fit", None, RW1_BINS.replace("{n_bins}", "0"), [], id="n_bins-0"),
+    pytest.param("fit", None, RW1_BINS.replace("{n_bins}", "2.5"), [], id="n_bins-float"),
+    pytest.param("fit", None, SPDE_SMALL + "predict:\n  n_grid: -1\n  time: 1\n", [],
+                 id="n_grid-negative"),
+    pytest.param("fit", None, SPDE_SMALL.replace("alpha: 2", "alpha: 3"), [],
+                 id="component-alpha-3"),
+    pytest.param("fit", None, SPDE_SMALL.replace("nx: 4", "nx: 2.5"), [], id="nx-float"),
+    pytest.param("simulate", None, SIM_SMALL.replace("  truth:\n", "  truth:\n    alpha: 3\n"),
+                 [], id="truth-alpha-3"),
+    pytest.param("simulate", None, SIM_SMALL.replace("n_times: 2", "n_times: 0"), [],
+                 id="n_times-0"),
+])
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, command, data, config, flags):
+    # each input is rejected as a usage error before any fit or simulation
+    def no_work(*args):
+        raise AssertionError("a malformed input reached the work")
+
+    monkeypatch.setattr(cli, "engine_fit", no_work)
+    monkeypatch.setattr(cli, "run_simulation", no_work)
+    if data is None:
+        path = _small_data(tmp_path)
+    else:
+        path = tmp_path / "data.csv"
+        path.write_text(data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config.replace("{data}", str(path)))
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestImportFootprint:
     def test_assess_loads_no_integrate_or_optimize(self, tmp_path):
         # a fresh interpreter, so that no other test's imports count; the

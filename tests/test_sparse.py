@@ -425,15 +425,6 @@ def chained_spd(lengths, w, nb, rng):
     return L0 @ L0.T
 
 
-def cross_chain_pairs(lengths, w):
-    """(row, col) of every band position within w whose ends lie in two chains."""
-    cut = sum(lengths)
-    chain = np.repeat(np.arange(len(lengths)), lengths)
-    i, j = np.tril_indices(cut, -1)
-    cross = (i - j <= w) & (chain[i] != chain[j])
-    return i[cross], j[cross]
-
-
 class TestChains:
     """Independent chains of the band core: detection and the lockstep recursion."""
 
@@ -476,19 +467,22 @@ class TestChains:
         assert np.abs((f.L @ f.L.T).toarray() - Qd).max() <= 1e-12 * np.abs(Qd).max()
         S = lg.selected_inverse(f)
         dense = np.linalg.inv(Qd)
+        # the band pairs within one sequence are stored, those that join two
+        # sequences are not
+        seq = np.repeat(np.arange(len(sequences)), [length for length, _ in sequences])
+        i, j = np.tril_indices(cut)
+        band = i - j <= w
+        same = band & (seq[i] == seq[j])
         coo = S.lower.tocoo()
-        assert coo.nnz == n + sum(cut - d for d in range(1, w + 1)) + nb * cut \
-            + nb * (nb - 1) // 2
+        assert coo.nnz == int(same.sum()) + nb * cut + nb * (nb + 1) // 2
         tol = 1e-10 * np.abs(dense).max()
         assert np.abs(coo.data - dense[coo.row, coo.col]).max() <= tol
-        # the slots that join two chains, filled from the border
-        i, j = cross_chain_pairs(lengths, w)
-        slots, inside = sym.selected_inverse_slots(i, j)
+        slots, inside = sym.selected_inverse_slots(i[same], j[same])
         assert inside.all()
-        if nb:
-            assert np.all(np.abs(S.data[slots] - dense[i, j]) <= tol)
-        else:
-            assert np.all(S.data[slots] == 0.0)
+        assert np.all(np.abs(S.data[slots] - dense[i[same], j[same]]) <= tol)
+        cross = band & ~same
+        slots, inside = sym.selected_inverse_slots(i[cross], j[cross])
+        assert not inside.any() and np.all(slots == -1)
 
     def test_detected_on_a_permuted_block_diagonal_pattern(self):
         # replicates of one mesh field, a covariate joined to every node, under
