@@ -24,7 +24,7 @@ from .simulation import (
     random_sites,
     simulate as run_simulation,
 )
-from .config import check_keys, load_config, require
+from .config import check_keys, load_config, setting
 from .engine import INT_STRATEGIES, EngineConfig, fit as engine_fit
 from .errors import LaplgmError, ParseError
 from .latent import (
@@ -101,9 +101,12 @@ def read_csv(path):
     Comment ('#') and blank lines are skipped; errors name a row by its line
     in the file, counted from 1 over every line.
     """
-    with open(path) as fh:
-        numbered = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
-                    if not ln.startswith("#") and ln.strip()]
+    try:
+        with open(path) as fh:
+            numbered = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
+                        if not ln.startswith("#") and ln.strip()]
+    except (OSError, UnicodeError) as exc:
+        raise ParseError(f"cannot read data {path}: {exc}") from exc
     if not numbered:
         raise ParseError(f"{path}: empty file")
     no, text = numbered[0]
@@ -145,86 +148,58 @@ def _float_column(cols, name, path, missing_ok=False):
 # ------------------------------------------------------------------
 # config interpretation
 
-_REQUIRED = object()
-
-
-def _int_setting(section, key, context, default=_REQUIRED, top=None):
-    """The integer setting `key` of a config section, from 1 to `top` (no
-    bound when None); `default` when the key is absent, if one is given.
-
-    A float, bool or string value is an error, not truncated.
-    """
-    value = require(section, key, context) if default is _REQUIRED else section.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1 \
-            or (top is not None and value > top):
-        bound = "at least 1" if top is None else f"from 1 to {top}"
-        raise ParseError(f"{context}: {key} must be an integer {bound}, got {value!r}")
-    return value
+BOX = ("x_min", "x_max", "y_min", "y_max")
 
 
 def build_mesh(section, context="mesh"):
-    kind = require(section, "kind", context)
+    kind = setting(section, "kind", context, "str", choices=("structured", "files"))
     if kind == "structured":
-        check_keys(section, {"kind", "x_min", "x_max", "y_min", "y_max", "nx", "ny"}, context)
-        return structured_mesh(
-            float(require(section, "x_min", context)), float(require(section, "x_max", context)),
-            float(require(section, "y_min", context)), float(require(section, "y_max", context)),
-            _int_setting(section, "nx", context), _int_setting(section, "ny", context))
-    if kind == "files":
-        check_keys(section, {"kind", "vertices", "triangles"}, context)
-        return load_mesh(require(section, "vertices", context),
-                         require(section, "triangles", context))
-    raise ParseError(f"{context}: unknown mesh kind {kind!r}")
+        check_keys(section, {"kind", *BOX, "nx", "ny"}, context)
+        return structured_mesh(*(setting(section, k, context, "float") for k in BOX),
+                               setting(section, "nx", context, "int"),
+                               setting(section, "ny", context, "int"))
+    check_keys(section, {"kind", "vertices", "triangles"}, context)
+    return load_mesh(setting(section, "vertices", context, "str"),
+                     setting(section, "triangles", context, "str"))
 
 
-def _parse_prior(section, context):
+def _parse_prior(parent, key, context, default=None):
+    """The prior section `key` of `parent`, else `default`."""
+    section = setting(parent, key, context, "dict", None)
     if section is None:
-        return None
-    kind = require(section, "kind", context)
+        return default
+    kind = setting(section, "kind", context, "str", choices=("gaussian", "loggamma"))
     if kind == "gaussian":
         check_keys(section, {"kind", "mean", "precision"}, context)
-        return GaussianPrior(float(section.get("mean", 0.0)),
-                             float(require(section, "precision", context)))
-    if kind == "loggamma":
-        check_keys(section, {"kind", "shape", "rate"}, context)
-        return LogGammaPrior(float(require(section, "shape", context)),
-                             float(require(section, "rate", context)))
-    raise ParseError(f"{context}: unknown prior kind {kind!r}")
+        return GaussianPrior(setting(section, "mean", context, "float", 0.0),
+                             setting(section, "precision", context, "float"))
+    check_keys(section, {"kind", "shape", "rate"}, context)
+    return LogGammaPrior(setting(section, "shape", context, "float"),
+                         setting(section, "rate", context, "float"))
 
 
-def _log_prec_hyper(name, section, context):
-    section = section or {}
-    check_keys(section, {"initial_precision", "prior", "fixed"}, context)
-    initial = float(section.get("initial_precision", 1.0))
-    return HyperParam(name, np.log(initial), "log",
-                      _parse_prior(section.get("prior"), context) or GaussianPrior(0.0, 0.1),
-                      bool(section.get("fixed", False)))
+def _log_hyper(name, section, context, initial_key, initial, prior, other_keys=()):
+    """A log-scale hyperparameter from the section's `initial_key`, `prior` and `fixed`."""
+    check_keys(section, {initial_key, "prior", "fixed", *other_keys}, context)
+    return HyperParam(name, np.log(setting(section, initial_key, context, "positive", initial)),
+                      "log", _parse_prior(section, "prior", context, prior),
+                      setting(section, "fixed", context, "bool", False))
 
 
 def build_likelihood(section, context="likelihood"):
-    family = require(section, "family", context)
-    if family not in FAMILIES:
-        raise ParseError(f"{context}: unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    if family == "gaussian":
-        check_keys(section, {"family", "initial_precision", "prior", "fixed", "exact_predictor"},
-                   context)
-        if section.get("exact_predictor"):
-            hyper = HyperParam("gaussian.log_precision", EXACT_PREDICTOR_LOG_PRECISION,
-                               "log", fixed=True)
-        else:
-            hyper = _log_prec_hyper("gaussian.log_precision",
-                                    {k: v for k, v in section.items() if k != "family"}, context)
-        return FAMILIES[family](hyper)
+    family = setting(section, "family", context, "str", choices=FAMILIES)
     if family == "poisson":
         check_keys(section, {"family"}, context)
         return FAMILIES[family]()
-    check_keys(section, {"family", "initial_dispersion", "prior", "fixed"}, context)
-    initial = float(section.get("initial_dispersion", 10.0))
-    prior = _parse_prior(section.get("prior"), context) or LogGammaPrior(10.0, 1.0)
-    hyper = HyperParam("nbinomial.log_dispersion", np.log(initial), "log", prior,
-                       bool(section.get("fixed", False)))
+    if family == "nbinomial":
+        return FAMILIES[family](_log_hyper("nbinomial.log_dispersion", section, context,
+                                           "initial_dispersion", 10.0, LogGammaPrior(10.0, 1.0),
+                                           {"family"}))
+    hyper = _log_hyper("gaussian.log_precision", section, context, "initial_precision", 1.0,
+                       GaussianPrior(0.0, 0.1), {"family", "exact_predictor"})
+    if setting(section, "exact_predictor", context, "bool", False):
+        hyper = HyperParam("gaussian.log_precision", EXACT_PREDICTOR_LOG_PRECISION, "log",
+                           fixed=True)
     return FAMILIES[family](hyper)
 
 
@@ -235,20 +210,16 @@ class ModelBundle(NamedTuple):
     pred_grid: np.ndarray | None
 
 
-def _covariate_values(cols, name, path, n):
-    if name == "const":
-        return np.ones(n)
-    return _float_column(cols, name, path)
-
-
 FIT_TOP_KEYS = {"name", "seed", "data", "likelihood", "mesh", "components", "predict",
                 "engine"}
+COMPONENT_KINDS = ("fixed_effect", "iid", "ar1", "rw1", "spde_matern")
+SEED_MAX = 2**128 - 1
 
 
 def build_model(cfg, config_path):
     """Assemble the ModelGraph described by a fit configuration."""
     check_keys(cfg, FIT_TOP_KEYS, config_path)
-    data_path = require(cfg, "data", config_path)
+    data_path = setting(cfg, "data", config_path, "str")
     cols = read_csv(data_path)
     y = _float_column(cols, "y", data_path, missing_ok=True)
     n = y.size
@@ -261,80 +232,76 @@ def build_model(cfg, config_path):
     time_index = np.searchsorted(time_levels, time_col)
     T = time_levels.size
 
-    mesh = None if cfg.get("mesh") is None else build_mesh(cfg["mesh"])
+    mesh_sec = setting(cfg, "mesh", config_path, "dict", None)
+    mesh = None if mesh_sec is None else build_mesh(mesh_sec)
 
-    comp_sections = require(cfg, "components", config_path)
+    comp_sections = setting(cfg, "components", config_path, "list")
     components = []
     # name -> function of (data rows, locations, time levels) giving the A-block
     blocks = {}
     fem_cache = None
-    for sec in comp_sections:
-        ctx = f"component {sec.get('name', '?')!r}"
-        kind = require(sec, "kind", ctx)
-        name = require(sec, "name", ctx)
+    for i in range(len(comp_sections)):
+        sec = setting(comp_sections, i, "components", "dict")
+        name = setting(sec, "name", f"components[{i}]", "str")
+        ctx = f"component {name!r}"
+        kind = setting(sec, "kind", ctx, "str", choices=COMPONENT_KINDS)
+        if kind != "spde_matern":
+            cov = setting(sec, "covariate", ctx, "str")
+            values = np.ones(n) if cov == "const" else _float_column(cols, cov, data_path)
         if kind == "fixed_effect":
             check_keys(sec, {"name", "kind", "covariate", "prior_precision"}, ctx)
-            components.append(FixedEffect(name, float(sec.get("prior_precision", 1e-4))))
-            values = _covariate_values(cols, require(sec, "covariate", ctx), data_path, n)
+            components.append(FixedEffect(name, setting(sec, "prior_precision", ctx, "float",
+                                                         1e-4)))
             blocks[name] = lambda rows, points, times, values=values: values[rows]
         elif kind in ("iid", "ar1", "rw1"):
             check_keys(sec, {"name", "kind", "covariate", "n_bins", "precision",
                              "correlation_prior", "sum_to_zero"}, ctx)
-            values = _covariate_values(cols, require(sec, "covariate", ctx), data_path, n)
-            idx, centers = bin_covariate(values, _int_setting(sec, "n_bins", ctx, None))
+            idx, centers = bin_covariate(values, setting(sec, "n_bins", ctx, "int", None))
             size = centers.size
-            prec = _log_prec_hyper(f"{name}.log_precision", sec.get("precision"), ctx)
+            prec = _log_hyper(f"{name}.log_precision", setting(sec, "precision", ctx, "dict", {}),
+                              ctx, "initial_precision", 1.0, GaussianPrior(0.0, 0.1))
             if kind == "iid":
                 comp = IidComponent(name, size, prec)
             elif kind == "ar1":
-                corr = correlation_hyper(
-                    f"{name}.correlation",
-                    prior=_parse_prior(sec.get("correlation_prior"), ctx))
+                corr = correlation_hyper(f"{name}.correlation",
+                                         prior=_parse_prior(sec, "correlation_prior", ctx))
                 comp = Ar1Component(name, size, prec, corr)
             else:
                 comp = Rw1Component(name, size, prec,
-                                    sum_to_zero=bool(sec.get("sum_to_zero", True)))
+                                    sum_to_zero=setting(sec, "sum_to_zero", ctx, "bool", True))
             components.append(comp)
             blocks[name] = lambda rows, points, times, idx=idx, size=size: index_block(
                 idx[rows], size)
-        elif kind == "spde_matern":
+        else:
             check_keys(sec, {"name", "kind", "alpha", "group", "initial_range",
                              "initial_sigma", "prior"}, ctx)
             if mesh is None:
                 raise ParseError(f"{ctx}: spde_matern requires a top-level mesh section")
             if fem_cache is None:
                 fem_cache = assemble(mesh)
-            alpha = _int_setting(sec, "alpha", ctx, 2, top=2)
             grouping = None
-            gsec = sec.get("group")
+            gsec = setting(sec, "group", ctx, "dict", None)
             if gsec is not None:
                 gctx = f"{ctx} group"
                 check_keys(gsec, {"kind", "correlation_prior"}, gctx)
-                gkind = require(gsec, "kind", gctx)
+                gkind = setting(gsec, "kind", gctx, "str", choices=("ar1", "replicate", "rw1"))
                 if gkind == "ar1":
                     grouping = Ar1Grouping(T, correlation_hyper(
                         f"{name}.group_correlation",
-                        prior=_parse_prior(gsec.get("correlation_prior"), gctx)))
-                elif gkind == "replicate":
-                    grouping = ReplicateGrouping(T)
-                elif gkind == "rw1":
-                    grouping = Rw1Grouping(T)
+                        prior=_parse_prior(gsec, "correlation_prior", gctx)))
                 else:
-                    raise ParseError(f"{gctx}: unknown group kind {gkind!r}")
-            initial_range = sec.get("initial_range")
+                    grouping = (ReplicateGrouping if gkind == "replicate" else Rw1Grouping)(T)
             comp = spde_matern_component(
-                name, fem_cache, mesh, alpha,
-                initial_range=None if initial_range is None else float(initial_range),
-                initial_sigma=float(sec.get("initial_sigma", 1.0)),
-                prior=_parse_prior(sec.get("prior"), ctx), grouping=grouping)
+                name, fem_cache, mesh, setting(sec, "alpha", ctx, "int", 2, hi=2),
+                initial_range=setting(sec, "initial_range", ctx, "positive", None),
+                initial_sigma=setting(sec, "initial_sigma", ctx, "positive", 1.0),
+                prior=_parse_prior(sec, "prior", ctx), grouping=grouping)
             components.append(comp)
             if grouping is not None:
                 blocks[name] = lambda rows, points, times: group_block(
                     projector(mesh, points), times, T)
             else:
                 blocks[name] = lambda rows, points, times: projector(mesh, points)
-        else:
-            raise ParseError(f"{ctx}: unknown component kind {kind!r}")
 
     def stack_part(y, rows, points, times, tag):
         return StackPart(y=y, blocks={k: f(rows, points, times) for k, f in blocks.items()},
@@ -343,19 +310,19 @@ def build_model(cfg, config_path):
     parts = [stack_part(y, np.arange(n), sites_xy, time_index, "obs")]
 
     grid_pts = None
-    psec = cfg.get("predict")
+    psec = setting(cfg, "predict", config_path, "dict", None)
     if psec is not None:
         ctx = "predict"
-        check_keys(psec, {"n_grid", "time", "x_min", "x_max", "y_min", "y_max"}, ctx)
-        n_grid = _int_setting(psec, "n_grid", ctx, 51)
-        t_value = float(require(psec, "time", ctx))
+        check_keys(psec, {"n_grid", "time", *BOX}, ctx)
+        n_grid = setting(psec, "n_grid", ctx, "int", 51)
+        t_value = setting(psec, "time", ctx, "float")
         lv = np.flatnonzero(np.isclose(time_levels, t_value))
         if lv.size == 0:
             raise ParseError(f"{ctx}: time {t_value} not among the data time levels")
         t_idx = int(lv[0])
-        gx = np.linspace(float(psec.get("x_min", 0.0)), float(psec.get("x_max", 1.0)), n_grid)
-        gy = np.linspace(float(psec.get("y_min", 0.0)), float(psec.get("y_max", 1.0)), n_grid)
-        GX, GY = np.meshgrid(gx, gy)
+        x0, x1, y0, y1 = (setting(psec, k, ctx, "float", d)
+                          for k, d in zip(BOX, (0.0, 1.0, 0.0, 1.0)))
+        GX, GY = np.meshgrid(np.linspace(x0, x1, n_grid), np.linspace(y0, y1, n_grid))
         grid_pts = np.column_stack([GX.ravel(), GY.ravel()])
         m = grid_pts.shape[0]
         # covariates and indexed effects are read off the first data row at that time
@@ -363,38 +330,28 @@ def build_model(cfg, config_path):
         parts.append(stack_part(np.full(m, np.nan), np.full(m, first_row), grid_pts,
                                 np.full(m, t_idx), "pred"))
 
-    likelihood = build_likelihood(require(cfg, "likelihood", config_path))
+    likelihood = build_likelihood(setting(cfg, "likelihood", config_path, "dict"))
     model = build_stack(parts, components, likelihood)
     return ModelBundle(model, grid_pts)
 
 
-def engine_config(cfg, args):
-    """EngineConfig from the `engine:` section, --int-strategy taking precedence.
-
-    The section's values are checked by EngineConfig, whatever the flag.
-    """
-    sec = cfg.get("engine") or {}
-    check_keys(sec, {"int_strategy", "log_drop", "newton_tol"}, "engine")
-    try:
-        ec = EngineConfig(**{k: v for k, v in sec.items() if v is not None})
-    except ValueError as err:
-        raise ParseError(f"engine: {err}") from None
+def engine_config(cfg, path, args):
+    """EngineConfig from the `engine:` section (checked whatever the flag); --int-strategy wins."""
+    sec = setting(cfg, "engine", path, "dict", {})
+    kinds = {"int_strategy": "str", "log_drop": "float", "newton_tol": "float"}
+    check_keys(sec, kinds, "engine")
+    ec = EngineConfig(**{k: setting(sec, k, "engine", kind, getattr(EngineConfig, k))
+                         for k, kind in kinds.items()})
     if args.int_strategy:
         ec.int_strategy = args.int_strategy
     return ec
 
 
 def _seed_of(cfg, args, path):
-    """The --seed flag, else the config's integer `seed`, else None.
-
-    A seed keys a Philox stream, so it lies in [0, 2**128).
-    """
-    source, seed = ("--seed", args.seed) if args.seed is not None else \
-        (f"{path}: seed", cfg.get("seed"))
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                             or not 0 <= seed < 2**128):
-        raise ParseError(f"{source} must be an integer in [0, 2**128), got {seed!r}")
-    return seed
+    """The --seed flag, else the config's `seed`, else None: a Philox key, < 2**128."""
+    if args.seed is not None:
+        return setting({"--seed": args.seed}, "--seed", "command line", "int", lo=0, hi=SEED_MAX)
+    return setting(cfg, "seed", path, "int", None, lo=0, hi=SEED_MAX)
 
 
 class FitJob(NamedTuple):
@@ -419,27 +376,36 @@ def _summary_rows(named_summaries):
 
 def cmd_simulate(cfg, out_dir, seed):
     check_keys(cfg, {"name", "seed", "simulate"}, "config")
-    sec = require(cfg, "simulate", "config")
+    sec = setting(cfg, "simulate", "config", "dict")
     check_keys(sec, {"n_sites", "n_times", "mesh", "truth", "covariates", "family",
                      "family_param", "site_bounds"}, "simulate")
-    mesh = build_mesh(require(sec, "mesh", "simulate"))
-    truth = require(sec, "truth", "simulate")
-    check_keys(truth, {"intercept", "ar_coef", "range0", "sigma0", "alpha"}, "simulate truth")
+    mesh = build_mesh(setting(sec, "mesh", "simulate", "dict"))
+    truth = setting(sec, "truth", "simulate", "dict")
+    tctx = "simulate truth"
+    check_keys(truth, {"intercept", "ar_coef", "range0", "sigma0", "alpha"}, tctx)
+    items = setting(sec, "covariates", "simulate", "list", [])
     covs = []
-    for c in sec.get("covariates") or []:
-        check_keys(c, {"name", "kind", "coef"}, "simulate covariate")
-        covs.append(SimCovariate(c["name"], c["kind"], float(c["coef"])))
-    n_sites = _int_setting(sec, "n_sites", "simulate")
-    bounds = sec.get("site_bounds") or [0.0, 1.0, 0.0, 1.0]
-    sites = random_sites(n_sites, seed, tuple(float(b) for b in bounds))
+    for i in range(len(items)):
+        c = setting(items, i, "simulate covariates", "dict")
+        ctx = f"simulate covariates[{i}]"
+        check_keys(c, {"name", "kind", "coef"}, ctx)
+        covs.append(SimCovariate(setting(c, "name", ctx, "str"), setting(c, "kind", ctx, "str"),
+                                 setting(c, "coef", ctx, "float")))
+    bounds = setting(sec, "site_bounds", "simulate", "list", [0.0, 1.0, 0.0, 1.0])
+    if len(bounds) != 4:
+        raise ParseError(f"simulate: site_bounds must hold 4 numbers, got {bounds!r}")
+    sites = random_sites(setting(sec, "n_sites", "simulate", "int"), seed,
+                         tuple(setting(bounds, i, "simulate site_bounds", "float")
+                               for i in range(4)))
     spec = SimulationSpec(
-        mesh=mesh, sites=sites, n_times=_int_setting(sec, "n_times", "simulate"),
-        range0=float(truth.get("range0", 0.25)), sigma0=float(truth.get("sigma0", 1.0)),
-        ar_coef=float(truth.get("ar_coef", 0.5)),
-        alpha=_int_setting(truth, "alpha", "simulate truth", 2, top=2),
-        intercept=float(truth.get("intercept", 0.0)), covariates=covs,
-        family=sec.get("family", "poisson"),
-        family_param=None if sec.get("family_param") is None else float(sec["family_param"]))
+        mesh=mesh, sites=sites, n_times=setting(sec, "n_times", "simulate", "int"),
+        range0=setting(truth, "range0", tctx, "positive", 0.25),
+        sigma0=setting(truth, "sigma0", tctx, "positive", 1.0),
+        ar_coef=setting(truth, "ar_coef", tctx, "float", 0.5),
+        alpha=setting(truth, "alpha", tctx, "int", 2, hi=2),
+        intercept=setting(truth, "intercept", tctx, "float", 0.0), covariates=covs,
+        family=setting(sec, "family", "simulate", "str", "poisson"),
+        family_param=setting(sec, "family_param", "simulate", "float", None))
     data = run_simulation(spec, seed)
 
     cov_names = [c.name for c in covs]
@@ -518,8 +484,7 @@ def cmd_fit(job, out_dir):
 
 
 def cmd_predict(job, out_dir):
-    if job.cfg.get("predict") is None:
-        raise ParseError(f"{job.path}: predict command needs a `predict:` section")
+    setting(job.cfg, "predict", job.path, "dict")  # required by this command
     bundle, result = _run_fit(job)
     rng = bundle.model.tag_range("pred")
     grid = bundle.pred_grid
@@ -572,11 +537,12 @@ COMPARISON_COLUMNS = ["model", "dic", "waic", "mlik",
 
 
 def cmd_compare(jobs, out_dir):
-    entries = []
-    for job in jobs:
-        name = job.cfg.get("name") or os.path.splitext(os.path.basename(job.path))[0]
-        bundle, result = _run_fit(job)
-        entries.append((name, result, bundle.model))
+    # every model is built, and so every setting read, before the first fit
+    names = [setting(job.cfg, "name", job.path, "str", None)
+             or os.path.splitext(os.path.basename(job.path))[0] for job in jobs]
+    bundles = [build_model(job.cfg, job.path) for job in jobs]
+    entries = [(name, engine_fit(bundle.model, job.engine), bundle.model)
+               for name, bundle, job in zip(names, bundles, jobs)]
     rows = assessment.compare(entries)
     out_rows = [[row.get(c) for c in COMPARISON_COLUMNS] for row in rows]
     write_csv(os.path.join(out_dir, "comparison.csv"), "comparison",
@@ -614,11 +580,11 @@ def main(argv=None):
         if len(cfgs) < 2 and args.command == "compare":
             raise ParseError("compare takes at least two --config")
         os.makedirs(args.out, exist_ok=True)
-        # every setting is read here, so that a bad value stops the run before any work
+        # every setting is read before any work (the model's by build_model)
         seeds = [_seed_of(cfg, args, path) for cfg, path in zip(cfgs, args.config)]
         if args.command == "simulate":
             return cmd_simulate(cfgs[0], args.out, 0 if seeds[0] is None else seeds[0])
-        jobs = [FitJob(cfg, path, seed, engine_config(cfg, args))
+        jobs = [FitJob(cfg, path, seed, engine_config(cfg, path, args))
                 for cfg, path, seed in zip(cfgs, args.config, seeds)]
         if args.command == "compare":
             return cmd_compare(jobs, args.out)

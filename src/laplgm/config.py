@@ -20,6 +20,8 @@ the configuration is interpreted, not at parse time.
 """
 from __future__ import annotations
 
+import sys
+
 from .errors import ParseError
 
 
@@ -118,7 +120,6 @@ def _parse_list(lines, pos, indent):
             continue
         # mapping item: first pair is inline, the rest indented deeper
         item = {}
-        item_indent = indent + 2
         if body:
             key, _, rest = body.partition(":")
             item[key.strip()] = _parse_scalar(rest) if rest.strip() else None
@@ -149,7 +150,7 @@ def load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
         return parse_config_text(text)
@@ -159,15 +160,43 @@ def load_config(path):
 
 def check_keys(section, allowed, context):
     """Reject unknown keys with their context."""
-    if section is None:
-        return
     unknown = set(section) - set(allowed)
     if unknown:
         raise ParseError(
             f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def require(section, key, context):
-    if section is None or key not in section or section[key] is None:
-        raise ParseError(f"{context}: missing required key {key!r}")
-    return section[key]
+REQUIRED = object()
+
+_EXPECTED = {"float": "a finite number", "positive": "a finite number above 0",
+             "bool": "true or false", "str": "a string", "dict": "a mapping", "list": "a list"}
+
+
+def setting(section, key, context, kind, default=REQUIRED, lo=1, hi=None, choices=None):
+    """`key` of a config section (a mapping, or a list by position), checked.
+
+    Kinds: "float" (finite; an int counts, a bool does not), "positive" (a
+    float above 0), "int" (not a bool, from `lo` to `hi` inclusive), "bool",
+    "str" (one of `choices` when given), "dict" and "list" (sections).  An
+    absent or null key gives `default`, and is an error without one.
+    """
+    value = section[key] if isinstance(section, list) else section.get(key)
+    if value is None:
+        if default is REQUIRED:
+            raise ParseError(f"{context}: missing required key {key!r}")
+        return default
+    if kind in ("float", "positive"):
+        # the bound keeps out nan, inf and an int too large for a float
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max \
+            and (kind == "float" or value > 0)
+    elif kind == "int":
+        ok = type(value) is int and lo <= value and (hi is None or value <= hi)
+    else:  # the other kinds are named after their types
+        ok = type(value).__name__ == kind and (choices is None or value in choices)
+    if not ok:
+        if kind == "int":
+            expected = f"an integer from {lo}" + (" up" if hi is None else f" to {hi}")
+        else:
+            expected = _EXPECTED[kind] if choices is None else f"one of {', '.join(choices)}"
+        raise ParseError(f"{context}: {key} must be {expected}, got {value!r}")
+    return float(value) if kind in ("float", "positive") else value

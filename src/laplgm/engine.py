@@ -22,6 +22,7 @@ from . import sparse
 from .errors import (
     DimensionMismatch,
     InvalidCorrelation,
+    InvalidParameter,
     ModeSearchFailed,
     NonConvergence,
     NotPositiveDefinite,
@@ -78,7 +79,7 @@ INT_STRATEGIES = ("grid", "ccd", "eb")
 class EngineConfig:
     """Settings of the approximation engine.
 
-    Raises ValueError, naming the field, unless `int_strategy` is one of
+    Raises InvalidParameter, naming the field, unless `int_strategy` is one of
     INT_STRATEGIES and `log_drop` and `newton_tol` are finite numbers above 0.
     """
 
@@ -91,12 +92,12 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.int_strategy not in INT_STRATEGIES:
-            raise ValueError(f"int_strategy {self.int_strategy!r} is not one of {INT_STRATEGIES}")
+            raise InvalidParameter(f"int_strategy {self.int_strategy!r} not in {INT_STRATEGIES}")
         for key in ("log_drop", "newton_tol"):
             value = getattr(self, key)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not 0 < value < np.inf):
-                raise ValueError(f"{key} must be a finite number above 0, got {value!r}")
+                raise InvalidParameter(f"{key} must be a finite number above 0, got {value!r}")
             setattr(self, key, float(value))
 
 

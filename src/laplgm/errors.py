@@ -42,7 +42,11 @@ class PointOutsideMesh(LaplgmError, ValueError):
 
 
 class InvalidCorrelation(LaplgmError, ValueError):
-    """Autoregression coefficient outside (-1, 1)."""
+    """Autoregression coefficient outside (-1, 1) ((-1, 1] for a simulation)."""
+
+
+class InvalidParameter(LaplgmError, ValueError):
+    """A model, simulation or engine setting outside its domain."""
 
 
 class UnknownTag(LaplgmError, KeyError):

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit, gammaln, gamma as gamma_fn
 
-from .errors import DimensionMismatch, InvalidCorrelation, UnknownTag, UnsupportedObservation
+from .errors import (
+    DimensionMismatch, InvalidCorrelation, InvalidParameter, UnknownTag, UnsupportedObservation)
 from .sparse import SparseSymmetric, _csc_from_keys, analyze, band_order, factorize
 from .sparse import reorder  # noqa: F401  (bench/tracing.py wraps laplgm.latent.reorder)
 
@@ -43,8 +44,8 @@ class GaussianPrior:
     precision: float = 0.1
 
     def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("prior precision must be positive")
+        if not self.precision > 0:
+            raise InvalidParameter(f"prior precision must be positive, got {self.precision}")
 
     def log_density(self, internal):
         return 0.5 * (np.log(self.precision) - LOG_2PI) - 0.5 * self.precision * (internal - self.mean) ** 2
@@ -62,8 +63,8 @@ class LogGammaPrior:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("shape and rate must be positive")
+        if not (self.shape > 0 and self.rate > 0):
+            raise InvalidParameter(f"shape {self.shape} and rate {self.rate} must be positive")
 
     def log_density(self, internal):
         return (self.shape * np.log(self.rate) - gammaln(self.shape)
@@ -154,7 +155,7 @@ def ar1_precision(n, a, marginal_precision=1.0):
 def rw1_structure(n, precision=1.0):
     """First-difference structure matrix D'D scaled by `precision` (rank n-1)."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidParameter(f"an rw1 needs at least 2 levels, got {n}")
     diag = np.full(n, 2.0 * precision)
     diag[0] = precision
     diag[-1] = precision
@@ -181,8 +182,8 @@ def spde_precision(fem, alpha, kappa, tau):
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
-    if kappa <= 0 or tau <= 0:
-        raise ValueError("kappa and tau must be positive")
+    if not (kappa > 0 and tau > 0):
+        raise InvalidParameter(f"kappa and tau must be positive, got {kappa} and {tau}")
     return _Terms(_spde_terms(fem, alpha)).matrix(_spde_coefs(alpha, np.log(tau), np.log(kappa)))
 
 
@@ -399,6 +400,10 @@ class FixedEffect(_Component):
     prior_precision: float = 1e-4
 
     size = 1
+
+    def __post_init__(self):
+        if not self.prior_precision > 0:
+            raise InvalidParameter(f"{self.name}: prior_precision {self.prior_precision} <= 0")
 
     def hyperparams(self):
         return []
@@ -658,7 +663,7 @@ class ModelGraph:
                 hypers.append(h)
         names = [h.name for h in hypers]
         if len(set(names)) != len(names):
-            raise ValueError("hyperparameter names must be unique")
+            raise InvalidParameter(f"hyperparameter names must be unique, got {names}")
         self.hyperparams = hypers
         if len(self.free_hyperparams()) > HYPER_SOFT_LIMIT:
             warnings.warn(
@@ -763,6 +768,8 @@ def build_stack(parts, components, likelihood):
     """
     components = list(components)
     sizes = {c.name: c.total_size for c in components}
+    if len(sizes) != len(components):
+        raise InvalidParameter(f"component names repeat: {[c.name for c in components]}")
     ys = []
     row_blocks = []
     tags = {}

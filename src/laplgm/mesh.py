@@ -289,10 +289,10 @@ def load_mesh(vertex_file, triangle_file):
             if header is None or [h.strip() for h in header[:3]] != ["i", "j", "k"]:
                 raise ParseError(f"{triangle_file}: expected header 'i,j,k'")
             triangles = [(int(r[0]), int(r[1]), int(r[2])) for r in reader if r]
-    except (ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         if isinstance(exc, ParseError):
             raise
-        raise ParseError(f"could not parse mesh files: {exc}") from exc
+        raise ParseError(f"cannot read mesh files: {exc}") from exc
     try:
         return TriMesh(np.array(vertices, dtype=float).reshape(-1, 2),
                        np.array(triangles, dtype=np.int64).reshape(-1, 3))

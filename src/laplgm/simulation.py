@@ -14,7 +14,7 @@ import numpy as np
 
 from .latent import _matern_nu, matern_kappa_tau, spde_precision
 from .mesh import assemble, projector
-from .errors import ProblemTooLarge
+from .errors import InvalidCorrelation, InvalidParameter, ProblemTooLarge
 from .likelihoods import FAMILIES
 from .sparse import Permutation, factorize, rcm, reorder, sample
 
@@ -59,17 +59,22 @@ class CovariateSpec:
     coef: float
     values: np.ndarray = None
 
+    def __post_init__(self):
+        if self.kind not in ("linear_time", "ma5", "values"):
+            raise InvalidParameter(f"covariate {self.name!r}: kind {self.kind!r} is not "
+                                   "linear_time, ma5 or values")
+        if self.kind == "values" and self.values is None:
+            raise InvalidParameter(f"covariate {self.name!r}: kind 'values' needs values")
+
     def realize(self, n_times, seed):
         if self.kind == "linear_time":
             return np.arange(1, n_times + 1) / n_times
         if self.kind == "ma5":
             return ma5_series(n_times, seed)
-        if self.kind == "values":
-            v = np.asarray(self.values, dtype=float)
-            if v.size != n_times:
-                raise ValueError(f"covariate {self.name!r} has {v.size} values for {n_times} times")
-            return v
-        raise ValueError(f"unknown covariate kind {self.kind!r}")
+        v = np.asarray(self.values, dtype=float)
+        if v.size != n_times:
+            raise InvalidParameter(f"covariate {self.name!r}: {v.size} values, {n_times} times")
+        return v
 
 
 @dataclass
@@ -87,6 +92,14 @@ class SimulationSpec:
     covariates: list = field(default_factory=list)
     family: str = "poisson"
     family_param: float = None   # observation precision (gaussian) or dispersion (nbinomial)
+
+    def __post_init__(self):
+        if not -1.0 < self.ar_coef <= 1.0:
+            raise InvalidCorrelation(f"ar_coef must lie in (-1, 1], got {self.ar_coef}")
+        if self.family not in FAMILIES:
+            raise InvalidParameter(f"family {self.family!r} is not one of {sorted(FAMILIES)}")
+        if self.family_param is not None and not self.family_param > 0:
+            raise InvalidParameter(f"family_param must be positive, got {self.family_param}")
 
 
 @dataclass
@@ -108,8 +121,6 @@ class SimulatedData:
 
 def simulate(spec, seed):
     """Draw one dataset; deterministic for a fixed (spec, seed)."""
-    if not (-1.0 < spec.ar_coef <= 1.0):
-        raise ValueError("ar coefficient must lie in (-1, 1]")
     kappa, tau = matern_kappa_tau(spec.range0, spec.sigma0, nu=_matern_nu(spec.alpha))
     fem = assemble(spec.mesh)
     Q = spde_precision(fem, spec.alpha, kappa, tau)
@@ -146,8 +157,6 @@ def simulate(spec, seed):
         row_site[block] = np.arange(n_sites)
         row_time[block] = t + 1
 
-    if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}")
     param = spec.family_param
     if param is None:
         param = _DEFAULT_FAMILY_PARAM.get(spec.family)

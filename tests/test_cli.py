@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -639,10 +641,10 @@ class TestModelBuilding:
         cfg = cli.load_config(str(path))
         comp = cli.build_model(cfg, str(path)).model.components[0]
         mesh = mm.structured_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
-        section = cfg["components"][0].get("prior")
         ref = lm.spde_matern_component(
             "spatial", mm.assemble(mesh), mesh, alpha=2, initial_sigma=1.5,
-            prior=cli._parse_prior(section, "prior"), grouping=lm.ReplicateGrouping(3))
+            prior=cli._parse_prior(cfg["components"][0], "prior", "prior"),
+            grouping=lm.ReplicateGrouping(3))
         for got, want in ((comp.log_tau, ref.log_tau), (comp.log_kappa, ref.log_kappa)):
             assert (got.name, got.internal_value, got.transform, got.prior, got.fixed) == \
                 (want.name, want.internal_value, want.transform, want.prior, want.fixed)
@@ -731,28 +733,79 @@ RW1_BINS = SPDE_CONFIG.format(
                          "    n_bins: {n_bins}\n")
 
 
-@pytest.mark.parametrize("command, data, config, flags", [
+GAUSSIAN_INTERCEPT = POISSON_INTERCEPT.replace("poisson", "gaussian")
+RW1_3 = RW1_BINS.replace("{n_bins}", "3")
+
+
+def _with_likelihood_key(line):
+    return SPDE_SMALL.replace("  family: gaussian\n", f"  family: gaussian\n  {line}\n")
+
+
+@pytest.mark.parametrize("command, data, config, flags, says", [
     pytest.param("fit", "site_x,site_y,time,y,y\n0.1,0.1,1,3,3\n0.2,0.2,1,4,4\n0.3,0.3,2,5,5\n",
-                 POISSON_INTERCEPT, [], id="repeated-column"),
+                 POISSON_INTERCEPT, [], "repeated column", id="repeated-column"),
     pytest.param("fit", "site_x,site_y,time,y,y\n0.1,0.1,1,3,3\n0.2,0.2,1,4,abc\n",
-                 POISSON_INTERCEPT, [], id="repeated-column-bad-cell"),
-    pytest.param("simulate", None, SIM_SMALL, ["--seed", "-1"], id="seed-flag-negative"),
-    pytest.param("simulate", None, SIM_SMALL.replace("seed: 5", f"seed: {2**128}"), [],
+                 POISSON_INTERCEPT, [], "repeated column", id="repeated-column-bad-cell"),
+    pytest.param("simulate", None, SIM_SMALL, ["--seed", "-1"], "--seed",
+                 id="seed-flag-negative"),
+    pytest.param("simulate", None, SIM_SMALL.replace("seed: 5", f"seed: {2**128}"), [], "seed",
                  id="seed-config-too-large"),
-    pytest.param("fit", None, RW1_BINS.replace("{n_bins}", "0"), [], id="n_bins-0"),
-    pytest.param("fit", None, RW1_BINS.replace("{n_bins}", "2.5"), [], id="n_bins-float"),
-    pytest.param("fit", None, SPDE_SMALL + "predict:\n  n_grid: -1\n  time: 1\n", [],
+    pytest.param("fit", None, RW1_BINS.replace("{n_bins}", "0"), [], "n_bins", id="n_bins-0"),
+    pytest.param("fit", None, RW1_BINS.replace("{n_bins}", "2.5"), [], "n_bins",
+                 id="n_bins-float"),
+    pytest.param("fit", None, SPDE_SMALL + "predict:\n  n_grid: -1\n  time: 1\n", [], "n_grid",
                  id="n_grid-negative"),
-    pytest.param("fit", None, SPDE_SMALL.replace("alpha: 2", "alpha: 3"), [],
+    pytest.param("fit", None, SPDE_SMALL.replace("alpha: 2", "alpha: 3"), [], "alpha",
                  id="component-alpha-3"),
-    pytest.param("fit", None, SPDE_SMALL.replace("nx: 4", "nx: 2.5"), [], id="nx-float"),
+    pytest.param("fit", None, SPDE_SMALL.replace("nx: 4", "nx: 2.5"), [], "nx", id="nx-float"),
     pytest.param("simulate", None, SIM_SMALL.replace("  truth:\n", "  truth:\n    alpha: 3\n"),
-                 [], id="truth-alpha-3"),
-    pytest.param("simulate", None, SIM_SMALL.replace("n_times: 2", "n_times: 0"), [],
+                 [], "alpha", id="truth-alpha-3"),
+    pytest.param("simulate", None, SIM_SMALL.replace("n_times: 2", "n_times: 0"), [], "n_times",
                  id="n_times-0"),
+    pytest.param("fit", None, SPDE_SMALL.replace("x_min: 0.0", "x_min: abc"), [], "x_min",
+                 id="mesh-x_min-abc"),
+    pytest.param("simulate", None, SIM_SMALL.replace("coef: 1.0", "coef: abc"), [], "coef",
+                 id="covariate-coef-abc"),
+    pytest.param("simulate", None, SIM_SMALL.replace("kind: linear_time", "kind: foo"), [],
+                 "kind", id="covariate-kind-foo"),
+    pytest.param("simulate", None, SIM_SMALL.replace("kind: linear_time", "kind: values"), [],
+                 "values", id="covariate-kind-values"),
+    pytest.param("simulate", None, SIM_SMALL.replace("family: poisson", "family: foo"), [],
+                 "family", id="family-foo"),
+    pytest.param("simulate", None,
+                 SIM_SMALL.replace("family: poisson", "family: nbinomial\n  family_param: -1"),
+                 [], "family_param", id="nbinomial-family_param-negative"),
+    pytest.param("fit", None, SPDE_CONFIG.format(
+        data="{data}", prior="    prior:\n      kind: gaussian\n      precision: -1\n"), [],
+                 "precision", id="gaussian-prior-precision-negative"),
+    pytest.param("fit", None, _with_likelihood_key("fixed: abc"), [], "fixed", id="fixed-abc"),
+    pytest.param("fit", None, _with_likelihood_key("exact_predictor: abc"), [], "exact_predictor",
+                 id="exact_predictor-abc"),
+    pytest.param("fit", None, RW1_3 + "    sum_to_zero: abc\n", [], "sum_to_zero",
+                 id="sum_to_zero-abc"),
+    pytest.param("fit", None, _with_likelihood_key("initial_precision: -1"), [],
+                 "initial_precision", id="initial_precision-negative"),
+    pytest.param("fit", None, SPDE_SMALL.replace("initial_sigma: 1.5", "initial_sigma: -1"), [],
+                 "initial_sigma", id="initial_sigma-negative"),
+    pytest.param("fit", None, SPDE_SMALL.replace("data: {data}", "data: 0"), [], "data",
+                 id="data-0"),
+    pytest.param("simulate", None,
+                 SIM_SMALL.replace("- name: covar1\n      kind:", "- kind:"), [], "name",
+                 id="covariate-without-name"),
+    pytest.param("simulate", None, SIM_SMALL + "  site_bounds: [0, 1, 0, 1]\n", [],
+                 "site_bounds", id="site_bounds-not-a-list"),
+    pytest.param("fit", None, GAUSSIAN_INTERCEPT + "mesh: 5\n", [], "mesh", id="mesh-5"),
+    pytest.param("fit", None, "data: {data}\nlikelihood:\n  family: gaussian\ncomponents:\n"
+                 "  - intercept\n", [], "components", id="scalar-component-item"),
+    pytest.param("fit", None, GAUSSIAN_INTERCEPT + "  - name: intercept\n    kind: iid\n"
+                 "    covariate: time\n", [], "names repeat", id="repeated-component-name"),
+    pytest.param("fit", None, SPDE_SMALL.replace("data: {data}", "data: {data}.missing"), [],
+                 "data.csv.missing", id="missing-data-file"),
 ])
-def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, command, data, config, flags):
-    # each input is rejected as a usage error before any fit or simulation
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, command, data, config, flags,
+                                 says):
+    # each input is rejected as a usage error, naming what is wrong, before
+    # any fit or simulation
     def no_work(*args):
         raise AssertionError("a malformed input reached the work")
 
@@ -767,7 +820,68 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, command, data, c
     cfg.write_text(config.replace("{data}", str(path)))
     rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), *flags])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert says in err.replace(str(tmp_path), "")
+
+
+class ReachedWork(Exception):
+    """Raised by the stand-ins for the fit and the simulation."""
+
+
+# a `key: value` line of a config, list items included
+SCALAR_LINE = re.compile(r"^(\s*(?:- )?\w+: )\S.*$")
+
+
+@pytest.mark.parametrize("command, template", [
+    pytest.param("simulate", SIM_SMALL, id="simulate"),
+    pytest.param("fit", SPDE_SMALL, id="spde"),
+    pytest.param("fit", RW1_3, id="rw1"),
+])
+def test_each_scalar_edit_is_taken_or_exits_2(tmp_path, monkeypatch, capsys, command, template):
+    # every scalar setting, set to each value below, either reaches the work
+    # or exits 2 with `error:`; none raises anything else or warns
+    def work(*args):
+        raise ReachedWork
+
+    monkeypatch.setattr(cli, "engine_fit", work)
+    monkeypatch.setattr(cli, "run_simulation", work)
+    data = str(_small_data(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    lines = template.splitlines()
+    outcomes = {"work": 0, "exit 2": 0}
+    bad = []
+    for i, line in enumerate(lines):
+        m = SCALAR_LINE.match(line)
+        if m is None:
+            continue
+        for value in ("abc", "-1", "0", "2.5", "[]", "true"):
+            edited = lines[:i] + [m.group(1) + value] + lines[i + 1:]
+            cfg.write_text("\n".join(edited).replace("{data}", data) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+                except ReachedWork:
+                    rc = "work"
+                except Exception as exc:
+                    rc = exc
+            err = capsys.readouterr().err
+            if rc == "work" or (rc == 2 and err.startswith("error:")):
+                outcomes["work" if rc == "work" else "exit 2"] += 1
+            else:
+                bad.append((line.strip(), value, repr(rc), err))
+    assert bad == []
+    assert outcomes["work"] > 0 and outcomes["exit 2"] > 0
+
+
+def test_one_level_rw1_exits_2(tmp_path, capsys):
+    # an rw1 over one level has no structure; the library says so, and the
+    # CLI prints it as a usage error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RW1_BINS.replace("{n_bins}", "1").replace("{data}", str(_small_data(tmp_path))))
+    assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "2 levels" in capsys.readouterr().err
 
 
 class TestImportFootprint:

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import laplgm.latent as lm
 import laplgm.mesh as mm
-from laplgm.errors import DimensionMismatch, InvalidCorrelation, UnknownTag
+from laplgm.errors import DimensionMismatch, InvalidCorrelation, InvalidParameter, UnknownTag
 from laplgm.likelihoods import PoissonLik
 from laplgm.sparse import factorize
 
@@ -200,6 +200,19 @@ class TestPriors:
         v = 10.0
         want = gamma.logpdf(v, a=10.0, scale=1.0) + np.log(v)
         assert p.log_density(np.log(v)) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lm.GaussianPrior(0.0, -1.0),
+    lambda: lm.LogGammaPrior(-1.0, 1.0),
+    lambda: lm.FixedEffect("b", -1.0),
+    lambda: lm.spde_precision(mm.assemble(mm.structured_mesh(0, 1, 0, 1, 2, 2)), 2, -1.0, 1.0),
+    lambda: lm.rw1_structure(1),
+], ids=["gaussian-prior", "loggamma-prior", "fixed-effect", "spde-kappa", "rw1-one-level"])
+def test_domain_errors_are_package_errors(build):
+    # a value outside its domain raises the package's error, still a ValueError
+    with pytest.raises(InvalidParameter):
+        build()
 
 
 def toy_graph():

@@ -78,6 +78,11 @@ class TestLoadSave:
         tf.write_text("i,j,k\n0,1,9\n")
         with pytest.raises(ParseError):
             mm.load_mesh(vf, tf)
+        # an unreadable file is a parse error naming it, not an OSError
+        with pytest.raises(ParseError, match="missing.csv"):
+            mm.load_mesh(vf, tmp_path / "missing.csv")
+        with pytest.raises(ParseError):
+            mm.load_mesh(tmp_path, tf)
 
 
 class TestAssemble:

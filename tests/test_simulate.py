@@ -3,6 +3,7 @@ import pytest
 
 import laplgm.mesh as mm
 import laplgm.simulation as sim
+from laplgm.errors import LaplgmError
 
 
 def small_spec(**kw):
@@ -119,6 +120,18 @@ class TestFamilies:
     def test_invalid_ar(self):
         with pytest.raises(ValueError):
             sim.simulate(small_spec(ar_coef=1.2), seed=1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: small_spec(family="gamma"),
+        lambda: small_spec(ar_coef=-1.0),
+        lambda: small_spec(family="nbinomial", family_param=-1.0),
+        lambda: sim.CovariateSpec("c", "foo", 1.0),
+        lambda: sim.CovariateSpec("c", "values", 1.0),
+    ], ids=["family", "ar_coef", "family_param", "covariate-kind", "covariate-no-values"])
+    def test_spec_rejects_before_any_draw(self, build):
+        # the spec checks itself on construction, as a package error
+        with pytest.raises(LaplgmError):
+            build()
 
 
 class TestMarginalVariance:
