@@ -405,9 +405,10 @@ class Engine:
         line-search trial (the simplified, or chord, Newton iteration), whose
         halvings end at NEWTON_MIN_STEP (counts["newton_halvings"] counts
         them).  A likelihood whose curvature does not depend on eta
-        factorizes at theta first, so one exact step follows.  The returned
-        factor is that of Q*(theta, c(x*)) at the returned mode x*, and
-        its `dx` is None whatever the start's.
+        factorizes at theta first, so one exact step follows, and Newton
+        ends once it is taken in full.  The returned factor is that of
+        Q*(theta, c(x*)) at the returned mode x*, and its `dx` is None
+        whatever the start's.
 
         `x_init` defaults to the mode of `start`, else zeros.  When `start`
         carries `dx` and sits at another theta0, Newton starts instead at
@@ -454,8 +455,11 @@ class Engine:
                     and np.array_equal(F.curvature, c))
 
         def factor_here():
-            """The factor at the current x and its curvature c."""
-            nonlocal factorizations
+            """The factor at the current x and its curvature c.  A superseded
+            factor made here is dropped first; `start`'s is kept."""
+            nonlocal F, factorizations
+            if F is not start:
+                F = None
             factorizations += 1
             return self._factor_at(theta, q_prior, c, x)
 
@@ -511,6 +515,8 @@ class Engine:
             if converged:   # the line search shrank the step below tolerance
                 c = curvature(x)[1]
                 break
+            if fixed_curvature and lam == 1.0:
+                break   # a full step from a factor at x is the mode, and F sits there
         if not sits_at(F, c):
             F = factor_here()
         return dataclasses.replace(F, x_star=x, iterations=iterations,
@@ -556,15 +562,17 @@ class Engine:
         assert inside.all(), "pattern entry outside the selected inverse"
         return pos, np.where(rows == cols, 1.0, 2.0)
 
-    def log_posterior_gradient(self, approx, S=None):
+    def log_posterior_gradient(self, approx, S=None, overwrite=False):
         """Gradient in theta of `log_posterior`, from the approximation at theta.
 
         `approx` is the Gaussian approximation at `approx.theta`, with its
         factor at the mode, and `S` the selected inverse of that factor,
-        computed here when not given.  No Newton iteration runs: the gradient
-        takes one selected inverse, one solve with p right-hand sides, and
-        central differences (step PRIOR_DIFF_STEP) of the terms that hold x* fixed:
-        the prior quantities and the likelihood at eta* as functions of its
+        computed here when not given; with `overwrite` it is written over the
+        factor (after the solve), which the caller must not use again.  No
+        Newton iteration runs: the gradient takes one selected inverse, one
+        solve with p right-hand sides, and central differences (step
+        PRIOR_DIFF_STEP) of the terms that hold x* fixed: the prior
+        quantities and the likelihood at eta* as functions of its
         hyperparameter psi.  For each theta_j, with dQ = dQ/dtheta_j:
 
         * prior terms: d[log pi(theta) + logdet(Q)/2 + corr];
@@ -616,12 +624,14 @@ class Engine:
                     Qp, _, logdet_p, corr = model.prior_quantities(th)
                     sides.append((Qp.data, log_prior_theta(model, th) + 0.5 * logdet_p + corr))
                 (q_up, s_up), (q_dn, s_dn) = sides
-                dQ = sp.csc_matrix(((q_up - q_dn) / (2.0 * h), P.indices, P.indptr),
-                                   shape=P.shape)
+                # the difference is formed in q_up's memory
+                np.subtract(q_up, q_dn, out=q_up)
+                q_up /= 2.0 * h
+                dQ = sp.csc_matrix((q_up, P.indices, P.indptr), shape=P.shape)
                 dQx = dQ @ x
                 grad[j] = (s_up - s_dn) / (2.0 * h) - 0.5 * float(x @ dQx)
                 rhs[:, j] = -dQx
-                dq[:, j] = self._prior_on_pattern(dQ)
+                dq[self._prior_pos, j] = q_up[self._prior_lower]
             if self.n_constraints:
                 dQs.append(dQ)
             if psi_up != psi_dn:
@@ -637,12 +647,14 @@ class Engine:
             dx = dx - W @ scipy.linalg.cho_solve(approx.constraint_cho, self.M @ dx)
         approx.dx = dx
         dc = lik.curvature_slope(self.y_obs, eta, param)[:, None] * (self.A_obs @ dx) + dc_psi
-        dq_star = dq + self._lik_map @ dc
+        # dq becomes dQ*, column by column
+        for j in range(p):
+            dq[:, j] += self._lik_map @ dc[:, j]
         # tr(Q*^-1 dQ*) over the lower-triangle data of dQ* on the pattern of Q*
         pos, weight = self._trace_plan
         if S is None:
-            S = selected_inverse(approx.factor)
-        grad -= 0.5 * ((weight * S.data[pos]) @ dq_star)
+            S = selected_inverse(approx.factor, overwrite=overwrite)
+        grad -= 0.5 * ((weight * S.data[pos]) @ dq)
         if self.n_constraints:
             AW = self.A_obs @ W
             for j in range(p):
@@ -726,7 +738,7 @@ class Engine:
         self.counts["mode_unconverged"] += not converged
         self.counts["rejected_trials"] += evaluations - gradients
         x_g, dx_g, g_star = accepted
-        approx = last
+        approx, last = last, None
         if not np.array_equal(approx.theta, theta_star):
             # the line search ended on a rejected trial: restart at the mode
             approx = self.log_posterior(theta_star, x_init=x_g, return_approx=True)[1]
@@ -737,14 +749,15 @@ class Engine:
         S = None
 
         # H is the symmetrized forward difference of analytic gradients, each
-        # at a probe from the approximation at the mode
+        # at a probe from the approximation at the mode; a probe's factor is
+        # read last by its gradient, which writes Sigma over it
         h = HESS_DIFF_STEP
         H = np.zeros((p, p))
         for j in range(p):
             step = np.zeros(p)
             step[j] = h
-            g_up = self.log_posterior_gradient(
-                self.log_posterior(theta_star + step, start=approx, return_approx=True)[1])
+            probe = self.log_posterior(theta_star + step, start=approx, return_approx=True)[1]
+            g_up = self.log_posterior_gradient(probe, overwrite=probe.factor is not approx.factor)
             H[:, j] = (g_up - g_star) / h
         H = 0.5 * (H + H.T)
         w, V = np.linalg.eigh(H)
@@ -764,7 +777,7 @@ class Engine:
         the center, z = 0 at theta* itself: the one `find_mode` returns, else
         evaluated from a cold start.  Every other design point is one Gaussian
         approximation, started from the center's; the node reads its
-        quantities from it, and the factor is dropped before the next point.
+        quantities from it, writing the selected inverse over its factor.
         A design point is dropped when its approximation fails or its log
         posterior is not finite, and on the grid when it lies more than
         `log_drop` below the center (the points that end the grid's axes
@@ -799,7 +812,11 @@ class Engine:
                     lp, approx = self.log_posterior(th, start=approx0, return_approx=True)
                 except _REJECTABLE:
                     lp, approx = -np.inf, None
-                seen[key] = (th, lp, self._node_quantities(lp, approx) if keep(lp) else None)
+                q = None
+                if keep(lp):
+                    q = self._node_quantities(lp, approx,
+                                              overwrite=approx.factor is not approx0.factor)
+                seen[key] = (th, lp, q)
             th, lp, q = seen[key]
             if q is None:
                 self.counts["nodes_dropped"] += 1
@@ -842,15 +859,17 @@ class Engine:
     def node_quantities(self, theta, x_init=None):
         """Latent mean/sd and per-row predictor mean/sd at one theta node."""
         lp, approx = self.log_posterior(theta, x_init=x_init, return_approx=True)
-        return self._node_quantities(lp, approx)
+        return self._node_quantities(lp, approx, overwrite=True)
 
-    def _node_quantities(self, lp, approx, S=None):
+    def _node_quantities(self, lp, approx, S=None, overwrite=False):
         """`node_quantities` from the log posterior and Gaussian approximation at a node.
 
-        `S` is the selected inverse of `approx.factor`, computed here when not given.
+        `S` is the selected inverse of `approx.factor`, computed here when not
+        given; with `overwrite` it is written over the factor, which the
+        caller must not use again.
         """
         if S is None:
-            S = selected_inverse(approx.factor)
+            S = selected_inverse(approx.factor, overwrite=overwrite)
         diag = S.diagonal()
         A = self.model.A
         var_rows = self._predictor_variances(S)

@@ -17,6 +17,10 @@ class ProblemTooLarge(LaplgmError):
     """The band factor of a permuted precision would exceed the memory cap."""
 
 
+class FactorConsumed(LaplgmError, RuntimeError):
+    """A selected inverse was written over the factor's band: it solves no more."""
+
+
 class SingularConstraint(LaplgmError, ValueError):
     """The constraint system M Q^-1 M' is numerically singular."""
 

@@ -474,6 +474,10 @@ class Rw1Component(_Component):
     log_precision: HyperParam
     sum_to_zero: bool = True
 
+    def __post_init__(self):
+        if self.size < 2:
+            raise InvalidParameter(f"{self.name}: an rw1 needs at least 2 levels, got {self.size}")
+
     def hyperparams(self):
         return [self.log_precision]
 

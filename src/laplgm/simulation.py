@@ -100,6 +100,9 @@ class SimulationSpec:
             raise InvalidParameter(f"family {self.family!r} is not one of {sorted(FAMILIES)}")
         if self.family_param is not None and not self.family_param > 0:
             raise InvalidParameter(f"family_param must be positive, got {self.family_param}")
+        names = [c.name for c in self.covariates]
+        if len(set(names)) < len(names):
+            raise InvalidParameter(f"covariate names repeat: {names}")
 
 
 @dataclass

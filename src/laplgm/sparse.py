@@ -17,7 +17,8 @@ band narrower than 64.  It runs consecutive chains shorter than a block as
 one sequence and each group of equal-length sequences in lockstep.  It
 stores Sigma on the band within each sequence, the border strip and the
 corner; the band slots that join two sequences lie outside L's pattern and
-are not stored.
+are not stored.  A caller that reads a factor for the last time has its
+selected inverse written over the factor's own memory.
 """
 from __future__ import annotations
 
@@ -28,7 +29,13 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
-from .errors import DimensionMismatch, NotPositiveDefinite, ProblemTooLarge, SingularConstraint
+from .errors import (
+    DimensionMismatch,
+    FactorConsumed,
+    NotPositiveDefinite,
+    ProblemTooLarge,
+    SingularConstraint,
+)
 
 PIVOT_TOL = 1e-12
 
@@ -281,14 +288,19 @@ class CholeskyFactor:
     the factor was computed from.
     """
 
-    __slots__ = ("n", "perm", "symbolic", "logdet", "cut", "w", "nb", "lband", "M", "LF", "_L")
+    __slots__ = ("n", "perm", "symbolic", "logdet", "cut", "w", "nb", "M", "LF", "_lband",
+                 "_buf", "_L")
 
-    def __init__(self, symbolic, ab, Bt, F):
-        """Factorize from LAPACK lower band storage `ab` ((w+1) x cut, column
-        major), the border rows transposed `Bt` (cut x nb) and the lower
-        triangle of the border corner `F` (nb x nb)."""
-        w, cut = ab.shape[0] - 1, ab.shape[1]
-        nb = F.shape[0]
+    def __init__(self, symbolic, buf, Bt, F):
+        """Factorize from the flat buffer `buf`, whose first (w+1) cut entries
+        hold the band in LAPACK lower band storage ((w+1) x cut, column
+        major) and whose last nb (cut + nb) are room for the border of a
+        selected inverse written over the factor; `Bt` is the border rows
+        transposed (cut x nb) and `F` the lower triangle of the border
+        corner (nb x nb).  The band factor overwrites the band in `buf`."""
+        w, nb = symbolic.w, symbolic.nb
+        cut = symbolic.n - nb
+        ab = buf[:(w + 1) * cut].reshape((w + 1, cut), order="F")
         lband, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise NotPositiveDefinite(f"band factorization failed (info={info})")
@@ -314,8 +326,18 @@ class CholeskyFactor:
             LF = np.zeros((0, 0))
         self.n, self.perm, self.symbolic, self.logdet = symbolic.n, symbolic.perm, symbolic, logdet
         self.cut, self.w, self.nb = cut, w, nb
-        self.lband, self.M, self.LF = lband, M, LF
+        self.M, self.LF = M, LF
+        self._lband, self._buf = lband, buf
         self._L = None
+
+    @property
+    def lband(self):
+        """L1 in LAPACK band storage.  Raises FactorConsumed once a selected
+        inverse has been written over it (`selected_inverse(overwrite=True)`)."""
+        if self._lband is None:
+            raise FactorConsumed("this factor's band holds its selected inverse "
+                                 "(selected_inverse with overwrite=True): factorize again")
+        return self._lband
 
     @staticmethod
     def _tbtrs(lband, b, trans):
@@ -351,9 +373,10 @@ class CholeskyFactor:
         """L as a sorted CSC matrix, built on first use."""
         if self._L is None:
             w, cut, nb = self.w, self.cut, self.nb
+            lband = self.lband
             rows, cols, vals = [], [], []
             for d in range(w + 1):
-                v = self.lband[d, :cut - d]
+                v = lband[d, :cut - d]
                 nz = v != 0.0
                 cols.append(np.flatnonzero(nz))
                 rows.append(cols[-1] + d)
@@ -479,13 +502,15 @@ class SymbolicFactor:
         if not np.all(np.isfinite(data)):
             raise NotPositiveDefinite("matrix contains non-finite entries")
         cut, w, nb = self.n - self.nb, self.w, self.nb
-        parts = []
-        for (src, dst), size in zip(self._maps, ((w + 1) * cut, cut * nb, nb * nb)):
-            buf = np.zeros(size)
-            buf[dst] = data[src]
-            parts.append(buf)
-        return CholeskyFactor(self, parts[0].reshape((w + 1, cut), order="F"),
-                              parts[1].reshape(cut, nb), parts[2].reshape(nb, nb))
+        size = (w + 1) * cut
+        # the band, then room (left unset) for the border strip and corner of
+        # a selected inverse written over the factor
+        buf = np.empty(size + nb * (cut + nb))
+        band, Bt, F = buf[:size], np.zeros(cut * nb), np.zeros(nb * nb)
+        band[:] = 0.0
+        for (src, dst), part in zip(self._maps, (band, Bt, F)):
+            part[dst] = data[src]
+        return CholeskyFactor(self, buf, Bt.reshape(cut, nb), F.reshape(nb, nb))
 
     def selected_inverse_slots(self, rows, cols):
         """Where `selected_inverse` stores Sigma[i, j] for the original pairs (rows, cols).
@@ -621,7 +646,7 @@ def _triangular_inverse(L, overwrite=False):
     return Linv
 
 
-def _takahashi_bordered(factor):
+def _takahashi_bordered(factor, overwrite=False):
     """Blocked selected inverse over a band plus trailing border rows.
 
     Given the border, the chains of the band core (`SymbolicFactor`) are
@@ -657,13 +682,18 @@ def _takahashi_bordered(factor):
     Returns one flat array: the band of the inverse in the layout of `lband`
     ((w+1) x cut, column major, diagonal in row 0), then the border strip
     Sigma[cut:, :cut] (nb x cut, row major), then the border corner
-    Sigma[cut:, cut:] (nb x nb, row major).
+    Sigma[cut:, cut:] (nb x nb, row major).  With `overwrite` that array is
+    the factor's own buffer: Sigma's band goes over L's, and the strip and
+    corner into the room after it.  Block k reads L's columns s .. s + b - 1
+    of its sequences (its diagonal block and the rows of C) before it writes
+    Sigma's over them, and no other block reads them; the head, M and LF are
+    other arrays.
     """
     sym = factor.symbolic
     cut, w, nb = factor.cut, factor.w, factor.nb
     lflat = factor.lband.ravel(order="F")
     size = (w + 1) * cut
-    out = np.empty(size + nb * cut + nb * nb)
+    out = factor._buf if overwrite else np.empty(size + nb * cut + nb * nb)
     band = out[:size]
     strip = out[size:size + nb * cut].reshape(nb, cut)
     corner = out[size + nb * cut:].reshape(nb, nb)
@@ -776,7 +806,7 @@ class SelectedInverse:
         return self._lower
 
 
-def selected_inverse(factor):
+def selected_inverse(factor, overwrite=False):
     """Values of Q^-1 on (at least) the sparsity pattern of L + L'.
 
     Diagonal entries are the exact marginal variances of the GMRF with
@@ -789,8 +819,17 @@ def selected_inverse(factor):
     border strip and corner.  The returned SelectedInverse reads it in
     place, at the positions `SymbolicFactor.selected_inverse_slots` gives,
     and builds no sparse matrix unless its `lower` is asked for.
+
+    With `overwrite`, Sigma is written over the factor's own memory, and no
+    array of the factor's size is allocated.  The factor is then consumed:
+    `solve`, `sample`, another `selected_inverse` or its `L` raise
+    FactorConsumed.  Its `logdet` stays readable.
     """
-    return SelectedInverse(factor.symbolic, _takahashi_bordered(factor))
+    try:
+        return SelectedInverse(factor.symbolic, _takahashi_bordered(factor, overwrite))
+    finally:
+        if overwrite:
+            factor._lband = factor._buf = factor._L = None
 
 
 def sample(factor, count, seed):

@@ -875,13 +875,34 @@ def test_each_scalar_edit_is_taken_or_exits_2(tmp_path, monkeypatch, capsys, com
     assert outcomes["work"] > 0 and outcomes["exit 2"] > 0
 
 
-def test_one_level_rw1_exits_2(tmp_path, capsys):
-    # an rw1 over one level has no structure; the library says so, and the
-    # CLI prints it as a usage error
+def test_one_level_rw1_exits_2(tmp_path, monkeypatch, capsys):
+    # an rw1 over one level has no structure; the library says so when the
+    # component is built, and the CLI prints it as a usage error before any fit
+    def no_fit(*args):
+        raise AssertionError("an rw1 over one level reached the fit")
+
+    monkeypatch.setattr(cli, "engine_fit", no_fit)
+    data = str(_small_data(tmp_path))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(RW1_BINS.replace("{n_bins}", "1").replace("{data}", str(_small_data(tmp_path))))
-    assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "2 levels" in capsys.readouterr().err
+    for config in (RW1_BINS.replace("{n_bins}", "1"),
+                   RW1_BINS.replace("{n_bins}", "3").replace("covariate: time", "covariate: const")):
+        cfg.write_text(config.replace("{data}", data))
+        assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "2 levels" in capsys.readouterr().err
+
+
+def test_repeated_simulated_covariate_exits_2(tmp_path, monkeypatch, capsys):
+    # two covariates of one name would enter the trend twice and write a
+    # data.csv that fit rejects; the spec refuses them before any draw
+    def no_draw(*args):
+        raise AssertionError("a repeated covariate name reached the simulation")
+
+    monkeypatch.setattr(cli, "run_simulation", no_draw)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_SMALL.replace("name: covar2", "name: covar1"))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "covariate names repeat" in err
 
 
 class TestImportFootprint:

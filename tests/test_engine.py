@@ -1095,6 +1095,52 @@ class TestFactorReuse:
         cold = engine.log_posterior(th, x_init=np.zeros(g.n_latent))
         assert warm == pytest.approx(cold, abs=1e-8)
 
+    @staticmethod
+    def gaussian_rw1_spde(seed=4, T=4, n_sites=6):
+        """Gaussian rw1 trend (sum to zero) plus a replicated SPDE field."""
+        import laplgm.mesh as mm
+        rng = np.random.default_rng(seed)
+        mesh = mm.structured_mesh(0, 1, 0, 1, 4, 4)
+        spde = lm.spde_matern_component("s", mm.assemble(mesh), mesh, alpha=2,
+                                        initial_range=0.5, grouping=lm.ReplicateGrouping(T))
+        t_idx = np.repeat(np.arange(T), n_sites)
+        block = lm.group_block(mm.projector(mesh, rng.random((n_sites, 2)))[
+            np.tile(np.arange(n_sites), T)], t_idx, T)
+        hy = lm.log_precision_hyper("t.prec", 1.0, prior=GaussianPrior(0.0, 0.5))
+        lik = GaussianLik(HyperParam("o", np.log(4.0), "log", GaussianPrior(0.0, 1.0)))
+        part = lm.StackPart(rng.normal(1.0 + np.sin(t_idx), 0.5),
+                            {"mu": np.ones(t_idx.size), "t": lm.index_block(t_idx, T),
+                             "s": block}, "obs")
+        return lm.build_stack(
+            [part], [lm.FixedEffect("mu"), lm.Rw1Component("t", T, hy), spde], lik)
+
+    def test_gaussian_theta_one_newton_solve(self, monkeypatch):
+        # the full step from a factor at x is a Gaussian theta's mode: one
+        # Newton solve per theta evaluation, and the same x* and log
+        # posterior, bit for bit, as a second iteration that checks it
+        g = self.gaussian_rw1_spde()
+        points = []
+        real = Engine._newton_point
+
+        def counted(self, *args):
+            points.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(Engine, "_newton_point", counted)
+        fit = eng.fit(g, EngineConfig(int_strategy="ccd"))
+        assert len(points) == fit.counts["theta_evals"] == fit.counts["factorizations"]
+        engine = Engine(g)
+        theta = g.theta_initial() + np.array([0.3, -0.2, 0.4, 0.1])
+        del points[:]
+        lp, ap = engine.log_posterior(theta, return_approx=True)
+        assert len(points) == 1 and ap.iterations == 1
+        # a likelihood not known to have fixed curvature checks the step
+        monkeypatch.setattr(g.likelihood, "fixed_curvature", False)
+        del points[:]
+        lp2, ap2 = engine.log_posterior(theta, return_approx=True)
+        assert len(points) == 2 and ap2.iterations == 1
+        assert lp == lp2 and np.array_equal(ap.x_star, ap2.x_star)
+
     def test_fit_counts(self, count_factorizations):
         g = self.rw1_model(PoissonLik(), fixed=False)
         fit = eng.fit(g, EngineConfig(int_strategy="ccd"))
@@ -1319,9 +1365,9 @@ class TestOnePass:
             found.append(out[0].copy())
             return out
 
-        def selinv(factor):
+        def selinv(factor, **kwargs):
             selinv_calls.append(1)
-            return real_selinv(factor)
+            return real_selinv(factor, **kwargs)
 
         monkeypatch.setattr(Engine, "gaussian_approximation", approx)
         monkeypatch.setattr(Engine, "find_mode", find_mode)
@@ -1356,6 +1402,57 @@ class TestOnePass:
         assert len(nodes) == 8
         assert not any(np.array_equal(nd.theta, failed[0]) for nd in nodes)
         assert all(nd.weight == pytest.approx(1.0 / 8.0) for nd in nodes)
+
+
+class TestBandMemory:
+    """A factor's last reader writes the selected inverse over its band."""
+
+    def test_band_arrays_alive_within_budget(self, monkeypatch):
+        # every factor's band and every selected inverse is tracked through a
+        # weak reference to the array that owns its memory: at most two are
+        # alive at once (the center's, or BFGS's start, and one more), and
+        # the probes and design points allocate no selected-inverse array
+        import weakref
+
+        import laplgm.sparse as sps
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        tracked, most, kinds = [], [0], []
+
+        def track(array):
+            tracked.append(weakref.ref(owner(array)))
+            most[0] = max(most[0], len({id(r()) for r in tracked if r() is not None}))
+
+        real_numeric, real_selinv = sps.SymbolicFactor.numeric, eng.selected_inverse
+
+        def numeric(self, Q):
+            factor = real_numeric(self, Q)
+            if self.n == g.n_latent:   # Q*, not a component's prior
+                track(factor.lband)
+            return factor
+
+        def selinv(factor, **kwargs):
+            band = owner(factor.lband)
+            S = real_selinv(factor, **kwargs)
+            kinds.append("fresh" if owner(S.data) is not band else "in place")
+            track(S.data)
+            return S
+
+        g = TestThetaGradient.ar1_grouped_spde()
+        monkeypatch.setattr(sps.SymbolicFactor, "numeric", numeric)
+        monkeypatch.setattr(eng, "selected_inverse", selinv)
+        fit = eng.fit(g, EngineConfig(int_strategy="ccd"))
+        p = len(g.free_hyperparams())
+        assert len(fit.nodes) == 15 and fit.counts["factorizations"] == len(tracked) - len(kinds)
+        assert most[0] <= 2
+        # one Hessian probe per theta_j and every design point but the center
+        assert kinds.count("in place") == p + len(fit.nodes) - 1
+        # BFGS's gradients; the center reads the last one's
+        assert kinds.count("fresh") == fit.counts["gradients"] - p
 
 
 class TestStateless:

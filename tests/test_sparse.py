@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import laplgm as lg
 import laplgm.sparse as sps
 from laplgm.errors import (
     DimensionMismatch,
+    FactorConsumed,
     NotPositiveDefinite,
     ProblemTooLarge,
 )
@@ -555,6 +557,81 @@ class TestChains:
         dense = np.linalg.inv(Q.to_dense())
         coo = S.lower.tocoo()
         assert np.abs(coo.data - dense[coo.row, coo.col]).max() <= 1e-10 * np.abs(dense).max()
+
+
+class TestOverwrite:
+    """selected_inverse(overwrite=True) writes Sigma over the factor it reads."""
+
+    @pytest.mark.parametrize("lengths, w, nb", [
+        ([300], 70, 3),       # one chain with a border, 64-column blocks
+        ([50] * 8, 20, 6),    # replicate chains in lockstep with a border
+        ([150], 20, 0),       # no border
+    ])
+    def test_in_place_equals_out_of_place(self, lengths, w, nb):
+        rng = np.random.default_rng(sum(lengths) + w + nb)
+        Q = lg.SparseSymmetric.from_full(chained_spd(lengths, w, nb, rng))
+        sym = lg.analyze(Q)
+        assert (sym.w, sym.nb, sym.chains) == (w, nb, len(lengths))
+        i, j = np.tril_indices(sym.n)
+        slots, inside = sym.selected_inverse_slots(i, j)
+        slots = slots[inside]
+        # the band within each sequence, the strip and the corner
+        cut = sym.n - nb
+        size = (w + 1) * cut
+        assert np.sum(slots >= size + nb * cut) == nb * (nb + 1) // 2
+        assert np.sum((slots >= size) & (slots < size + nb * cut)) == nb * cut
+        apart = lg.selected_inverse(sym.numeric(Q))
+        f = sym.numeric(Q)
+        logdet = f.logdet
+        band = f.lband
+        over = lg.selected_inverse(f, overwrite=True)
+        assert np.shares_memory(over.data, band)
+        assert np.array_equal(over.data[slots], apart.data[slots])
+        assert np.array_equal(over.diagonal(), apart.diagonal())
+        assert f.logdet == logdet
+
+    def test_in_place_allocates_no_flat_array(self):
+        # one long chain with a border, from triplets (no dense matrix): the
+        # recursion's block temporaries are all the in-place inverse allocates
+        rng = np.random.default_rng(3)
+        n, w, nb = 3000, 60, 3
+        cut = n - nb
+        d = np.concatenate([np.full(cut - k, k) for k in range(1, w + 1)])
+        cols = np.concatenate([np.arange(cut - k) for k in range(1, w + 1)])
+        br, bc = np.tril_indices(n, -1)
+        keep = br >= cut
+        rows = np.concatenate([cols + d, br[keep]])
+        cols = np.concatenate([cols, bc[keep]])
+        vals = rng.uniform(-0.5, 0.5, rows.size)
+        diag = 1.0 + np.bincount(rows, np.abs(vals), n) + np.bincount(cols, np.abs(vals), n)
+        Q = lg.SparseSymmetric.from_triplets(
+            n, np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)]),
+            np.concatenate([vals, diag]))
+        f = lg.factorize(Q)
+        assert (f.symbolic.w, f.symbolic.nb) == (w, nb)
+        flat_bytes = 8 * ((w + 1) * cut + nb * cut + nb * nb)
+        tracemalloc.start()
+        try:
+            S = lg.selected_inverse(f, overwrite=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.data.nbytes == flat_bytes
+        assert peak < 0.5 * flat_bytes
+
+    @pytest.mark.parametrize("use", ["solve", "selected_inverse", "sample", "L"])
+    def test_consumed_factor_raises(self, use):
+        rng = np.random.default_rng(8)
+        Q = lg.SparseSymmetric.from_full(chained_spd([60, 60], 10, 2, rng))
+        f = lg.factorize(Q)
+        f.L   # a cached L goes with the band
+        lg.selected_inverse(f, overwrite=True)
+        calls = {"solve": lambda: lg.solve(f, np.ones(Q.n)),
+                 "selected_inverse": lambda: lg.selected_inverse(f),
+                 "sample": lambda: lg.sample(f, 2, 1),
+                 "L": lambda: f.L}
+        with pytest.raises(FactorConsumed, match="overwrite"):
+            calls[use]()
 
 
 class TestSample:
